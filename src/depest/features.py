@@ -1,16 +1,19 @@
 """Visual and text preprocessing plus the overlapped clip cutter.
 
-Facial keypoints (68 landmark rows + 4 gaze rows, each a 3-vector) are
-min-max normalized per coordinate axis over the whole session; gaze rows
-stay untouched since they arrive as unit vectors. Sentence embeddings
-are fixed 512-wide rows with start/stop stamps. The clipper slices a
-session into fixed-length overlapped windows and bundles per-clip
-audio/visual/text tensors with the session labels.
+A session's keypoints are one array pair, `Keypoints(times [T],
+points [T, 72, 3])`: 68 landmark rows plus 4 gaze rows per frame, each a
+3-vector. Landmarks are min-max normalized per coordinate axis over the
+whole session; gaze rows stay untouched since they arrive as unit
+vectors. Sentence embeddings are `Sentences(starts [S], stops [S],
+vectors [S, 512])`. The clipper slices a session into fixed-length
+overlapped windows with boolean masks on frame times and sentence
+midpoints, and bundles per-clip audio/visual/text tensors with the
+session labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,40 +27,47 @@ EMBED_DIM = 512
 
 
 @dataclass
-class KeypointFrame:
-    points: np.ndarray  # [72, 3]
-    timestamp_s: float
+class Keypoints:
+    """A session's keypoint track: one timestamp and one [72, 3] frame per row."""
+
+    times: np.ndarray  # [T]
+    points: np.ndarray  # [T, 72, 3]
 
     def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=np.float64)
         self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.shape != (FRAME_ROWS, 3):
-            raise FormatError(f"keypoint frame must be {FRAME_ROWS}x3, got {self.points.shape}")
+        if self.points.shape[1:] != (FRAME_ROWS, 3) or self.times.shape != self.points.shape[:1]:
+            raise FormatError(
+                f"keypoints must be [T,{FRAME_ROWS},3] with T timestamps, got {self.points.shape} and {self.times.shape}"
+            )
 
 
 @dataclass
-class SentenceEmbedding:
-    vector: np.ndarray  # [512]
-    start_s: float
-    stop_s: float
+class Sentences:
+    """A session's sentence embeddings: start/stop stamps and one 512-wide row each."""
+
+    starts: np.ndarray  # [S]
+    stops: np.ndarray  # [S]
+    vectors: np.ndarray  # [S, 512]
 
     def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.shape != (EMBED_DIM,):
-            raise FormatError(f"sentence embedding must have {EMBED_DIM} values, got {self.vector.shape}")
-        if not self.start_s < self.stop_s:
-            raise FormatError(f"sentence needs start < stop, got ({self.start_s}, {self.stop_s})")
+        self.starts = np.asarray(self.starts, dtype=np.float64)
+        self.stops = np.asarray(self.stops, dtype=np.float64)
+        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        n = self.starts.shape
+        if self.vectors.shape[1:] != (EMBED_DIM,) or self.vectors.shape[:1] != n or self.stops.shape != n:
+            raise FormatError(
+                f"sentences must be [S,{EMBED_DIM}] with S start/stop stamps, got {self.vectors.shape}, "
+                f"{self.starts.shape} and {self.stops.shape}"
+            )
+        bad = np.flatnonzero(~(self.starts < self.stops))
+        if bad.size:
+            i = bad[0]
+            raise FormatError(f"sentence {i} needs start < stop, got ({self.starts[i]}, {self.stops[i]})")
 
     @property
-    def midpoint_s(self) -> float:
-        return 0.5 * (self.start_s + self.stop_s)
-
-
-@dataclass
-class NormalizedKeypoints:
-    frames: list
-    axis_min: np.ndarray  # [3], landmark extrema used by the affine map
-    axis_max: np.ndarray
-    degenerate_axes: np.ndarray  # [3] bool, axes that were constant
+    def midpoints(self) -> np.ndarray:
+        return 0.5 * (self.starts + self.stops)
 
 
 @dataclass
@@ -86,8 +96,8 @@ class SessionFeatures:
     """Full-session aligned modalities plus labels, pre-clipping."""
 
     audio: Waveform
-    frames: list = field(default_factory=list)
-    sentences: list = field(default_factory=list)
+    frames: Keypoints
+    sentences: Sentences
     phq_subscores: tuple = (0,) * 8
     participant_id: str = ""
     gender: str = "female"
@@ -97,71 +107,30 @@ class SessionFeatures:
         return self.audio.duration_s
 
 
-def normalize_keypoints(frames) -> NormalizedKeypoints:
+def normalize_keypoints(points) -> np.ndarray:
     """Min-max map of landmark rows into [0,1] per coordinate axis.
 
-    Extrema are taken over every landmark row of every frame; gaze rows
-    pass through unchanged (they must be unit vectors). A constant axis
-    becomes 0.5 everywhere and is flagged. Idempotent: re-running on
+    points is [T, 72, 3]; a normalized copy of the same shape is
+    returned. Extrema are taken over every landmark row of every frame;
+    gaze rows pass through unchanged (they must be unit vectors). A
+    constant axis becomes 0.5 everywhere. Idempotent: re-running on
     normalized output is the identity on non-degenerate axes.
     """
-    frames = list(frames)
-    if not frames:
+    out = np.array(points, dtype=np.float64)
+    if out.size == 0:
         raise EmptyInputError("no keypoint frames to normalize")
-    stack = np.stack([f.points for f in frames])  # [T, 72, 3]
-    gaze = stack[:, N_LANDMARKS:, :]
-    norms = np.linalg.norm(gaze, axis=2)
+    norms = np.linalg.norm(out[:, N_LANDMARKS:, :], axis=2)
     if np.any(np.abs(norms - 1.0) > 1e-3):
         raise DataError(f"gaze rows must be unit vectors, worst norm {norms.flat[np.abs(norms - 1.0).argmax()]:.5f}")
 
-    marks = stack[:, :N_LANDMARKS, :]
+    marks = out[:, :N_LANDMARKS, :]  # normalized in place
     lo = marks.min(axis=(0, 1))
     hi = marks.max(axis=(0, 1))
     degenerate = hi == lo
-    span = np.where(degenerate, 1.0, hi - lo)
-    mapped = (marks - lo) / span
-    mapped[:, :, degenerate] = 0.5
-
-    out = []
-    for t, f in enumerate(frames):
-        pts = np.concatenate([mapped[t], gaze[t]], axis=0)
-        out.append(KeypointFrame(points=pts, timestamp_s=f.timestamp_s))
-    return NormalizedKeypoints(frames=out, axis_min=lo, axis_max=hi, degenerate_axes=degenerate)
-
-
-def _check_intervals(intervals):
-    intervals = [(float(a), float(b)) for a, b in intervals]
-    for a, b in intervals:
-        if not a < b:
-            raise ConfigError(f"interval must have start < stop, got ({a}, {b})")
-    for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
-        if a1 < b0:
-            raise ConfigError(f"intervals must be sorted and non-overlapping, got ({a0},{b0}) then ({a1},{b1})")
-    return intervals
-
-
-def crop_by_timestamps(frames, intervals) -> list:
-    """Keep items whose timestamp_s lies in some [start, stop); order kept."""
-    intervals = _check_intervals(intervals)
-    out = [f for f in frames if any(a <= f.timestamp_s < b for a, b in intervals)]
-    if not out:
-        raise EmptyOutputError("no frames fall inside the given intervals")
+    marks -= lo
+    marks /= np.where(degenerate, 1.0, hi - lo)
+    marks[:, :, degenerate] = 0.5
     return out
-
-
-def crop_waveform(w: Waveform, intervals) -> Waveform:
-    """Concatenate the sample spans of the intervals, re-stamping time."""
-    intervals = _check_intervals(intervals)
-    sr = w.sample_rate_hz
-    parts = []
-    for a, b in intervals:
-        lo = max(0, int(round(a * sr)))
-        hi = min(w.samples.size, int(round(b * sr)))
-        if hi > lo:
-            parts.append(w.samples[lo:hi])
-    if not parts:
-        raise EmptyOutputError("no audio falls inside the given intervals")
-    return Waveform(samples=np.concatenate(parts), sample_rate_hz=sr)
 
 
 def clip_count(duration_s: float, window_s: float, overlap_s: float) -> int:
@@ -197,7 +166,9 @@ def sliding_window_clips(
         )
     stride = window_s - overlap_s
     sr = session.audio.sample_rate_hz
-    normed = normalize_keypoints(session.frames).frames if session.frames else []
+    times = session.frames.times
+    points = normalize_keypoints(session.frames.points)
+    midpoints = session.sentences.midpoints
 
     clips = []
     for k in range(n):
@@ -206,15 +177,11 @@ def sliding_window_clips(
         seg = session.audio.samples[int(round(t0 * sr)) : int(round(t1 * sr))]
         grid = standardize(log_mel_spectrogram(Waveform(seg, sr), stft_cfg, mel_cfg))
 
-        vis = [f.points for f in normed if t0 <= f.timestamp_s < t1]
-        visual = np.stack(vis) if vis else np.zeros((0, FRAME_ROWS, 3))
+        visual = points[(t0 <= times) & (times < t1)]
 
         text = np.zeros((max_sentences, EMBED_DIM))
-        row = 0
-        for s in session.sentences:
-            if t0 <= s.midpoint_s < t1 and row < max_sentences:
-                text[row] = s.vector
-                row += 1
+        rows = np.flatnonzero((t0 <= midpoints) & (midpoints < t1))[:max_sentences]
+        text[: rows.size] = session.sentences.vectors[rows]
 
         clips.append(
             ClipSample(
@@ -234,60 +201,44 @@ def sliding_window_clips(
 # -- delimited text I/O ------------------------------------------------
 
 
-def read_keypoints(path) -> list:
-    """One frame per line: timestamp then 216 reals (72 rows x 3)."""
-    frames = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split()
-            if len(vals) != 1 + FRAME_ROWS * 3:
-                raise FormatError(f"{path}:{ln}: expected {1 + FRAME_ROWS * 3} fields, got {len(vals)}")
-            try:
-                nums = np.array([float(v) for v in vals])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{ln}: non-numeric field") from exc
-            frames.append(KeypointFrame(points=nums[1:].reshape(FRAME_ROWS, 3), timestamp_s=nums[0]))
-    if not frames:
-        raise EmptyInputError(f"{path}: no keypoint frames")
-    return frames
-
-
-def write_keypoints(path, frames) -> None:
-    with open(path, "w") as fh:
-        for f in frames:
-            flat = " ".join(f"{v:.8g}" for v in f.points.ravel())
-            fh.write(f"{f.timestamp_s:.8g} {flat}\n")
-
-
-def ingest_embeddings(path) -> list:
-    """Per line: start_s, stop_s, then 512 reals; rows must be start-ordered."""
+def _read_rows(path, n_fields: int, what: str) -> np.ndarray:
+    """Whitespace-delimited text -> [rows, n_fields], checked line by line."""
     rows = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             vals = line.split()
-            if len(vals) != 2 + EMBED_DIM:
-                raise FormatError(f"{path}:{ln}: expected {2 + EMBED_DIM} fields, got {len(vals)}")
+            if not vals:
+                continue
+            if len(vals) != n_fields:
+                raise FormatError(f"{path}:{ln}: expected {n_fields} fields, got {len(vals)}")
             try:
-                nums = np.array([float(v) for v in vals])
+                rows.append(np.array(vals, dtype=np.float64))
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: non-numeric field") from exc
-            rows.append(SentenceEmbedding(vector=nums[2:], start_s=nums[0], stop_s=nums[1]))
     if not rows:
-        raise EmptyInputError(f"{path}: no embeddings")
-    starts = [r.start_s for r in rows]
-    if any(b < a for a, b in zip(starts, starts[1:])):
+        raise EmptyInputError(f"{path}: no {what}")
+    return np.stack(rows)
+
+
+def read_keypoints(path) -> Keypoints:
+    """One frame per line: timestamp then 216 reals (72 rows x 3)."""
+    rows = _read_rows(path, 1 + FRAME_ROWS * 3, "keypoint frames")
+    # copies, so neither field keeps the [T, 217] text rows alive
+    return Keypoints(times=rows[:, 0].copy(), points=np.ascontiguousarray(rows[:, 1:]).reshape(-1, FRAME_ROWS, 3))
+
+
+def write_keypoints(path, keypoints: Keypoints) -> None:
+    rows = np.column_stack([keypoints.times, keypoints.points.reshape(-1, FRAME_ROWS * 3)])
+    np.savetxt(path, rows, fmt="%.8g")
+
+
+def ingest_embeddings(path) -> Sentences:
+    """Per line: start_s, stop_s, then 512 reals; rows must be start-ordered."""
+    rows = _read_rows(path, 2 + EMBED_DIM, "embeddings")
+    if np.any(np.diff(rows[:, 0]) < 0):
         raise FormatError(f"{path}: sentence start times must be non-decreasing")
-    return rows
+    return Sentences(starts=rows[:, 0].copy(), stops=rows[:, 1].copy(), vectors=np.ascontiguousarray(rows[:, 2:]))
 
 
-def write_embeddings(path, sentences) -> None:
-    with open(path, "w") as fh:
-        for s in sentences:
-            flat = " ".join(f"{v:.8g}" for v in s.vector)
-            fh.write(f"{s.start_s:.8g} {s.stop_s:.8g} {flat}\n")
+def write_embeddings(path, sentences: Sentences) -> None:
+    np.savetxt(path, np.column_stack([sentences.starts, sentences.stops, sentences.vectors]), fmt="%.8g")

@@ -71,8 +71,6 @@ class ChannelAttention(Module):
 
         return ad.sigmoid(ad.add(local, glob_b))
 
-    __call__ = forward
-
 
 class AttentionalFusion(Module):
     """Three-stage fusion: residual conv, then two attention-gated blends.
@@ -118,8 +116,6 @@ class AttentionalFusion(Module):
         self.last_conv_y = conv_y.data.copy()
         return ad.reshape(out, out.data.shape[1:]) if unbatched else out
 
-    __call__ = forward
-
     def force_saturation(self, high: bool, magnitude: float = 25.0) -> None:
         """Pin the output-stage weights at ~1 (high) or ~0 by biasing its BNs."""
         for bn in (self.att_out.local_bn2, self.att_out.global_bn2):
@@ -141,8 +137,6 @@ class SubAttentionalBank(Module):
 
     def forward(self, y: Tensor) -> list:
         return [head(y) for head in self.heads]
-
-    __call__ = forward
 
 
 def baseline_fuse(method: str, vectors) -> Tensor:

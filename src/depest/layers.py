@@ -349,6 +349,9 @@ class Module:
         self.training = True
         self._buffer_names: set[str] = set()
 
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
     def register_buffer(self, name: str, arr: np.ndarray) -> None:
         setattr(self, name, arr)
         self._buffer_names.add(name)
@@ -474,8 +477,6 @@ class Conv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
-
 
 class Conv2d(Module):
     def __init__(self, in_channels, out_channels, kernel_size, stride=(1, 1), padding=(0, 0), rng=None, dtype=np.float32):
@@ -492,8 +493,6 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    __call__ = forward
 
 
 class BatchNorm(Module):
@@ -520,8 +519,6 @@ class BatchNorm(Module):
             eps=self.eps,
         )
 
-    __call__ = forward
-
 
 class Linear(Module):
     def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
@@ -536,8 +533,6 @@ class Linear(Module):
         if x.data.ndim == 1:
             return ad.reshape(ad.affine(ad.reshape(x, (1, -1)), self.weight, self.bias), (-1,))
         return ad.affine(x, self.weight, self.bias)
-
-    __call__ = forward
 
 
 class BiLSTM(Module):
@@ -560,5 +555,3 @@ class BiLSTM(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return bilstm(x, self.w_f, self.u_f, self.b_f, self.w_b, self.u_b, self.b_b)
-
-    __call__ = forward

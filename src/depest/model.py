@@ -21,8 +21,6 @@ from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
 from .fusion import _METHOD_ALIASES, AttentionalFusion, SubAttentionalBank, baseline_fuse
 from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, ModuleList, bilstm_summary, max_pool1d
-from .musdl import MusdlConfig, decode_prediction
-from .phq import PhqRecord, derive_phq
 
 MODALITIES = ("a", "v", "t")
 FUSION_MODES = ("mult", "concat", "median", "max", "sum", "mean", "atten", "subatten")
@@ -108,13 +106,6 @@ class ModelConfig:
         return tuple(m for m in MODALITIES if m in self.modality)
 
 
-@dataclass
-class ModelOutput:
-    distributions: np.ndarray  # [8, n_classes], rows sum to 1
-    subscores: tuple
-    record: PhqRecord
-
-
 class ModalityBranch(Module):
     def __init__(self, cfg: BranchConfig, rng=None, dtype=np.float32):
         super().__init__()
@@ -153,8 +144,6 @@ class ModalityBranch(Module):
         x = ad.transpose(x, (0, 2, 1))  # [B, T, C] for the recurrence
         summary = bilstm_summary(self.lstm(x))
         return self.fc(summary)
-
-    __call__ = forward
 
 
 class MultiModalClassifier(Module):
@@ -213,14 +202,6 @@ class MultiModalClassifier(Module):
         probs = [ad.softmax(self.heads[k](head_inputs[k]), axis=1) for k in range(self.cfg.n_heads)]
         return ad.stack(probs, axis=1)  # [B, n_heads, n_classes]
 
-    __call__ = forward
-
-    def forward_clip(self, clip: ClipSample, musdl_cfg: MusdlConfig = MusdlConfig()) -> ModelOutput:
-        inputs = clip_to_inputs(clip, self.cfg, dtype=np.float32)
-        dist = self.forward(**inputs).data[0]
-        subs = tuple(int(s) for s in decode_prediction(dist, musdl_cfg))
-        return ModelOutput(distributions=dist, subscores=subs, record=derive_phq(subs))
-
 
 def clip_to_inputs(clip: ClipSample, cfg: ModelConfig, dtype=np.float32) -> dict:
     """ClipSample arrays -> batch-1 graph tensors keyed by forward() arg."""
@@ -250,32 +231,3 @@ def batch_inputs(clips, cfg: ModelConfig, dtype=np.float32) -> dict:
             raise ShapeError(f"ragged '{key}' shapes in batch: {sorted(shapes)}")
         out[key] = ad.tensor(np.stack(arrs))
     return out
-
-
-def load_branch_state(model: MultiModalClassifier, state: dict, letters) -> int:
-    """Transfer-learning load: copy only branch parameters by name prefix.
-
-    Entries of `state` named branch_<letter>.* for the requested letters
-    are copied into matching model parameters/buffers; everything else
-    (fusion, classifier heads) is left untouched. Returns the number of
-    arrays copied.
-    """
-    own_params = dict(model.named_parameters())
-    own_bufs = dict(model.named_buffers())
-    prefixes = tuple(f"branch_{letter}." for letter in letters)
-    loaded = 0
-    for name, arr in state.items():
-        if not name.startswith(prefixes):
-            continue
-        if name in own_params:
-            target = own_params[name]
-            if target.data.shape != arr.shape:
-                raise ShapeError(f"transfer shape mismatch for '{name}': {target.data.shape} vs {arr.shape}")
-            target.data = arr.astype(target.data.dtype, copy=True)
-            loaded += 1
-        elif name in own_bufs:
-            own_bufs[name][...] = arr
-            loaded += 1
-    if loaded == 0:
-        raise DataError(f"no branch parameters for {letters} found in the checkpoint")
-    return loaded

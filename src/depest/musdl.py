@@ -97,11 +97,6 @@ def kl_rows(target: np.ndarray, pred: Tensor, row_weights: np.ndarray = None) ->
     return ad.add(cross, ad.tensor(ent))
 
 
-def kl_loss(target: np.ndarray, pred: Tensor, row_weights: np.ndarray = None) -> Tensor:
-    """Alias with the orientation used at call sites: sum over all items."""
-    return kl_rows(target, pred, row_weights)
-
-
 def kl_value(target: np.ndarray, pred: np.ndarray) -> float:
     """Plain-array KL for evaluation paths that skip the graph."""
     target = np.asarray(target, dtype=np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 from .data import ManifestEntry, write_manifest
 from .dsp import Waveform, write_wav
 from .errors import ConfigError
-from .features import EMBED_DIM, N_GAZE, N_LANDMARKS, KeypointFrame, SentenceEmbedding, write_embeddings, write_keypoints
+from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, write_embeddings, write_keypoints
 
 TONE_BASE_HZ = 250.0
 TONE_STEP_HZ = 170.0
@@ -86,33 +86,31 @@ def synth_audio(rng: np.random.Generator, subscores, duration_s: float, sample_r
     return Waveform(samples=x, sample_rate_hz=sample_rate)
 
 
-def synth_keypoints(rng: np.random.Generator, total_score: int, duration_s: float, frame_rate: float) -> list:
+def synth_keypoints(rng: np.random.Generator, total_score: int, duration_s: float, frame_rate: float) -> Keypoints:
     """Oscillating face; motion amplitude grows with the total score."""
     base_face, phases, directions, _, _ = _fixed_geometry()
     amp = 0.004 + 0.002 * total_score
     n_frames = int(round(duration_s * frame_rate))
-    frames = []
-    for i in range(n_frames):
-        ts = i / frame_rate
-        wobble = amp * np.sin(2 * np.pi * 0.5 * ts + phases)
-        pts = base_face + wobble * directions + 0.001 * rng.standard_normal((N_LANDMARKS, 3))
-        gaze = np.tile([0.0, 0.0, 1.0], (N_GAZE, 1)) + 0.05 * rng.standard_normal((N_GAZE, 3))
-        gaze /= np.linalg.norm(gaze, axis=1, keepdims=True)
-        frames.append(KeypointFrame(points=np.concatenate([pts, gaze]), timestamp_s=ts))
-    return frames
+    times = np.arange(n_frames) / frame_rate
+    points = rng.standard_normal((n_frames, FRAME_ROWS, 3))  # per frame: landmark noise, then gaze noise
+    marks = points[:, :N_LANDMARKS]
+    marks *= 0.001
+    marks += base_face + amp * np.sin(2 * np.pi * 0.5 * times[:, None, None] + phases) * directions
+    gaze = points[:, N_LANDMARKS:]
+    gaze *= 0.05
+    gaze += [0.0, 0.0, 1.0]
+    gaze /= np.linalg.norm(gaze, axis=2, keepdims=True)
+    return Keypoints(times=times, points=points)
 
 
-def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int, duration_s: float, every_s: float = 5.0) -> list:
+def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int, duration_s: float, every_s: float = 5.0) -> Sentences:
     """One sentence every few seconds, displaced along class directions."""
     _, _, _, u_bin, u_score = _fixed_geometry()
     sign = 1.0 if depressed else -1.0
     mean = 2.0 * sign * u_bin + (total_score / 24.0) * u_score
-    out = []
     n = int(duration_s // every_s)
-    for i in range(n):
-        vec = mean + 0.3 * rng.standard_normal(EMBED_DIM)
-        out.append(SentenceEmbedding(vector=vec, start_s=i * every_s, stop_s=i * every_s + every_s * 0.8))
-    return out
+    starts = np.arange(n) * every_s
+    return Sentences(starts=starts, stops=starts + every_s * 0.8, vectors=mean + 0.3 * rng.standard_normal((n, EMBED_DIM)))
 
 
 def generate_synthetic_corpus(

@@ -194,14 +194,14 @@ def fusion_comparison(
                 batch_size=batch_size,
                 seed=seed,
             )
-            truth, preds = aggregate_predictions(model, clips, musdl_cfg, batch_size)
+            ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
+            truth, preds = _aggregate_eval(clips, ev)
             rep = compute_metrics(
                 [preds[r.participant_id][0] for r in truth],
                 [r.binary for r in truth],
                 [preds[r.participant_id][1] for r in truth],
                 [r.score for r in truth],
             )
-            ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
             rows.append(
                 {
                     "fusion": mode,
@@ -234,7 +234,11 @@ def aggregate_predictions(model: MultiModalClassifier, clips, musdl_cfg: MusdlCo
     per-clip records aggregated by mean score / majority binary.
     """
     clips = list(clips)
-    ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
+    return _aggregate_eval(clips, evaluate_clips(model, clips, musdl_cfg, batch_size))
+
+
+def _aggregate_eval(clips: list, ev: EvalResult):
+    """aggregate_predictions on an existing evaluation of the same clips."""
     by_pid = {}
     for clip, rec in zip(clips, ev.records):
         by_pid.setdefault(clip.participant_id, {"gender": clip.gender, "true": [], "pred": []})

@@ -1,4 +1,4 @@
-"""Keypoint normalization, cropping, and clip windowing."""
+"""Keypoint normalization, clip windowing, and keypoint/embedding text I/O."""
 
 import numpy as np
 import pytest
@@ -18,12 +18,10 @@ from depest.features import (
     FRAME_ROWS,
     N_LANDMARKS,
     ClipSample,
-    KeypointFrame,
-    SentenceEmbedding,
+    Keypoints,
+    Sentences,
     SessionFeatures,
     clip_count,
-    crop_by_timestamps,
-    crop_waveform,
     ingest_embeddings,
     normalize_keypoints,
     read_keypoints,
@@ -31,105 +29,88 @@ from depest.features import (
     write_embeddings,
     write_keypoints,
 )
+from depest.synthetic import generate_synthetic_corpus
 
 
-def make_frame(rng, t, scale=1.0, offset=0.0):
-    pts = np.zeros((FRAME_ROWS, 3))
-    pts[:N_LANDMARKS] = rng.normal(size=(N_LANDMARKS, 3)) * scale + offset
-    gaze = rng.normal(size=(4, 3))
-    pts[N_LANDMARKS:] = gaze / np.linalg.norm(gaze, axis=1, keepdims=True)
-    return KeypointFrame(points=pts, timestamp_s=t)
+def make_points(rng, n_frames, scale=1.0, offset=0.0):
+    """[T, 72, 3] random landmarks plus unit gaze rows."""
+    pts = np.zeros((n_frames, FRAME_ROWS, 3))
+    pts[:, :N_LANDMARKS] = rng.normal(size=(n_frames, N_LANDMARKS, 3)) * scale + offset
+    gaze = rng.normal(size=(n_frames, FRAME_ROWS - N_LANDMARKS, 3))
+    pts[:, N_LANDMARKS:] = gaze / np.linalg.norm(gaze, axis=2, keepdims=True)
+    return pts
+
+
+def make_sentences(rng, starts, length_s):
+    starts = np.asarray(starts, dtype=np.float64)
+    return Sentences(starts=starts, stops=starts + length_s, vectors=rng.normal(size=(starts.size, EMBED_DIM)))
 
 
 class TestNormalizeKeypoints:
     def test_known_values_map_to_unit_interval(self):
         # x coordinates 2, 4, 6 across frames -> 0, 0.5, 1
-        frames = []
-        for t, v in enumerate([2.0, 4.0, 6.0]):
-            pts = np.zeros((FRAME_ROWS, 3))
-            pts[:N_LANDMARKS, 0] = v
-            pts[:N_LANDMARKS, 1] = np.linspace(0.0, 1.0, N_LANDMARKS)
-            pts[N_LANDMARKS:, 0] = 1.0  # unit gaze along x
-            frames.append(KeypointFrame(points=pts, timestamp_s=float(t)))
-        out = normalize_keypoints(frames)
-        got_x = [f.points[0, 0] for f in out.frames]
-        np.testing.assert_allclose(got_x, [0.0, 0.5, 1.0])
-        assert out.axis_min[0] == 2.0 and out.axis_max[0] == 6.0
+        pts = np.zeros((3, FRAME_ROWS, 3))
+        pts[:, :N_LANDMARKS, 0] = np.array([2.0, 4.0, 6.0])[:, None]
+        pts[:, :N_LANDMARKS, 1] = np.linspace(0.0, 1.0, N_LANDMARKS)
+        pts[:, N_LANDMARKS:, 0] = 1.0  # unit gaze along x
+        out = normalize_keypoints(pts)
+        assert out.shape == pts.shape
+        np.testing.assert_allclose(out[:, 0, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(pts[:, 0, 0], [2.0, 4.0, 6.0])  # input left as is
 
     def test_extrema_land_on_bounds(self, rng):
-        frames = [make_frame(rng, t) for t in range(5)]
-        out = normalize_keypoints(frames)
-        marks = np.stack([f.points[:N_LANDMARKS] for f in out.frames])
+        marks = normalize_keypoints(make_points(rng, 5))[:, :N_LANDMARKS]
         np.testing.assert_allclose(marks.min(axis=(0, 1)), np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(marks.max(axis=(0, 1)), np.ones(3), atol=1e-12)
 
     def test_gaze_rows_pass_through(self, rng):
-        frames = [make_frame(rng, t, scale=5.0, offset=3.0) for t in range(3)]
-        out = normalize_keypoints(frames)
-        for before, after in zip(frames, out.frames):
-            np.testing.assert_array_equal(after.points[N_LANDMARKS:], before.points[N_LANDMARKS:])
+        pts = make_points(rng, 3, scale=5.0, offset=3.0)
+        out = normalize_keypoints(pts)
+        np.testing.assert_array_equal(out[:, N_LANDMARKS:], pts[:, N_LANDMARKS:])
 
     def test_degenerate_axis_becomes_half(self):
-        pts = np.zeros((FRAME_ROWS, 3))
-        pts[:N_LANDMARKS, 0] = np.linspace(1.0, 2.0, N_LANDMARKS)
-        pts[:N_LANDMARKS, 1] = 7.0  # constant axis
-        pts[:N_LANDMARKS, 2] = np.linspace(-1.0, 1.0, N_LANDMARKS)
-        pts[N_LANDMARKS:, 2] = 1.0
-        out = normalize_keypoints([KeypointFrame(points=pts, timestamp_s=0.0)])
-        np.testing.assert_array_equal(out.degenerate_axes, [False, True, False])
-        np.testing.assert_allclose(out.frames[0].points[:N_LANDMARKS, 1], 0.5)
+        pts = np.zeros((1, FRAME_ROWS, 3))
+        pts[0, :N_LANDMARKS, 0] = np.linspace(1.0, 2.0, N_LANDMARKS)
+        pts[0, :N_LANDMARKS, 1] = 7.0  # constant axis
+        pts[0, :N_LANDMARKS, 2] = np.linspace(-1.0, 1.0, N_LANDMARKS)
+        pts[0, N_LANDMARKS:, 2] = 1.0
+        out = normalize_keypoints(pts)
+        np.testing.assert_allclose(out[0, :N_LANDMARKS, 1], 0.5)
+        for axis in (0, 2):
+            np.testing.assert_allclose(out[0, :N_LANDMARKS, axis], np.linspace(0.0, 1.0, N_LANDMARKS), atol=1e-12)
 
     def test_idempotent_on_nondegenerate(self, rng):
-        frames = [make_frame(rng, t) for t in range(4)]
-        once = normalize_keypoints(frames)
-        twice = normalize_keypoints(once.frames)
-        for a, b in zip(once.frames, twice.frames):
-            np.testing.assert_allclose(a.points, b.points, atol=1e-12)
+        once = normalize_keypoints(make_points(rng, 4))
+        np.testing.assert_allclose(normalize_keypoints(once), once, atol=1e-12)
 
     def test_non_unit_gaze_rejected(self, rng):
-        f = make_frame(rng, 0.0)
-        f.points[N_LANDMARKS] *= 2.0
+        pts = make_points(rng, 1)
+        pts[0, N_LANDMARKS] *= 2.0
         with pytest.raises(DataError):
-            normalize_keypoints([f])
+            normalize_keypoints(pts)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            normalize_keypoints([])
+            normalize_keypoints(np.zeros((0, FRAME_ROWS, 3)))
 
 
-class TestCropping:
-    def t_frames(self, rng):
-        return [make_frame(rng, float(t)) for t in range(10)]
+class TestContainers:
+    def test_keypoints_shape_checked(self, rng):
+        with pytest.raises(FormatError):
+            Keypoints(times=np.arange(3.0), points=np.zeros((3, FRAME_ROWS, 2)))
+        with pytest.raises(FormatError):
+            Keypoints(times=np.arange(2.0), points=make_points(rng, 3))
 
-    def test_membership_is_half_open(self, rng):
-        kept = crop_by_timestamps(self.t_frames(rng), [(3.0, 5.0)])
-        assert [f.timestamp_s for f in kept] == [3.0, 4.0]
+    def test_sentences_shape_checked(self, rng):
+        with pytest.raises(FormatError):
+            Sentences(starts=[0.0], stops=[1.0], vectors=np.zeros((1, EMBED_DIM - 1)))
+        with pytest.raises(FormatError):
+            Sentences(starts=[0.0, 2.0], stops=[1.0], vectors=np.zeros((2, EMBED_DIM)))
 
-    def test_multiple_intervals(self, rng):
-        kept = crop_by_timestamps(self.t_frames(rng), [(0.0, 2.0), (7.0, 9.5)])
-        assert [f.timestamp_s for f in kept] == [0.0, 1.0, 7.0, 8.0, 9.0]
-
-    def test_overlapping_intervals_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            crop_by_timestamps(self.t_frames(rng), [(0.0, 3.0), (2.0, 5.0)])
-
-    def test_inverted_interval_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            crop_by_timestamps(self.t_frames(rng), [(5.0, 3.0)])
-
-    def test_nothing_kept_rejected(self, rng):
-        with pytest.raises(EmptyOutputError):
-            crop_by_timestamps(self.t_frames(rng), [(100.0, 101.0)])
-
-    def test_waveform_crop_concatenates_spans(self):
-        sr = 100
-        x = np.arange(1000, dtype=np.float64)
-        out = crop_waveform(Waveform(x, sr), [(1.0, 2.0), (5.0, 5.5)])
-        np.testing.assert_array_equal(out.samples, np.concatenate([x[100:200], x[500:550]]))
-
-    def test_waveform_crop_clamps_to_signal(self):
-        out = crop_waveform(Waveform(np.ones(100), 100), [(0.5, 99.0)])
-        assert out.samples.size == 50
+    @pytest.mark.parametrize("stop", [2.0, 1.5])
+    def test_sentence_needs_start_before_stop(self, stop):
+        with pytest.raises(FormatError):
+            Sentences(starts=[0.0, 2.0], stops=[1.0, stop], vectors=np.zeros((2, EMBED_DIM)))
 
 
 class TestClipCount:
@@ -172,15 +153,11 @@ class TestClipCount:
 def tiny_session(rng, duration_s=130.0, subscores=(1, 0, 2, 0, 1, 0, 0, 3)):
     sr = 16000
     audio = Waveform(rng.normal(scale=0.1, size=int(duration_s * sr)), sr)
-    frames = [make_frame(rng, t / 30.0) for t in range(int(duration_s * 30))]
-    sentences = [
-        SentenceEmbedding(vector=rng.normal(size=EMBED_DIM), start_s=5.0 * i, stop_s=5.0 * i + 3.0)
-        for i in range(int(duration_s // 5))
-    ]
+    n_frames = int(duration_s * 30)
     return SessionFeatures(
         audio=audio,
-        frames=frames,
-        sentences=sentences,
+        frames=Keypoints(times=np.arange(n_frames) / 30.0, points=make_points(rng, n_frames)),
+        sentences=make_sentences(rng, 5.0 * np.arange(int(duration_s // 5)), 3.0),
         phq_subscores=subscores,
         participant_id="p1",
         gender="female",
@@ -211,8 +188,11 @@ class TestSlidingWindow:
         session = tiny_session(rng, duration_s=120.0)
         clips = sliding_window_clips(session)
         # sentence i spans [5i, 5i+3), midpoint 5i+1.5; clip 0 covers [0,60)
-        n0 = sum(1 for s in session.sentences if 0.0 <= s.midpoint_s < 60.0)
+        mid = session.sentences.midpoints
+        in_clip0 = (0.0 <= mid) & (mid < 60.0)
+        n0 = int(in_clip0.sum())
         assert np.count_nonzero(np.any(clips[0].text != 0.0, axis=1)) == n0
+        np.testing.assert_array_equal(clips[0].text[:n0], session.sentences.vectors[in_clip0])
 
     def test_audio_standardized_per_clip(self, rng):
         session = tiny_session(rng, duration_s=120.0)
@@ -228,7 +208,8 @@ class TestSlidingWindow:
         session = tiny_session(rng, duration_s=120.0)
         c0, c1 = sliding_window_clips(session)
         # clip 1 starts at 50s; clip 0 frames from 50s onward reappear
-        n_overlap = sum(1 for f in session.frames if 50.0 <= f.timestamp_s < 60.0)
+        times = session.frames.times
+        n_overlap = int(np.count_nonzero((50.0 <= times) & (times < 60.0)))
         np.testing.assert_allclose(c0.visual[-n_overlap:], c1.visual[:n_overlap], atol=1e-12)
 
 
@@ -260,32 +241,41 @@ class TestClipSampleValidation:
 
 class TestTextIo:
     def test_keypoints_round_trip(self, tmp_path, rng):
-        frames = [make_frame(rng, t * 0.5) for t in range(4)]
+        frames = Keypoints(times=np.arange(4) * 0.5, points=make_points(rng, 4))
         path = tmp_path / "kp.txt"
         write_keypoints(path, frames)
         back = read_keypoints(path)
-        assert len(back) == 4
-        for a, b in zip(frames, back):
-            assert abs(a.timestamp_s - b.timestamp_s) < 1e-6
-            np.testing.assert_allclose(a.points, b.points, rtol=1e-6)
+        assert back.points.shape == (4, FRAME_ROWS, 3)
+        np.testing.assert_allclose(back.times, frames.times, atol=1e-6)
+        np.testing.assert_allclose(back.points, frames.points, rtol=1e-6)
+
+    def test_keypoints_rewrite_is_byte_identical(self, tmp_path):
+        manifest = generate_synthetic_corpus(tmp_path / "c", n_participants=2, duration_s=3.0)
+        original = manifest.parent / "P000" / "keypoints.txt"
+        copy = tmp_path / "again.txt"
+        write_keypoints(copy, read_keypoints(original))
+        assert copy.read_bytes() == original.read_bytes()
 
     def test_keypoints_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.0 " + " ".join(["1.0"] * 215) + "\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad.txt:1:"):
+            read_keypoints(path)
+
+    def test_keypoints_non_numeric_field_rejected(self, tmp_path):
+        good = "0.0 " + " ".join(["1.0"] * 216) + "\n"
+        path = tmp_path / "bad.txt"
+        path.write_text(good + "\n" + good.replace("1.0", "x", 1))
+        with pytest.raises(FormatError, match="bad.txt:3: non-numeric"):
             read_keypoints(path)
 
     def test_embeddings_round_trip(self, tmp_path, rng):
-        rows = [
-            SentenceEmbedding(vector=rng.normal(size=EMBED_DIM), start_s=i * 2.0, stop_s=i * 2.0 + 1.5)
-            for i in range(3)
-        ]
+        rows = make_sentences(rng, np.arange(3) * 2.0, 1.5)
         path = tmp_path / "emb.txt"
         write_embeddings(path, rows)
         back = ingest_embeddings(path)
-        for a, b in zip(rows, back):
-            np.testing.assert_allclose(a.vector, b.vector, rtol=1e-6)
-            assert abs(a.midpoint_s - b.midpoint_s) < 1e-6
+        np.testing.assert_allclose(back.vectors, rows.vectors, rtol=1e-6)
+        np.testing.assert_allclose(back.midpoints, rows.midpoints, atol=1e-6)
 
     def test_embeddings_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -294,12 +284,16 @@ class TestTextIo:
             ingest_embeddings(path)
 
     def test_embeddings_unsorted_rejected(self, tmp_path, rng):
-        rows = [
-            SentenceEmbedding(vector=rng.normal(size=EMBED_DIM), start_s=5.0, stop_s=6.0),
-            SentenceEmbedding(vector=rng.normal(size=EMBED_DIM), start_s=1.0, stop_s=2.0),
-        ]
         path = tmp_path / "bad.txt"
-        write_embeddings(path, rows)
+        write_embeddings(path, make_sentences(rng, [5.0, 1.0], 1.0))
+        with pytest.raises(FormatError):
+            ingest_embeddings(path)
+
+    @pytest.mark.parametrize("stop", ["6.0", "5.0"])
+    def test_embeddings_start_not_before_stop_rejected(self, tmp_path, stop):
+        vec = " ".join(["0.1"] * EMBED_DIM)
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1.0 2.0 {vec}\n6.0 {stop} {vec}\n")
         with pytest.raises(FormatError):
             ingest_embeddings(path)
 

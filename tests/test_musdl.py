@@ -11,7 +11,6 @@ from depest.errors import DomainError, ShapeError
 from depest.musdl import (
     MusdlConfig,
     decode_prediction,
-    kl_loss,
     kl_rows,
     kl_value,
     transform_labels,
@@ -169,13 +168,6 @@ class TestKl:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             kl_rows(np.zeros((2, 8)), ad.tensor(np.zeros((3, 8))))
-
-    def test_alias_agrees(self, rng):
-        t = rng.dirichlet(np.ones(8), size=2)
-        p = rng.dirichlet(np.ones(8), size=2)
-        np.testing.assert_allclose(
-            kl_loss(t, ad.tensor(p)).data, kl_rows(t, ad.tensor(p)).data, rtol=1e-15
-        )
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=8, max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -130,14 +130,14 @@ class TestSignalRecovery:
         rng = np.random.default_rng(0)
         lo = synth_keypoints(rng, total_score=0, duration_s=4.0, frame_rate=30.0)
         hi = synth_keypoints(np.random.default_rng(0), total_score=24, duration_s=4.0, frame_rate=30.0)
-        lo_var = np.var([f.points[:68] for f in lo], axis=0).mean()
-        hi_var = np.var([f.points[:68] for f in hi], axis=0).mean()
+        lo_var = np.var(lo.points[:, :68], axis=0).mean()
+        hi_var = np.var(hi.points[:, :68], axis=0).mean()
         assert hi_var > 10.0 * lo_var
 
     def test_keypoints_timestamped_at_frame_rate(self):
         frames = synth_keypoints(np.random.default_rng(0), 5, duration_s=1.0, frame_rate=30.0)
-        assert len(frames) == 30
-        np.testing.assert_allclose([f.timestamp_s for f in frames], np.arange(30) / 30.0)
+        assert frames.points.shape == (30, 72, 3)
+        np.testing.assert_allclose(frames.times, np.arange(30) / 30.0)
 
     def test_embedding_class_direction_linearly_separable(self):
         # sign of the projection onto the fixed binary axis classifies
@@ -147,18 +147,17 @@ class TestSignalRecovery:
         correct = 0
         total = 0
         for depressed, score in [(True, 15), (True, 20), (False, 3), (False, 6)]:
-            for s in synth_embeddings(rng, depressed, score, duration_s=120.0):
-                pred = s.vector @ u_bin > 0
-                correct += int(pred == depressed)
-                total += 1
+            pred = synth_embeddings(rng, depressed, score, duration_s=120.0).vectors @ u_bin > 0
+            correct += int(np.sum(pred == depressed))
+            total += pred.size
         assert total == 96
         assert correct / total >= 0.9
 
     def test_embedding_score_axis_correlates_with_total(self):
         _, _, _, _, u_score = _fixed_geometry()
         rng = np.random.default_rng(7)
-        lo = np.mean([s.vector @ u_score for s in synth_embeddings(rng, False, 0, 120.0)])
-        hi = np.mean([s.vector @ u_score for s in synth_embeddings(rng, True, 24, 120.0)])
+        lo = np.mean(synth_embeddings(rng, False, 0, 120.0).vectors @ u_score)
+        hi = np.mean(synth_embeddings(rng, True, 24, 120.0).vectors @ u_score)
         assert hi > lo + 0.5
 
 
@@ -170,6 +169,6 @@ class TestSessionPlumbing:
         for entry in read_manifest(manifest):
             session = load_session(entry)
             assert abs(session.duration_s - 12.0) < 0.01
-            assert len(session.frames) == 360
-            assert len(session.sentences) == 2
+            assert session.frames.times.shape == (360,)
+            assert session.sentences.starts.shape == (2,)
             assert session.phq_subscores == entry.phq_subscores

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import tiny_clip
 from depest import autodiff as ad
+from depest import training
 from depest.errors import EmptyInputError
 from depest.model import BranchConfig, ModelConfig, MultiModalClassifier, batch_inputs
 from depest.musdl import MusdlConfig, kl_rows
@@ -212,6 +213,26 @@ class TestComparison:
         assert "fusion" in lines[0] and "rmse" in lines[0]
         assert len(lines) == 4  # header, rule, two data rows
         assert "concat" in table
+
+    def test_each_model_evaluated_once_after_training(self, monkeypatch):
+        calls = []
+        real = training.evaluate_clips
+
+        def counting(model, *args, **kwargs):
+            calls.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_clips", counting)
+        models = []
+
+        def make(fusion, modality):
+            models.append(make_model(modality=modality, fusion=fusion))
+            return models[-1]
+
+        fusion_comparison(separable_clips(n_per_group=2), make, fusion_modes=("mean", "concat"),
+                          modalities=("a",), epochs=1, batch_size=4)
+        # one eval per training epoch, then one shared by the accuracy and participant metrics
+        assert [sum(c is m for c in calls) for m in models] == [2, 2]
 
 
 class TestAggregate:

@@ -5,6 +5,8 @@ attentional block, and the eight-head bank) for audio+visual and
 audio+visual+text inputs, then prints one table of clip accuracy, F1,
 MAE, and RMSE per row. Models are kept small so the sweep finishes in
 minutes; nothing about the ordering of methods is asserted anywhere.
+Without --clips-dir the corpus is made by `depest synth-data` and
+`depest preprocess` into <out-dir>/clips.
 """
 
 import argparse
@@ -16,13 +18,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from depest import cli
 from depest import config as cfgmod
-from depest.data import preprocess_session, read_clips, read_manifest
-from depest.model import MultiModalClassifier
-from depest.synthetic import generate_synthetic_corpus
+from depest.data import read_clips
+from depest.model import FUSION_MODES, MultiModalClassifier
 from depest.training import comparison_table, fusion_comparison
-
-FUSION_MODES = ("mult", "concat", "median", "max", "sum", "mean", "atten", "subatten")
 
 SMALL = {
     "feature_dim": 16, "lstm_hidden": 8,
@@ -47,23 +47,24 @@ def parse_args():
     return p.parse_args()
 
 
-def main():
+def main() -> int:
     args = parse_args()
     t0 = time.time()
+    out = Path(args.out_dir)
 
-    if args.clips_dir:
-        clips = read_clips(args.clips_dir)
-    else:
-        cfg = cfgmod.parse_config(None, SMALL)
-        manifest = generate_synthetic_corpus(
-            Path(args.out_dir) / "raw",
-            n_participants=args.participants,
-            seed=args.seed,
-            duration_s=args.duration_s,
-        )
-        clips = []
-        for entry in read_manifest(manifest):
-            clips.extend(preprocess_session(entry, cfg))
+    clips_dir = args.clips_dir
+    if not clips_dir:
+        # SMALL only changes model keys, so the default preprocessing applies
+        clips_dir = out / "clips"
+        for step in (
+            ["synth-data", "--out-dir", out / "raw", "--participants", args.participants,
+             "--seed", args.seed, "--duration-s", args.duration_s],
+            ["preprocess", "--manifest", out / "raw" / "manifest.csv", "--out-dir", clips_dir],
+        ):
+            code = cli.main([str(a) for a in step])
+            if code:
+                return code
+    clips = read_clips(clips_dir)
     print(f"[{time.time() - t0:6.1f}s] {len(clips)} clips loaded")
 
     if args.clips_per_participant > 0:
@@ -95,11 +96,11 @@ def main():
     table = comparison_table(rows)
     print(table)
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.txt").write_text(table + "\n")
     print(f"[{time.time() - t0:6.1f}s] table written to {out / 'comparison.txt'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,28 +1,22 @@
 """Full synthetic-corpus experiment: generate, preprocess, train, report.
 
-Generates a labeled synthetic interview corpus, cuts aligned clips,
-trains the multi-modal classifier with sharpness-aware updates on soft
-labels, and writes the clip-level and participant-level reports. The
-built-in settings are a reduced model that converges on a laptop CPU in
-well under a minute; pass --config to replace them entirely.
+Drives the `depest` CLI through synth-data, preprocess, train, eval and
+aggregate. The run config is written once to <out-dir>/run.cfg and every
+subcommand reads it, so the checkpoint's config hash matches and the
+file can be passed to a later `depest eval`. The built-in settings are a
+reduced model that converges on a laptop CPU in well under a minute;
+pass --config to replace them entirely.
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from depest import cli
 from depest import config as cfgmod
-from depest.data import preprocess_session, read_clips, read_manifest, write_clips
-from depest.model import MultiModalClassifier
-from depest.phq import compute_metrics, derive_phq, gender_split_report
-from depest.synthetic import generate_synthetic_corpus
-from depest.tensorio import save_checkpoint
-from depest.training import aggregate_predictions, evaluate_clips, train
+from depest.model import MODALITY_SETS
 
 REDUCED = {
     "feature_dim": 64, "lstm_hidden": 32,
@@ -42,13 +36,13 @@ def parse_args():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--stop-accuracy", type=float, default=0.95)
-    p.add_argument("--modality", choices=["a", "v", "t", "av", "avt"])
+    p.add_argument("--modality", choices=MODALITY_SETS)
     p.add_argument("--fusion")
     p.add_argument("--config", help="run config file; replaces the built-in reduced settings")
     return p.parse_args()
 
 
-def main():
+def main() -> int:
     args = parse_args()
     out = Path(args.out_dir)
     overrides = {} if args.config else dict(REDUCED)
@@ -59,69 +53,28 @@ def main():
     if args.fusion:
         overrides["fusion"] = args.fusion
     cfg = cfgmod.parse_config(args.config, overrides)
+    out.mkdir(parents=True, exist_ok=True)
+    run_cfg = out / "run.cfg"
+    run_cfg.write_text(cfgmod.canonical_text(cfg))
 
-    t0 = time.time()
-    manifest = generate_synthetic_corpus(
-        out / "raw",
-        n_participants=args.participants,
-        seed=args.seed,
-        duration_s=args.duration_s,
-        depressed_fraction=args.depressed_fraction,
-    )
-    print(f"[{time.time() - t0:6.1f}s] corpus: {manifest}")
-
-    clips = []
-    for entry in read_manifest(manifest):
-        clips.extend(preprocess_session(entry, cfg))
-    write_clips(out / "clips", clips)
-    clips = read_clips(out / "clips")
-    print(f"[{time.time() - t0:6.1f}s] {len(clips)} clips preprocessed")
-
-    run = out / "run"
-    run.mkdir(parents=True, exist_ok=True)
-    model = MultiModalClassifier(cfgmod.model_config(cfg), rng=np.random.default_rng(cfg["seed"]))
-    with open(run / "epoch_log.txt", "w") as fh:
-        history = train(
-            model,
-            clips,
-            musdl_cfg=cfgmod.musdl_config(cfg),
-            sam_cfg=cfgmod.sam_config(cfg),
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            sampler_mode=cfg["sampler_mode"],
-            gender_balance=bool(cfg["gender_balance"]),
-            dynamic_weights=bool(cfg["dynamic_weights"]),
-            seed=cfg["seed"],
-            stop_accuracy=args.stop_accuracy,
-            log_fh=fh,
-        )
-    last = history[-1]
-    print(
-        f"[{time.time() - t0:6.1f}s] trained {last.epoch} epochs, "
-        f"loss {last.loss:.4f}, clip accuracy {last.clip_accuracy:.4f} "
-        f"(F {last.female_accuracy:.4f} / M {last.male_accuracy:.4f})"
-    )
-    save_checkpoint(run / "model.ckpt", epoch=last.epoch, config_text=cfgmod.canonical_text(cfg), state=model.state())
-
-    ev = evaluate_clips(model, clips, cfgmod.musdl_config(cfg), cfg["batch_size"])
-    true_records = [derive_phq(c.phq_subscores) for c in clips]
-    rep = compute_metrics(
-        [r.binary for r in ev.records],
-        [r.binary for r in true_records],
-        [r.score for r in ev.records],
-        [r.score for r in true_records],
-    )
-    clip_text = "\n".join(["[clip-level]"] + rep.lines())
-    (run / "clip_metrics.txt").write_text(clip_text + "\n")
-
-    truth, preds = aggregate_predictions(model, clips, cfgmod.musdl_config(cfg), cfg["batch_size"])
-    part_text = "\n".join(gender_split_report(truth, preds).lines())
-    (run / "participant_report.txt").write_text(part_text + "\n")
-
-    print(clip_text)
-    print(part_text)
-    print(f"[{time.time() - t0:6.1f}s] artifacts in {run}")
+    raw, clips, run = out / "raw", out / "clips", out / "run"
+    conf = ["--config", run_cfg]
+    restore = ["--clips-dir", clips, "--checkpoint", run / "model.ckpt", "--out-dir", run, *conf]
+    steps = [
+        ["synth-data", "--out-dir", raw, "--participants", args.participants, "--seed", args.seed,
+         "--duration-s", args.duration_s, "--depressed-fraction", args.depressed_fraction],
+        ["preprocess", "--manifest", raw / "manifest.csv", "--out-dir", clips, *conf],
+        ["train", "--clips-dir", clips, "--out-dir", run, "--stop-accuracy", args.stop_accuracy, *conf],
+        ["eval", *restore],
+        ["aggregate", *restore],
+    ]
+    for step in steps:
+        code = cli.main([str(a) for a in step])
+        if code:
+            return code
+    print(f"artifacts in {run}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -59,10 +59,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Same values, cut from the graph; receives no gradient."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op or 'leaf'}, grad={self.requires_grad})"
 

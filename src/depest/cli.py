@@ -26,7 +26,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .model import MultiModalClassifier
+from .model import FUSION_MODES, MODALITY_SETS, MultiModalClassifier
 from .phq import compute_metrics, gender_split_report
 from .synthetic import generate_synthetic_corpus
 from .tensorio import load_checkpoint, save_checkpoint
@@ -66,8 +66,8 @@ def _build_parser() -> _Parser:
     tr.add_argument("--out-dir", required=True)
     tr.add_argument("--config")
     tr.add_argument("--seed", type=int)
-    tr.add_argument("--modality", choices=["a", "v", "t", "av", "avt"])
-    tr.add_argument("--fusion", choices=["mult", "concat", "median", "max", "sum", "mean", "atten", "subatten"])
+    tr.add_argument("--modality", choices=MODALITY_SETS)
+    tr.add_argument("--fusion", choices=FUSION_MODES)
     tr.add_argument("--sam-rho", type=float)
     tr.add_argument("--no-gb", action="store_true", help="disable gender balancing in the sampler")
     tr.add_argument("--epochs", type=int)

@@ -26,11 +26,7 @@ from .features import (
 )
 from .tensorio import read_tensor, write_tensor
 
-MANIFEST_FIELDS = (
-    ["participant_id", "gender"]
-    + [f"s{i}" for i in range(8)]
-    + ["audio", "keypoints", "embeddings", "gb_augmented"]
-)
+MANIFEST_FIELDS = ["participant_id", "gender"] + [f"s{i}" for i in range(8)] + ["audio", "keypoints", "embeddings"]
 
 
 @dataclass
@@ -41,7 +37,6 @@ class ManifestEntry:
     audio_path: Path
     keypoints_path: Path
     embeddings_path: Path
-    gb_augmented: bool = False
 
     def __post_init__(self):
         if self.gender not in ("female", "male"):
@@ -61,12 +56,7 @@ def write_manifest(path, entries) -> None:
             writer.writerow(
                 [e.participant_id, e.gender]
                 + list(e.phq_subscores)
-                + [
-                    str(e.audio_path),
-                    str(e.keypoints_path),
-                    str(e.embeddings_path),
-                    int(e.gb_augmented),
-                ]
+                + [str(e.audio_path), str(e.keypoints_path), str(e.embeddings_path)]
             )
 
 
@@ -98,7 +88,6 @@ def read_manifest(path) -> list:
                     audio_path=path.parent / row[10],
                     keypoints_path=path.parent / row[11],
                     embeddings_path=path.parent / row[12],
-                    gb_augmented=bool(int(row[13])),
                 )
             )
     if not entries:

@@ -20,7 +20,6 @@ from .layers import BatchNorm, Conv2d, Module, ModuleList
 
 BANK_HEADS = 8
 
-BASELINE_METHODS = ("multiplication", "concatenation", "median", "max", "summation", "mean")
 _METHOD_ALIASES = {
     "mult": "multiplication",
     "concat": "concatenation",
@@ -97,11 +96,8 @@ class AttentionalFusion(Module):
         self.last_conv_y = None
 
     def forward(self, y: Tensor) -> Tensor:
-        unbatched = y.data.ndim == 3
-        if unbatched:
-            y = ad.reshape(y, (1,) + y.data.shape)
         if y.data.ndim != 4:
-            raise ShapeError(f"fusion expects [B,C,H,W] or [C,H,W], got {y.data.shape}")
+            raise ShapeError(f"fusion expects [B,C,H,W], got {y.data.shape}")
 
         x = ad.add(self.conv_first(y), y)
         w = self.att_mid(x)
@@ -114,7 +110,7 @@ class AttentionalFusion(Module):
         self.last_w = w.data.copy()
         self.last_wp = wp.data.copy()
         self.last_conv_y = conv_y.data.copy()
-        return ad.reshape(out, out.data.shape[1:]) if unbatched else out
+        return out
 
     def force_saturation(self, high: bool, magnitude: float = 25.0) -> None:
         """Pin the output-stage weights at ~1 (high) or ~0 by biasing its BNs."""

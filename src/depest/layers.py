@@ -33,12 +33,9 @@ def _sigm(x):
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation along the last axis.
 
-    x: [B, C_in, T] or [C_in, T]; weight: [C_out, C_in, k].
+    x: [B, C_in, T]; weight: [C_out, C_in, k].
     Output length: (T + 2*padding - k) // stride + 1.
     """
-    unbatched = x.data.ndim == 2
-    if unbatched:
-        x = ad.reshape(x, (1,) + x.data.shape)
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects [B,C,T] input and [O,I,k] weight, got {x.data.shape}, {weight.data.shape}")
     B, ci, T = x.data.shape
@@ -72,8 +69,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
             _accum(bias, g.sum(axis=(0, 2)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _node(out_data, parents, bwd, "conv1d")
-    return ad.reshape(out, out.data.shape[1:]) if unbatched else out
+    return _node(out_data, parents, bwd, "conv1d")
 
 
 def conv2d(
@@ -83,10 +79,7 @@ def conv2d(
     stride: tuple[int, int] = (1, 1),
     padding: tuple[int, int] = (0, 0),
 ) -> Tensor:
-    """2-D cross-correlation. x: [B, C_in, H, W] or [C_in, H, W]; weight: [C_out, C_in, kh, kw]."""
-    unbatched = x.data.ndim == 3
-    if unbatched:
-        x = ad.reshape(x, (1,) + x.data.shape)
+    """2-D cross-correlation. x: [B, C_in, H, W]; weight: [C_out, C_in, kh, kw]."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,C,H,W] input and [O,I,kh,kw] weight, got {x.data.shape}, {weight.data.shape}")
     B, ci, H, W = x.data.shape
@@ -128,17 +121,15 @@ def conv2d(
             _accum(bias, g.sum(axis=(0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _node(out_data, parents, bwd, "conv2d")
-    return ad.reshape(out, out.data.shape[1:]) if unbatched else out
+    return _node(out_data, parents, bwd, "conv2d")
 
 
 def max_pool1d(x: Tensor, pool: int) -> Tensor:
-    """Non-overlapping window maxima along the last axis (stride = pool)."""
+    """Non-overlapping window maxima along the last axis (stride = pool). x: [B, C, T]."""
     if pool < 1:
         raise ConfigError(f"pool size must be >= 1, got {pool}")
-    unbatched = x.data.ndim == 2
-    if unbatched:
-        x = ad.reshape(x, (1,) + x.data.shape)
+    if x.data.ndim != 3:
+        raise ShapeError(f"max_pool1d expects [B,C,T] input, got {x.data.shape}")
     B, C, T = x.data.shape
     if T < pool:
         raise ShapeError(f"max_pool1d input length {T} shorter than pool {pool}")
@@ -154,17 +145,7 @@ def max_pool1d(x: Tensor, pool: int) -> Tensor:
         dx[:, :, : t_out * pool] = dxr.reshape(B, C, t_out * pool)
         _accum(x, dx)
 
-    out = _node(out_data, (x,), bwd, "max_pool1d")
-    return ad.reshape(out, out.data.shape[1:]) if unbatched else out
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial grid: [B,C,H,W] -> [B,C] (or [C,H,W] -> [C])."""
-    if x.data.ndim == 3:
-        return ad.mean(x, axis=(1, 2))
-    if x.data.ndim == 4:
-        return ad.mean(x, axis=(2, 3))
-    raise ShapeError(f"global_avg_pool expects [B,C,H,W] or [C,H,W], got {x.data.shape}")
+    return _node(out_data, (x,), bwd, "max_pool1d")
 
 
 def batch_norm(
@@ -233,13 +214,10 @@ def bilstm(
 ) -> Tensor:
     """Bidirectional LSTM over the time axis.
 
-    x: [B, T, D] or [T, D]; w: [D, 4H]; u: [H, 4H]; b: [4H]. Gate slab
-    order is input, forget, candidate, output. Per-step outputs of the
-    forward and backward passes are concatenated to [.., T, 2H].
+    x: [B, T, D]; w: [D, 4H]; u: [H, 4H]; b: [4H]. Gate slab order is
+    input, forget, candidate, output. Per-step outputs of the forward and
+    backward passes are concatenated to [B, T, 2H].
     """
-    unbatched = x.data.ndim == 2
-    if unbatched:
-        x = ad.reshape(x, (1,) + x.data.shape)
     if x.data.ndim != 3:
         raise ShapeError(f"bilstm expects [B,T,D] input, got {x.data.shape}")
     B, T, D = x.data.shape
@@ -319,8 +297,7 @@ def bilstm(
         dx = dx + run_dir_bwd(w_b, u_b, b_b, cache_b, g[:, :, H:])
         _accum(x, dx)
 
-    out = _node(out_data, (x, w_f, u_f, b_f, w_b, u_b, b_b), bwd, "bilstm")
-    return ad.reshape(out, out.data.shape[1:]) if unbatched else out
+    return _node(out_data, (x, w_f, u_f, b_f, w_b, u_b, b_b), bwd, "bilstm")
 
 
 def bilstm_summary(y: Tensor) -> Tensor:
@@ -530,8 +507,6 @@ class Linear(Module):
         self.bias = _uniform_init(rng, (out_features,), in_features, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 1:
-            return ad.reshape(ad.affine(ad.reshape(x, (1, -1)), self.weight, self.bias), (-1,))
         return ad.affine(x, self.weight, self.bias)
 
 

@@ -23,6 +23,7 @@ from .fusion import _METHOD_ALIASES, AttentionalFusion, SubAttentionalBank, base
 from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, ModuleList, bilstm_summary, max_pool1d
 
 MODALITIES = ("a", "v", "t")
+MODALITY_SETS = ("a", "v", "t", "av", "avt")
 FUSION_MODES = ("mult", "concat", "median", "max", "sum", "mean", "atten", "subatten")
 
 
@@ -31,12 +32,12 @@ class BranchConfig:
     """One modality backbone: conv stages then BiLSTM then projection."""
 
     in_channels: int
-    conv_channels: tuple = (32, 64)
+    conv_channels: tuple
+    pools: tuple
+    strides: tuple
+    lstm_hidden: int
+    out_dim: int
     kernel: int = 3
-    pools: tuple = (2, 2)
-    strides: tuple = (1, 1)
-    lstm_hidden: int = 128
-    out_dim: int = 256
     conv2d_height: int = 0  # >0: first stage is 2-D, kernel (height, kernel), collapsing the height axis
 
     def __post_init__(self):
@@ -51,27 +52,10 @@ class BranchConfig:
             raise ConfigError("branch dimensions must be positive")
 
 
-def default_audio_branch(feature_dim: int = 256) -> BranchConfig:
-    return BranchConfig(in_channels=80, out_dim=feature_dim)
-
-
-def default_visual_branch(feature_dim: int = 256) -> BranchConfig:
-    return BranchConfig(
-        in_channels=3,
-        conv_channels=(64,),
-        pools=(2,),
-        strides=(1,),
-        conv2d_height=72,
-        out_dim=feature_dim,
-    )
-
-
-def default_text_branch(feature_dim: int = 256) -> BranchConfig:
-    return BranchConfig(in_channels=512, conv_channels=(64,), pools=(2,), strides=(1,), out_dim=feature_dim)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model wiring; every active modality needs its BranchConfig."""
+
     modality: str = "avt"
     fusion: str = "subatten"
     feature_dim: int = 256
@@ -82,21 +66,17 @@ class ModelConfig:
     n_classes: int = 32
 
     def __post_init__(self):
-        if self.modality not in ("a", "v", "t", "av", "avt"):
-            raise ConfigError(f"modality must be one of a/v/t/av/avt, got '{self.modality}'")
+        if self.modality not in MODALITY_SETS:
+            raise ConfigError(f"modality must be one of {MODALITY_SETS}, got '{self.modality}'")
         if self.fusion not in FUSION_MODES:
             raise ConfigError(f"fusion must be one of {FUSION_MODES}, got '{self.fusion}'")
-        defaults = {
-            "audio": default_audio_branch,
-            "visual": default_visual_branch,
-            "text": default_text_branch,
-        }
-        for name, make in defaults.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, make(self.feature_dim))
         for letter, name in (("a", "audio"), ("v", "visual"), ("t", "text")):
+            if letter not in self.modality:
+                continue
             branch = getattr(self, name)
-            if letter in self.modality and branch.out_dim != self.feature_dim:
+            if branch is None:
+                raise ConfigError(f"modality '{self.modality}' needs a {name} branch config")
+            if branch.out_dim != self.feature_dim:
                 raise ConfigError(
                     f"{name} branch ends in {branch.out_dim}, model expects {self.feature_dim}"
                 )
@@ -149,7 +129,7 @@ class ModalityBranch(Module):
 class MultiModalClassifier(Module):
     """Backbones -> stacked feature map -> fusion -> 8 item classifiers."""
 
-    def __init__(self, cfg: ModelConfig = ModelConfig(), rng=None, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.cfg = cfg

@@ -96,11 +96,3 @@ def kl_rows(target: np.ndarray, pred: Tensor, row_weights: np.ndarray = None) ->
     ent = float((scaled * logt).sum())
     return ad.add(cross, ad.tensor(ent))
 
-
-def kl_value(target: np.ndarray, pred: np.ndarray) -> float:
-    """Plain-array KL for evaluation paths that skip the graph."""
-    target = np.asarray(target, dtype=np.float64)
-    pred = np.clip(np.asarray(pred, dtype=np.float64), KL_EPS, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(target > 0.0, target * (np.log(target) - np.log(pred)), 0.0)
-    return float(terms.sum())

@@ -21,8 +21,8 @@ from .errors import ConfigError, NumericError
 
 @dataclass(frozen=True)
 class SamConfig:
-    rho: float = 0.05
-    lr: float = 0.1
+    rho: float
+    lr: float
     momentum: float = 0.0
 
     def __post_init__(self):
@@ -72,7 +72,7 @@ class SamOptimizer:
     the trajectory is identical to the base optimizer alone.
     """
 
-    def __init__(self, params, config: SamConfig = SamConfig()):
+    def __init__(self, params, config: SamConfig):
         self.params = list(params)
         self.config = config
         self.base = Sgd(self.params, lr=config.lr, momentum=config.momentum)

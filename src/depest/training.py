@@ -89,8 +89,8 @@ def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig = 
 def train(
     model: MultiModalClassifier,
     clips,
+    sam_cfg: SamConfig,
     musdl_cfg: MusdlConfig = MusdlConfig(),
-    sam_cfg: SamConfig = SamConfig(),
     epochs: int = 100,
     batch_size: int = 16,
     sampler_mode: str = "score",
@@ -166,9 +166,9 @@ def fusion_comparison(
     clips,
     make_model,
     fusion_modes,
+    sam_cfg: SamConfig,
     modalities=("av", "avt"),
     musdl_cfg: MusdlConfig = MusdlConfig(),
-    sam_cfg: SamConfig = SamConfig(),
     epochs: int = 2,
     batch_size: int = 8,
     seed: int = 0,

@@ -44,14 +44,6 @@ class TestManifest:
         assert back[1].phq_subscores == (3,) * 8
         # stored paths are relative; loaded ones hang off the manifest dir
         assert back[0].audio_path == tmp_path / "P000/audio.wav"
-        assert back[0].gb_augmented is False
-
-    def test_augmented_flag_round_trips(self, tmp_path):
-        path = tmp_path / "manifest.csv"
-        e = entry()
-        e.gb_augmented = True
-        write_manifest(path, [e])
-        assert read_manifest(path)[0].gb_augmented is True
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"

@@ -56,11 +56,6 @@ class TestAttentionalFusion:
         out = fus(ad.tensor(y))
         assert out.data.shape == y.shape
 
-    def test_unbatched_lift(self, rng):
-        fus = AttentionalFusion(rng=rng, dtype=np.float64)
-        out = fus(ad.tensor(rng.normal(size=(1, 2, 16))))
-        assert out.data.shape == (1, 2, 16)
-
     def test_convex_combination_identity(self, rng):
         # output must equal conv(Y)*w' + Y*(1-w') with the logged weights
         fus = AttentionalFusion(rng=rng, dtype=np.float64)

@@ -18,7 +18,6 @@ from depest.layers import (
     bilstm_summary,
     conv1d,
     conv2d,
-    global_avg_pool,
     max_pool1d,
 )
 
@@ -76,12 +75,6 @@ class TestConv1d:
         assert rel_err(wt.grad, num[1]) < TOL
         assert rel_err(bt.grad, num[2]) < TOL
 
-    def test_unbatched_input(self, rng):
-        x = rng.normal(size=(3, 9))
-        w = rng.normal(size=(4, 3, 3))
-        out = conv1d(ad.tensor(x), ad.tensor(w))
-        assert out.data.shape == (4, 7)
-
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             conv1d(ad.tensor(np.zeros((1, 2, 2))), ad.tensor(np.zeros((1, 2, 3))))
@@ -89,6 +82,9 @@ class TestConv1d:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             conv1d(ad.tensor(np.zeros((1, 2, 8))), ad.tensor(np.zeros((1, 3, 3))))
+        # a [C, T] input without the batch axis is refused, even with matching channels
+        with pytest.raises(ShapeError):
+            conv1d(ad.tensor(np.zeros((2, 8))), ad.tensor(np.zeros((1, 2, 3))))
 
 
 class TestConv2d:
@@ -143,11 +139,8 @@ class TestPooling:
     def test_pool_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             max_pool1d(ad.tensor(np.zeros((1, 1, 3))), 4)
-
-    def test_global_avg_pool(self, rng):
-        x = rng.normal(size=(2, 3, 4, 5))
-        out = global_avg_pool(ad.tensor(x))
-        np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)), atol=1e-12)
+        with pytest.raises(ShapeError):
+            max_pool1d(ad.tensor(np.zeros((1, 8))), 2)  # no batch axis
 
 
 class TestBatchNorm:
@@ -225,11 +218,11 @@ class TestBiLSTM:
         params = {k: rng.normal(size=s) for k, s in
                   [("wf", (D, 4 * H)), ("uf", (H, 4 * H)), ("bf", (4 * H,)),
                    ("wb", (D, 4 * H)), ("ub", (H, 4 * H)), ("bb", (4 * H,))]}
-        out = bilstm(ad.tensor(x), *(ad.tensor(params[k]) for k in ("wf", "uf", "bf", "wb", "ub", "bb")))
+        out = bilstm(ad.tensor(x[None]), *(ad.tensor(params[k]) for k in ("wf", "uf", "bf", "wb", "ub", "bb")))
         fwd = unrolled_lstm_two_steps(x, params["wf"], params["uf"], params["bf"])
         bwd = unrolled_lstm_two_steps(x[::-1], params["wb"], params["ub"], params["bb"])[::-1]
-        np.testing.assert_allclose(out.data[:, :H], fwd, atol=1e-12)
-        np.testing.assert_allclose(out.data[:, H:], bwd, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, :, :H], fwd, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, :, H:], bwd, atol=1e-12)
 
     def test_single_step_directions_agree_with_shared_weights(self, rng):
         # at T=1 both directions see the same single input

@@ -57,19 +57,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(modality="a", feature_dim=16, audio=SMALL_AUDIO)
 
-    def test_defaults_fill_in(self):
-        cfg = ModelConfig(feature_dim=32)
-        assert cfg.audio.out_dim == 32
-        assert cfg.visual.conv2d_height == 72
-        assert cfg.text.in_channels == 512
+    def test_active_modality_without_branch_rejected(self):
+        with pytest.raises(ConfigError, match="text branch"):
+            ModelConfig(modality="avt", feature_dim=6, audio=SMALL_AUDIO, visual=SMALL_VISUAL)
 
     def test_active_order_is_fixed(self):
-        assert ModelConfig(modality="avt").active == ("a", "v", "t")
-        assert ModelConfig(modality="av").active == ("a", "v")
+        assert small_config("avt").active == ("a", "v", "t")
+        assert small_config("av").active == ("a", "v")
 
     def test_branch_stage_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            BranchConfig(in_channels=8, conv_channels=(4, 8), pools=(2,), strides=(1, 1))
+            BranchConfig(
+                in_channels=8, conv_channels=(4, 8), pools=(2,), strides=(1, 1), lstm_hidden=3, out_dim=6
+            )
 
 
 class TestBranch:

@@ -18,16 +18,16 @@ def quadratic_loss(w):
 class TestConfig:
     def test_negative_rho_rejected(self):
         with pytest.raises(ConfigError):
-            SamConfig(rho=-0.1)
+            SamConfig(rho=-0.1, lr=0.1)
 
     def test_zero_lr_rejected(self):
         with pytest.raises(ConfigError):
-            SamConfig(lr=0.0)
+            SamConfig(rho=0.05, lr=0.0)
 
     def test_momentum_bounds(self):
         with pytest.raises(ConfigError):
-            SamConfig(momentum=1.0)
-        SamConfig(momentum=0.99)
+            SamConfig(rho=0.05, lr=0.1, momentum=1.0)
+        SamConfig(rho=0.05, lr=0.1, momentum=0.99)
 
 
 class TestSgdEquivalence:
@@ -133,19 +133,19 @@ class TestPerturbationGeometry:
 class TestGuards:
     def test_non_tensor_loss_rejected(self):
         w = ad.tensor(np.ones(2), requires_grad=True)
-        sam = SamOptimizer([w], SamConfig())
+        sam = SamOptimizer([w], SamConfig(rho=0.05, lr=0.1))
         with pytest.raises(ConfigError):
             sam.step(lambda: 1.0)
 
     def test_nonfinite_loss_rejected(self):
         w = ad.tensor(np.ones(2), requires_grad=True)
-        sam = SamOptimizer([w], SamConfig())
+        sam = SamOptimizer([w], SamConfig(rho=0.05, lr=0.1))
         with pytest.raises(NumericError):
             sam.step(lambda: ad.tensor(np.array(np.inf)))
 
     def test_empty_params_rejected(self):
         with pytest.raises(ConfigError):
-            SamOptimizer([], SamConfig())
+            SamOptimizer([], SamConfig(rho=0.05, lr=0.1))
 
 
 class TestConvergence:

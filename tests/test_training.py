@@ -28,6 +28,7 @@ VISUAL_CFG = BranchConfig(
     in_channels=3, conv_channels=(4,), pools=(1,), strides=(1,), lstm_hidden=3, out_dim=6, conv2d_height=72
 )
 TEXT_CFG = BranchConfig(in_channels=512, conv_channels=(4,), pools=(1,), strides=(1,), lstm_hidden=3, out_dim=6)
+SAM_CFG = SamConfig(rho=0.05, lr=0.1)
 
 
 def make_model(modality="a", fusion="mean", seed=5):
@@ -83,7 +84,7 @@ class TestOverfit:
 
     def test_history_one_entry_per_epoch(self):
         clips = separable_clips(n_per_group=4)
-        history = train(make_model(), clips, epochs=3, batch_size=4, seed=0)
+        history = train(make_model(), clips, sam_cfg=SAM_CFG, epochs=3, batch_size=4, seed=0)
         assert [h.epoch for h in history] == [1, 2, 3]
 
 
@@ -150,7 +151,7 @@ class TestLogging:
         logs = []
         for _ in range(2):
             fh = io.StringIO()
-            train(make_model(seed=9), clips, epochs=3, batch_size=4, seed=4, log_fh=fh)
+            train(make_model(seed=9), clips, sam_cfg=SAM_CFG, epochs=3, batch_size=4, seed=4, log_fh=fh)
             logs.append(fh.getvalue())
         assert logs[0] == logs[1]
         assert len(logs[0].strip().splitlines()) == 3
@@ -159,17 +160,17 @@ class TestLogging:
 class TestEarlyStop:
     def test_stop_accuracy_halts_first_epoch(self):
         clips = separable_clips(n_per_group=2)
-        history = train(make_model(), clips, epochs=50, batch_size=4, seed=0, stop_accuracy=0.0)
+        history = train(make_model(), clips, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0, stop_accuracy=0.0)
         assert len(history) == 1
 
     def test_time_budget_halts_at_epoch_boundary(self):
         clips = separable_clips(n_per_group=2)
-        history = train(make_model(), clips, epochs=50, batch_size=4, seed=0, time_budget_s=0.0)
+        history = train(make_model(), clips, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0, time_budget_s=0.0)
         assert len(history) == 1
 
     def test_empty_clip_list_rejected(self):
         with pytest.raises(EmptyInputError):
-            train(make_model(), [], epochs=1)
+            train(make_model(), [], sam_cfg=SAM_CFG, epochs=1)
         with pytest.raises(EmptyInputError):
             evaluate_clips(make_model(), [])
 
@@ -197,6 +198,7 @@ class TestComparison:
             clips,
             lambda fusion, modality: make_model(modality=modality, fusion=fusion),
             fusion_modes=("mean", "concat"),
+            sam_cfg=SAM_CFG,
             modalities=("av",),
             epochs=1,
             batch_size=4,
@@ -230,7 +232,7 @@ class TestComparison:
             return models[-1]
 
         fusion_comparison(separable_clips(n_per_group=2), make, fusion_modes=("mean", "concat"),
-                          modalities=("a",), epochs=1, batch_size=4)
+                          sam_cfg=SAM_CFG, modalities=("a",), epochs=1, batch_size=4)
         # one eval per training epoch, then one shared by the accuracy and participant metrics
         assert [sum(c is m for c in calls) for m in models] == [2, 2]
 

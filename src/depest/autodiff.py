@@ -5,9 +5,13 @@ build an implicit DAG by recording parent tensors and a backward closure;
 ``backward(loss)`` topologically sorts the graph reachable from a scalar
 loss and runs each closure exactly once in reverse order.
 
-Only the operations the model zoo needs are implemented. Elementwise and
-reduction ops live here; convolution, pooling, batch norm and the LSTM
-(which carry their own hand-derived backwards) live in :mod:`depest.layers`.
+Only the operations the model and its gradient checks use are
+implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``tanh``,
+``relu``, ``sigmoid``, ``softmax``, the reductions ``sum_``, ``mean``,
+``max_reduce`` and ``lower_median``, the shape ops ``reshape``,
+``transpose``, ``slice_axis``, ``concat`` and ``stack``, and ``affine``.
+Convolution, pooling, batch norm and the LSTM (which carry their own
+hand-derived backwards) live in :mod:`depest.layers`.
 """
 
 from __future__ import annotations
@@ -42,87 +46,16 @@ class Tensor:
         if _CHECK_FINITE and self.data.dtype.kind == "f" and not np.all(np.isfinite(self.data)):
             raise NumericError(f"non-finite values produced by op '{_op or 'leaf'}'")
 
-    # -- introspection -------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op or 'leaf'}, grad={self.requires_grad})"
 
-    # -- operator sugar ------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_const_like(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    arr = np.asarray(data, dtype=dtype)
-    if dtype is None and arr.dtype.kind not in "fc":
+def tensor(data, requires_grad=False) -> Tensor:
+    """Leaf tensor; integer and boolean data are promoted to float64."""
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "fc":
         arr = arr.astype(np.float64)
     return Tensor(arr, requires_grad=requires_grad)
-
-
-def _as_array(x, ref: Tensor):
-    """Coerce a python scalar / numpy array operand to the ref dtype."""
-    return np.asarray(x, dtype=ref.data.dtype)
-
-
-def _const_like(x, ref: Tensor) -> Tensor:
-    return Tensor(_as_array(x, ref))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -198,15 +131,7 @@ def backward(loss: Tensor) -> None:
 # -- elementwise arithmetic --------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b_arr = _as_array(b, a)
-        out_data = a.data + b_arr
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-
-        return _node(out_data, (a,), bwd, "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
@@ -216,9 +141,7 @@ def add(a: Tensor, b) -> Tensor:
     return _node(out_data, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = _const_like(b, a)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def bwd(g):
@@ -229,8 +152,9 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """a * b; b may also be a plain number or array (``mean`` scales by one)."""
     if not isinstance(b, Tensor):
-        b_arr = _as_array(b, a)
+        b_arr = np.asarray(b, dtype=a.data.dtype)
         out_data = a.data * b_arr
 
         def bwd(g):
@@ -244,44 +168,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), bwd, "mul")
-
-
-def div(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return mul(a, 1.0 / _as_array(b, a))
-    out_data = a.data / b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out_data, (a, b), bwd, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), bwd, "neg")
-
-
-def pow_const(a: Tensor, p) -> Tensor:
-    p = float(p)
-    out_data = a.data**p
-
-    def bwd(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _node(out_data, (a,), bwd, "pow")
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out_data)
-
-    return _node(out_data, (a,), bwd, "exp")
 
 
 def log(a: Tensor) -> Tensor:
@@ -323,13 +209,18 @@ def relu(a: Tensor) -> Tensor:
     return _node(out_data, (a,), bwd, "relu")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.empty_like(x)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on an array, overflow-free for large |x|."""
+    out = np.empty_like(x)
     pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out_data = _sigmoid(a.data)
 
     def bwd(g):
         _accum(a, g * out_data * (1.0 - out_data))
@@ -474,20 +365,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 # -- linear algebra ----------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _node(out_data, (a, b), bwd, "matmul")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

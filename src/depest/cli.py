@@ -111,7 +111,7 @@ def _restore_model(checkpoint_path, cfg: dict) -> MultiModalClassifier:
             f"pass the matching --config"
         )
     model = MultiModalClassifier(cfgmod.model_config(cfg), rng=np.random.default_rng(cfg["seed"]))
-    model.load_state(ckpt.state, strict=True)
+    model.load_state(ckpt.state)
     return model
 
 

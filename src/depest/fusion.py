@@ -17,45 +17,30 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm, Conv2d, Module, ModuleList
+from .phq import N_ITEMS
 
-BANK_HEADS = 8
-
-_METHOD_ALIASES = {
-    "mult": "multiplication",
-    "concat": "concatenation",
-    "sum": "summation",
-    "multiplication": "multiplication",
-    "concatenation": "concatenation",
-    "median": "median",
-    "max": "max",
-    "summation": "summation",
-    "mean": "mean",
-}
+BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
 
 
 class ChannelAttention(Module):
     """Sigmoid attention from summed global and local excitation paths.
 
-    Each path is pointwise-conv -> BN -> ReLU -> pointwise-conv -> BN;
-    the global path first average-pools over the spatial grid and is
-    broadcast back. Channel reduction divides the channel count (with a
-    single channel the reduction is forced to 1).
+    Each path is pointwise-conv -> BN -> ReLU -> pointwise-conv -> BN on
+    the single channel of the fused map; the global path first
+    average-pools over the spatial grid and is broadcast back.
     """
 
-    def __init__(self, channels: int = 1, reduction: int = 1, rng=None, dtype=np.float32):
+    def __init__(self, rng=None, dtype=np.float32):
         super().__init__()
-        if channels < 1 or reduction < 1 or channels % reduction != 0:
-            raise ConfigError(f"reduction {reduction} must divide channels {channels}")
-        inter = channels // reduction
         rng = rng or np.random.default_rng(0)
-        self.local_pw1 = Conv2d(channels, inter, (1, 1), rng=rng, dtype=dtype)
-        self.local_bn1 = BatchNorm(inter, dtype=dtype)
-        self.local_pw2 = Conv2d(inter, channels, (1, 1), rng=rng, dtype=dtype)
-        self.local_bn2 = BatchNorm(channels, dtype=dtype)
-        self.global_pw1 = Conv2d(channels, inter, (1, 1), rng=rng, dtype=dtype)
-        self.global_bn1 = BatchNorm(inter, dtype=dtype)
-        self.global_pw2 = Conv2d(inter, channels, (1, 1), rng=rng, dtype=dtype)
-        self.global_bn2 = BatchNorm(channels, dtype=dtype)
+        self.local_pw1 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
+        self.local_bn1 = BatchNorm(1, dtype=dtype)
+        self.local_pw2 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
+        self.local_bn2 = BatchNorm(1, dtype=dtype)
+        self.global_pw1 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
+        self.global_bn1 = BatchNorm(1, dtype=dtype)
+        self.global_pw2 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
+        self.global_bn2 = BatchNorm(1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4:
@@ -84,13 +69,13 @@ class AttentionalFusion(Module):
     (plain arrays) so callers can audit the convex-combination identity.
     """
 
-    def __init__(self, channels: int = 1, reduction: int = 1, rng=None, dtype=np.float32):
+    def __init__(self, rng=None, dtype=np.float32):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.conv_first = Conv2d(channels, channels, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
-        self.conv_refine = Conv2d(channels, channels, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
-        self.att_mid = ChannelAttention(channels, reduction, rng=rng, dtype=dtype)
-        self.att_out = ChannelAttention(channels, reduction, rng=rng, dtype=dtype)
+        self.conv_first = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
+        self.conv_refine = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
+        self.att_mid = ChannelAttention(rng=rng, dtype=dtype)
+        self.att_out = ChannelAttention(rng=rng, dtype=dtype)
         self.last_w = None
         self.last_wp = None
         self.last_conv_y = None
@@ -120,16 +105,12 @@ class AttentionalFusion(Module):
 
 
 class SubAttentionalBank(Module):
-    """Eight independent fusion heads, one per questionnaire item."""
+    """Independent fusion heads, one per questionnaire item."""
 
-    def __init__(self, n_heads: int = BANK_HEADS, channels: int = 1, reduction: int = 1, rng=None, dtype=np.float32):
+    def __init__(self, rng=None, dtype=np.float32):
         super().__init__()
-        if n_heads != BANK_HEADS:
-            raise ConfigError(f"the bank is defined with exactly {BANK_HEADS} heads, got {n_heads}")
         rng = rng or np.random.default_rng(0)
-        self.heads = ModuleList(
-            [AttentionalFusion(channels, reduction, rng=rng, dtype=dtype) for _ in range(n_heads)]
-        )
+        self.heads = ModuleList([AttentionalFusion(rng=rng, dtype=dtype) for _ in range(N_ITEMS)])
 
     def forward(self, y: Tensor) -> list:
         return [head(y) for head in self.heads]
@@ -139,13 +120,13 @@ def baseline_fuse(method: str, vectors) -> Tensor:
     """Late-fuse per-modality feature vectors by a fixed rule.
 
     vectors: list of [d] (or [B,d]) tensors, or a stacked [n,d] /
-    [B,n,d] tensor, n >= 2. multiplication/median/max/summation/mean
-    reduce over the modality axis; concatenation joins along features.
-    Median is the lower median, deterministic for even counts.
+    [B,n,d] tensor, n >= 2. method is one of BASELINE_RULES: mult,
+    median, max, sum and mean reduce over the modality axis; concat joins
+    along features. Median is the lower median, deterministic for even
+    counts.
     """
-    canon = _METHOD_ALIASES.get(method)
-    if canon is None:
-        raise ConfigError(f"unknown fusion method '{method}', expected one of {sorted(set(_METHOD_ALIASES))}")
+    if method not in BASELINE_RULES:
+        raise ConfigError(f"unknown fusion method '{method}', expected one of {BASELINE_RULES}")
 
     if isinstance(vectors, (list, tuple)):
         vectors = list(vectors)
@@ -165,20 +146,20 @@ def baseline_fuse(method: str, vectors) -> Tensor:
             raise ShapeError(f"need at least 2 modalities, got {stacked.data.shape[axis]}")
 
     n = stacked.data.shape[axis]
-    if canon == "multiplication":
+    if method == "mult":
         out = ad.slice_axis(stacked, axis, 0, 1)
         for i in range(1, n):
             out = ad.mul(out, ad.slice_axis(stacked, axis, i, i + 1))
         return _drop_axis(out, axis)
-    if canon == "concatenation":
+    if method == "concat":
         shape = list(stacked.data.shape)
         flat = shape[:axis] + [shape[axis] * shape[axis + 1]]
         return ad.reshape(stacked, tuple(flat))
-    if canon == "median":
+    if method == "median":
         return ad.lower_median(stacked, axis=axis)
-    if canon == "max":
+    if method == "max":
         return ad.max_reduce(stacked, axis=axis)
-    if canon == "summation":
+    if method == "sum":
         return ad.sum_(stacked, axis=axis)
     return ad.mean(stacked, axis=axis)
 

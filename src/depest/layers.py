@@ -1,33 +1,73 @@
 """Neural layers on top of the autodiff engine.
 
-Convolutions, pooling, batch normalization and the bidirectional LSTM
-carry hand-derived backward closures (their loops would be wasteful as
-compositions of elementwise graph nodes). Everything is validated by
-finite-difference checks in the test suite.
+The ops ``conv1d`` and ``conv2d`` (one shared correlation kernel),
+``max_pool1d``, ``batch_norm`` and ``bilstm`` carry hand-derived backward
+closures (their loops would be wasteful as compositions of elementwise
+graph nodes); ``bilstm_summary`` composes autodiff ops. All are validated
+by finite-difference checks in the test suite.
 
-Modules own parameters (Tensors with ``requires_grad=True``) and
-non-trainable buffers (plain arrays, e.g. batch-norm running stats), and
-expose them by dotted name for checkpointing and optimizers.
+Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
+own parameters (Tensors with ``requires_grad=True``) and non-trainable
+buffers (plain arrays, e.g. batch-norm running stats), and expose them
+by dotted name for checkpointing and optimizers.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accum, _node
+from .autodiff import Tensor, _accum, _node, _sigmoid
 from .errors import ConfigError, ShapeError
 
 # -- functional ops ----------------------------------------------------
 
 
-def _sigm(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+# einsum equations (output, weight gradient, input gradient) by correlated-axis count
+_CONV_EQUATIONS = {
+    1: ("bit,oi->bot", "bot,bit->oi", "bot,oi->bit"),
+    2: ("bihw,oi->bohw", "bohw,bihw->oi", "bohw,oi->bihw"),
+}
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding: tuple, op: str) -> Tensor:
+    """Cross-correlation over the trailing ``len(stride)`` axes.
+
+    The shared kernel of :func:`conv1d` and :func:`conv2d`, which validate
+    shapes first. Each kernel offset contracts the channel axis of one
+    strided window of the padded input.
+    """
+    fwd_eq, dw_eq, dx_eq = _CONV_EQUATIONS[len(stride)]
+    size = x.data.shape[2:]
+    kernel = weight.data.shape[2:]
+    out_size = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(size, padding, kernel, stride))
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((p, p) for p in padding)) if any(padding) else x.data
+    # per kernel offset: its weight slice [O, I] and its input window
+    taps = [
+        ((Ellipsis,) + q, (Ellipsis,) + tuple(slice(a, a + s * (n - 1) + 1, s) for a, s, n in zip(q, stride, out_size)))
+        for q in itertools.product(*map(range, kernel))
+    ]
+    out_data = np.zeros(x.data.shape[:1] + weight.data.shape[:1] + out_size, dtype=x.data.dtype)
+    for tap, win in taps:
+        out_data += np.einsum(fwd_eq, xp[win], weight.data[tap], optimize=True)
+    if bias is not None:
+        out_data += bias.data.reshape((1, -1) + (1,) * len(size))
+
+    def bwd(g):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(weight.data)
+        for tap, win in taps:
+            dw[tap] = np.einsum(dw_eq, g, xp[win], optimize=True)
+            dxp[win] += np.einsum(dx_eq, g, weight.data[tap], optimize=True)
+        _accum(weight, dw)
+        _accum(x, dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp)
+        if bias is not None:
+            _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _node(out_data, parents, bwd, op)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -38,38 +78,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects [B,C,T] input and [O,I,k] weight, got {x.data.shape}, {weight.data.shape}")
-    B, ci, T = x.data.shape
-    co, ci_w, k = weight.data.shape
+    _, ci, T = x.data.shape
+    _, ci_w, k = weight.data.shape
     if ci != ci_w:
         raise ShapeError(f"conv1d channel mismatch: input {ci}, weight {ci_w}")
     if T + 2 * padding < k:
         raise ShapeError(f"conv1d input length {T} (+2*{padding} pad) shorter than kernel {k}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    t_out = (T + 2 * padding - k) // stride + 1
-    out_data = np.zeros((B, co, t_out), dtype=x.data.dtype)
-    for q in range(k):
-        seg = xp[:, :, q : q + stride * (t_out - 1) + 1 : stride]
-        out_data += np.einsum("bit,oi->bot", seg, weight.data[:, :, q], optimize=True)
-    if bias is not None:
-        out_data += bias.data[None, :, None]
-
-    def bwd(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(weight.data)
-        for q in range(k):
-            seg = xp[:, :, q : q + stride * (t_out - 1) + 1 : stride]
-            dw[:, :, q] = np.einsum("bot,bit->oi", g, seg, optimize=True)
-            dxp[:, :, q : q + stride * (t_out - 1) + 1 : stride] += np.einsum(
-                "bot,oi->bit", g, weight.data[:, :, q], optimize=True
-            )
-        _accum(weight, dw)
-        _accum(x, dxp[:, :, padding : padding + T] if padding else dxp)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out_data, parents, bwd, "conv1d")
+    return _conv(x, weight, bias, (stride,), (padding,), "conv1d")
 
 
 def conv2d(
@@ -82,46 +97,15 @@ def conv2d(
     """2-D cross-correlation. x: [B, C_in, H, W]; weight: [C_out, C_in, kh, kw]."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,C,H,W] input and [O,I,kh,kw] weight, got {x.data.shape}, {weight.data.shape}")
-    B, ci, H, W = x.data.shape
-    co, ci_w, kh, kw = weight.data.shape
+    _, ci, H, W = x.data.shape
+    _, ci_w, kh, kw = weight.data.shape
     sh, sw = stride
     ph, pw = padding
     if ci != ci_w:
         raise ShapeError(f"conv2d channel mismatch: input {ci}, weight {ci_w}")
     if H + 2 * ph < kh or W + 2 * pw < kw:
         raise ShapeError(f"conv2d kernel ({kh},{kw}) larger than padded input ({H + 2 * ph},{W + 2 * pw})")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    h_out = (H + 2 * ph - kh) // sh + 1
-    w_out = (W + 2 * pw - kw) // sw + 1
-    out_data = np.zeros((B, co, h_out, w_out), dtype=x.data.dtype)
-    for qh in range(kh):
-        for qw in range(kw):
-            seg = xp[:, :, qh : qh + sh * (h_out - 1) + 1 : sh, qw : qw + sw * (w_out - 1) + 1 : sw]
-            out_data += np.einsum("bihw,oi->bohw", seg, weight.data[:, :, qh, qw], optimize=True)
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
-
-    def bwd(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(weight.data)
-        for qh in range(kh):
-            for qw in range(kw):
-                seg = xp[:, :, qh : qh + sh * (h_out - 1) + 1 : sh, qw : qw + sw * (w_out - 1) + 1 : sw]
-                dw[:, :, qh, qw] = np.einsum("bohw,bihw->oi", g, seg, optimize=True)
-                dxp[:, :, qh : qh + sh * (h_out - 1) + 1 : sh, qw : qw + sw * (w_out - 1) + 1 : sw] += np.einsum(
-                    "bohw,oi->bihw", g, weight.data[:, :, qh, qw], optimize=True
-                )
-        _accum(weight, dw)
-        if ph or pw:
-            _accum(x, dxp[:, :, ph : ph + H, pw : pw + W])
-        else:
-            _accum(x, dxp)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out_data, parents, bwd, "conv2d")
+    return _conv(x, weight, bias, (sh, sw), (ph, pw), "conv2d")
 
 
 def max_pool1d(x: Tensor, pool: int) -> Tensor:
@@ -244,10 +228,10 @@ def bilstm(
         for t in times:
             z = x.data[:, t] @ w.data + h @ u.data + b.data
             zi, zf, zg, zo = np.split(z, 4, axis=1)
-            i_g = _sigm(zi)
-            f_g = _sigm(zf)
+            i_g = _sigmoid(zi)
+            f_g = _sigmoid(zf)
             g_g = np.tanh(zg)
-            o_g = _sigm(zo)
+            o_g = _sigmoid(zo)
             c_prev = c
             h_prev = h
             c = f_g * c_prev + i_g * g_g
@@ -375,15 +359,12 @@ class Module:
         out.update({name: b for name, b in self.named_buffers()})
         return out
 
-    def load_state(self, state: dict[str, np.ndarray], strict: bool = True) -> list[str]:
-        """Copy arrays into matching parameters/buffers; returns missing names."""
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy arrays into the parameters/buffers; names and shapes must match exactly."""
         own_params = dict(self.named_parameters())
         own_bufs = dict(self.named_buffers())
-        missing = []
-        for name in list(own_params) + list(own_bufs):
-            if name not in state:
-                missing.append(name)
-        if strict and missing:
+        missing = [name for name in (*own_params, *own_bufs) if name not in state]
+        if missing:
             raise ShapeError(f"checkpoint missing entries: {missing[:5]}{'...' if len(missing) > 5 else ''}")
         for name, arr in state.items():
             target = own_params.get(name)
@@ -392,14 +373,12 @@ class Module:
                     raise ShapeError(f"shape mismatch for '{name}': model {target.data.shape}, state {arr.shape}")
                 target.data = arr.astype(target.data.dtype, copy=True)
                 continue
-            if name in own_bufs:
-                buf = own_bufs[name]
-                if buf.shape != arr.shape:
-                    raise ShapeError(f"shape mismatch for buffer '{name}': model {buf.shape}, state {arr.shape}")
-                buf[...] = arr
-            elif strict:
+            if name not in own_bufs:
                 raise ShapeError(f"unexpected checkpoint entry '{name}'")
-        return missing
+            buf = own_bufs[name]
+            if buf.shape != arr.shape:
+                raise ShapeError(f"shape mismatch for buffer '{name}': model {buf.shape}, state {arr.shape}")
+            buf[...] = arr
 
 
 class ModuleList(Module):

@@ -19,12 +19,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
-from .fusion import _METHOD_ALIASES, AttentionalFusion, SubAttentionalBank, baseline_fuse
+from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
 from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, ModuleList, bilstm_summary, max_pool1d
+from .phq import N_ITEMS
 
 MODALITIES = ("a", "v", "t")
 MODALITY_SETS = ("a", "v", "t", "av", "avt")
-FUSION_MODES = ("mult", "concat", "median", "max", "sum", "mean", "atten", "subatten")
+FUSION_MODES = BASELINE_RULES + ("atten", "subatten")
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,12 @@ class BranchConfig:
 class ModelConfig:
     """Model wiring; every active modality needs its BranchConfig."""
 
-    modality: str = "avt"
-    fusion: str = "subatten"
-    feature_dim: int = 256
+    modality: str
+    fusion: str
+    feature_dim: int
     audio: BranchConfig = None
     visual: BranchConfig = None
     text: BranchConfig = None
-    n_heads: int = 8
     n_classes: int = 32
 
     def __post_init__(self):
@@ -142,7 +142,7 @@ class MultiModalClassifier(Module):
         if n == 1:
             head_in = d
         elif cfg.fusion == "subatten":
-            self.bank = SubAttentionalBank(n_heads=cfg.n_heads, rng=rng, dtype=dtype)
+            self.bank = SubAttentionalBank(rng=rng, dtype=dtype)
             head_in = n * d
         elif cfg.fusion == "atten":
             self.fuser = AttentionalFusion(rng=rng, dtype=dtype)
@@ -151,10 +151,10 @@ class MultiModalClassifier(Module):
             head_in = n * d
         else:
             head_in = d
-        self.heads = ModuleList([Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(cfg.n_heads)])
+        self.heads = ModuleList([Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)])
 
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
-        """Batched modality tensors -> [B, n_heads, n_classes] distributions."""
+        """Batched modality tensors -> [B, N_ITEMS, n_classes] distributions."""
         given = {"a": audio, "v": visual, "t": text}
         feats = []
         for letter in self.cfg.active:
@@ -166,7 +166,7 @@ class MultiModalClassifier(Module):
         n = len(feats)
         d = self.cfg.feature_dim
         if n == 1:
-            head_inputs = feats * self.cfg.n_heads
+            head_inputs = feats * N_ITEMS
         else:
             stacked = ad.stack(feats, axis=1)  # [B, n, d]
             if self.cfg.fusion == "subatten":
@@ -174,13 +174,13 @@ class MultiModalClassifier(Module):
                 head_inputs = [ad.reshape(o, (B, n * d)) for o in self.bank(ymap)]
             elif self.cfg.fusion == "atten":
                 fused = ad.reshape(self.fuser(ad.reshape(stacked, (B, 1, n, d))), (B, n * d))
-                head_inputs = [fused] * self.cfg.n_heads
+                head_inputs = [fused] * N_ITEMS
             else:
-                fused = baseline_fuse(_METHOD_ALIASES[self.cfg.fusion], stacked)
-                head_inputs = [fused] * self.cfg.n_heads
+                fused = baseline_fuse(self.cfg.fusion, stacked)
+                head_inputs = [fused] * N_ITEMS
 
-        probs = [ad.softmax(self.heads[k](head_inputs[k]), axis=1) for k in range(self.cfg.n_heads)]
-        return ad.stack(probs, axis=1)  # [B, n_heads, n_classes]
+        probs = [ad.softmax(self.heads[k](head_inputs[k]), axis=1) for k in range(N_ITEMS)]
+        return ad.stack(probs, axis=1)  # [B, N_ITEMS, n_classes]
 
 
 def clip_to_inputs(clip: ClipSample, cfg: ModelConfig, dtype=np.float32) -> dict:

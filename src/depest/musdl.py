@@ -17,19 +17,19 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DomainError, ShapeError
+from .phq import N_ITEMS
 
 KL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class MusdlConfig:
-    n_items: int = 8  # questionnaire items scored per sample
-    n_classes: int = 4  # raw score range per item
-    n_expanded: int = 32  # soft-label grid size
-    sigma: float = 5.0  # uncertainty stdev, in expanded-grid units
+    n_classes: int  # raw score range per item
+    n_expanded: int  # soft-label grid size
+    sigma: float  # uncertainty stdev, in expanded-grid units
 
     def __post_init__(self):
-        if self.n_items < 1 or self.n_classes < 1 or self.n_expanded < 1:
+        if self.n_classes < 1 or self.n_expanded < 1:
             raise ConfigError("all size fields must be positive")
         if self.n_expanded % self.n_classes != 0:
             raise ConfigError(f"expanded grid {self.n_expanded} must be a multiple of {self.n_classes}")
@@ -43,26 +43,26 @@ class MusdlConfig:
         return self.n_expanded // self.n_classes
 
 
-def transform_labels(hard, cfg: MusdlConfig = MusdlConfig()) -> np.ndarray:
-    """Hard scores -> [n_items, n_expanded] row-normalized soft labels.
+def transform_labels(hard, cfg: MusdlConfig) -> np.ndarray:
+    """Hard scores -> [N_ITEMS, n_expanded] row-normalized soft labels.
 
     Row i is exp(-(j - mu_i)^2 / (2*sigma^2)) over the expanded grid with
     mu_i = (s_i + 0.5)*ratio - 0.5, truncated to the grid and normalized
     to sum 1.
     """
     hard = np.asarray(hard)
-    if hard.shape != (cfg.n_items,):
-        raise ShapeError(f"expected {cfg.n_items} hard labels, got shape {hard.shape}")
+    if hard.shape != (N_ITEMS,):
+        raise ShapeError(f"expected {N_ITEMS} hard labels, got shape {hard.shape}")
     if np.any(hard != hard.astype(int)) or np.any((hard < 0) | (hard >= cfg.n_classes)):
         raise DomainError(f"labels must be integers in [0,{cfg.n_classes}), got {hard}")
-    centers = (hard.astype(np.float64) + 0.5) * cfg.ratio - 0.5  # [n_items]
+    centers = (hard.astype(np.float64) + 0.5) * cfg.ratio - 0.5  # [N_ITEMS]
     grid = np.arange(cfg.n_expanded, dtype=np.float64)  # [n_expanded]
     raw = np.exp(-((grid[None, :] - centers[:, None]) ** 2) / (2.0 * cfg.sigma**2))
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def decode_prediction(pred, cfg: MusdlConfig = MusdlConfig()) -> np.ndarray:
-    """Distributions [n_items, n_expanded] -> integer scores, floor(argmax/ratio).
+def decode_prediction(pred, cfg: MusdlConfig) -> np.ndarray:
+    """Distributions [N_ITEMS, n_expanded] -> integer scores, floor(argmax/ratio).
 
     np.argmax resolves ties toward the lowest index.
     """

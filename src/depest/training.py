@@ -53,7 +53,7 @@ def soft_targets(clips, musdl_cfg: MusdlConfig) -> np.ndarray:
     return np.stack([transform_labels(np.array(c.phq_subscores), musdl_cfg) for c in clips])
 
 
-def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig = MusdlConfig(), batch_size: int = 16) -> EvalResult:
+def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, batch_size: int) -> EvalResult:
     """Eval-mode forward over all clips; accuracy against clip labels."""
     clips = list(clips)
     if not clips:
@@ -90,9 +90,9 @@ def train(
     model: MultiModalClassifier,
     clips,
     sam_cfg: SamConfig,
-    musdl_cfg: MusdlConfig = MusdlConfig(),
-    epochs: int = 100,
-    batch_size: int = 16,
+    musdl_cfg: MusdlConfig,
+    epochs: int,
+    batch_size: int,
     sampler_mode: str = "score",
     gender_balance: bool = True,
     dynamic_weights: bool = True,
@@ -167,10 +167,10 @@ def fusion_comparison(
     make_model,
     fusion_modes,
     sam_cfg: SamConfig,
+    musdl_cfg: MusdlConfig,
+    epochs: int,
+    batch_size: int,
     modalities=("av", "avt"),
-    musdl_cfg: MusdlConfig = MusdlConfig(),
-    epochs: int = 2,
-    batch_size: int = 8,
     seed: int = 0,
 ) -> list:
     """Train one small model per (fusion, modality) pair and tabulate.
@@ -226,7 +226,7 @@ def comparison_table(rows) -> str:
     return "\n".join(lines)
 
 
-def aggregate_predictions(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig = MusdlConfig(), batch_size: int = 16):
+def aggregate_predictions(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, batch_size: int):
     """Participant-level truth results and predictions.
 
     Returns (truth_results, pred_by_id) suitable for the gender-split

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradients, rel_err
 from depest import autodiff as ad
-from depest.errors import GraphError, NumericError, ShapeError
+from depest.errors import GraphError, NumericError
 
 TOL = 1e-4
 
@@ -40,28 +40,13 @@ class TestElementwise:
         assert rel_err(at.grad, num[0]) < TOL
         assert rel_err(bt.grad, num[1]) < TOL
 
-    def test_div(self):
-        rng = np.random.default_rng(2)
-        a = rng.uniform(0.5, 2.0, size=(2, 3))
-        b = rng.uniform(0.5, 2.0, size=(2, 3))
-        at = ad.tensor(a.copy(), requires_grad=True)
-        bt = ad.tensor(b.copy(), requires_grad=True)
-        ad.backward(ad.sum_(ad.div(at, bt)))
-        num = fd_gradients(lambda x, y: (x / y).sum(), [a, b])
-        assert rel_err(at.grad, num[0]) < TOL
-        assert rel_err(bt.grad, num[1]) < TOL
-
     def test_exp_log_tanh_relu_sigmoid(self):
-        check_unary(ad.exp, np.exp)
         check_unary(ad.log, np.log, low=0.2, high=3.0)
         check_unary(ad.tanh, np.tanh)
         check_unary(ad.sigmoid, lambda x: 1 / (1 + np.exp(-x)))
         # relu kink avoided by keeping values away from 0
         check_unary(ad.relu, lambda x: np.maximum(x, 0.0), low=0.1, high=2.0)
         check_unary(ad.relu, lambda x: np.maximum(x, 0.0), low=-2.0, high=-0.1)
-
-    def test_pow_const(self):
-        check_unary(lambda t: ad.pow_const(t, 3.0), lambda x: x**3.0)
 
     def test_clamp_min_grad_masks_floor(self):
         x = np.array([-1.0, 0.5, 2.0])
@@ -160,10 +145,6 @@ class TestReductionsAndShape:
         assert rel_err(xt.grad, num[0]) < TOL
         assert rel_err(wt.grad, num[1]) < TOL
         assert rel_err(bt.grad, num[2]) < TOL
-
-    def test_matmul_shape_error(self):
-        with pytest.raises(ShapeError):
-            ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 2))))
 
 
 class TestGraphMechanics:

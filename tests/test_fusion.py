@@ -6,13 +6,8 @@ import pytest
 from conftest import fd_gradients, rel_err
 from depest import autodiff as ad
 from depest.errors import ConfigError, ShapeError
-from depest.fusion import (
-    BANK_HEADS,
-    AttentionalFusion,
-    ChannelAttention,
-    SubAttentionalBank,
-    baseline_fuse,
-)
+from depest.fusion import AttentionalFusion, ChannelAttention, SubAttentionalBank, baseline_fuse
+from depest.phq import N_ITEMS
 
 
 class TestChannelAttention:
@@ -38,10 +33,6 @@ class TestChannelAttention:
         w = att(ad.tensor(rng.normal(size=(3, 1, 2, 5))))
         for b in range(3):
             np.testing.assert_allclose(w.data[b], w.data[b].flat[0], atol=1e-12)
-
-    def test_bad_reduction_rejected(self):
-        with pytest.raises(ConfigError):
-            ChannelAttention(channels=3, reduction=2)
 
     def test_non_4d_rejected(self, rng):
         att = ChannelAttention(rng=rng)
@@ -120,14 +111,10 @@ class TestAttentionalFusion:
 
 
 class TestBank:
-    def test_wrong_head_count_rejected(self):
-        with pytest.raises(ConfigError):
-            SubAttentionalBank(n_heads=4)
-
     def test_eight_heads_eight_outputs(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)
         outs = bank(ad.tensor(rng.normal(size=(2, 1, 3, 8))))
-        assert len(outs) == BANK_HEADS
+        assert len(outs) == N_ITEMS
 
     def test_heads_have_independent_parameters(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)
@@ -154,7 +141,7 @@ class TestBank:
         before = [o.data.copy() for o in bank(x)]
         bank.heads[5].conv_refine.weight.data += 1.0
         after = [o.data.copy() for o in bank(x)]
-        for i in range(BANK_HEADS):
+        for i in range(N_ITEMS):
             if i == 5:
                 assert not np.allclose(before[i], after[i])
             else:
@@ -168,12 +155,12 @@ class TestBaselines:
 
     def test_multiplication(self, rng):
         arrays, vecs = self.make_vecs(rng)
-        out = baseline_fuse("multiplication", vecs)
+        out = baseline_fuse("mult", vecs)
         np.testing.assert_allclose(out.data, arrays[0] * arrays[1] * arrays[2], atol=1e-12)
 
     def test_concatenation_order(self, rng):
         arrays, vecs = self.make_vecs(rng)
-        out = baseline_fuse("concatenation", vecs)
+        out = baseline_fuse("concat", vecs)
         np.testing.assert_array_equal(out.data, np.concatenate(arrays))
 
     def test_median_is_lower_median(self, rng):
@@ -190,16 +177,14 @@ class TestBaselines:
 
     def test_summation_and_mean(self, rng):
         arrays, vecs = self.make_vecs(rng)
-        np.testing.assert_allclose(baseline_fuse("summation", vecs).data, np.sum(arrays, axis=0), atol=1e-12)
+        np.testing.assert_allclose(baseline_fuse("sum", vecs).data, np.sum(arrays, axis=0), atol=1e-12)
         np.testing.assert_allclose(baseline_fuse("mean", vecs).data, np.mean(arrays, axis=0), atol=1e-12)
 
-    def test_aliases(self, rng):
-        arrays, vecs = self.make_vecs(rng)
-        np.testing.assert_allclose(baseline_fuse("mult", vecs).data, baseline_fuse("multiplication", vecs).data)
-        np.testing.assert_allclose(baseline_fuse("concat", vecs).data, baseline_fuse("concatenation", vecs).data)
-        np.testing.assert_allclose(baseline_fuse("sum", vecs).data, baseline_fuse("summation", vecs).data)
-
-    @pytest.mark.parametrize("method", ["multiplication", "median", "max", "summation", "mean"])
+    @pytest.mark.parametrize(
+        "method",
+        ["mult", "median", "max", "sum", "mean"],
+        ids=["multiplication", "median", "max", "summation", "mean"],
+    )
     def test_permutation_invariant_methods(self, method, rng):
         arrays, _ = self.make_vecs(rng, n=4)
         perm = [2, 0, 3, 1]
@@ -221,7 +206,7 @@ class TestBaselines:
         assert out.data.shape == (4, 18)
 
     def test_gradients_flow(self, rng):
-        for method in ("multiplication", "concatenation", "median", "max", "summation", "mean"):
+        for method in ("mult", "concat", "median", "max", "sum", "mean"):
             arrays, vecs = self.make_vecs(rng)
             ad.backward(ad.sum_(ad.mul(baseline_fuse(method, vecs), baseline_fuse(method, vecs))))
             for v in vecs:
@@ -229,15 +214,16 @@ class TestBaselines:
 
     def test_multiplication_gradient_matches_fd(self, rng):
         arrays, vecs = self.make_vecs(rng)
-        ad.backward(ad.sum_(baseline_fuse("multiplication", vecs)))
+        ad.backward(ad.sum_(baseline_fuse("mult", vecs)))
         num = fd_gradients(lambda a, b, c: (a * b * c).sum(), arrays)
         for v, n in zip(vecs, num):
             assert rel_err(v.grad, n) < 1e-4
 
     def test_unknown_method_rejected(self, rng):
         _, vecs = self.make_vecs(rng)
-        with pytest.raises(ConfigError):
-            baseline_fuse("average", vecs)
+        for method in ("average", "multiplication", "concatenation", "summation"):
+            with pytest.raises(ConfigError):
+                baseline_fuse(method, vecs)
 
     def test_single_vector_rejected(self, rng):
         with pytest.raises(ShapeError):

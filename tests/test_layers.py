@@ -114,6 +114,24 @@ class TestConv2d:
         assert rel_err(wt.grad, num[1]) < TOL
         assert rel_err(bt.grad, num[2]) < TOL
 
+    def test_unit_height_matches_conv1d(self, rng):
+        # conv1d and conv2d share one kernel: a height-1 conv2d is the same
+        # correlation as conv1d, down to the last bit of every gradient
+        x = rng.normal(size=(2, 3, 11))
+        w = rng.normal(size=(4, 3, 3))
+        b = rng.normal(size=(4,))
+        g = rng.normal(size=(2, 4, 6))
+        x1, w1, b1 = (ad.tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        x2, w2, b2 = (ad.tensor(a.copy(), requires_grad=True) for a in (x[:, :, None], w[:, :, None], b))
+        out1 = conv1d(x1, w1, b1, stride=2, padding=1)
+        out2 = conv2d(x2, w2, b2, stride=(1, 2), padding=(0, 1))
+        ad.backward(ad.sum_(ad.mul(out1, ad.tensor(g))))
+        ad.backward(ad.sum_(ad.mul(out2, ad.tensor(g[:, :, None]))))
+        np.testing.assert_array_equal(out2.data[:, :, 0], out1.data)
+        np.testing.assert_array_equal(x2.grad[:, :, 0], x1.grad)
+        np.testing.assert_array_equal(w2.grad[:, :, 0], w1.grad)
+        np.testing.assert_array_equal(b2.grad, b1.grad)
+
 
 class TestPooling:
     def test_max_pool_forward(self):

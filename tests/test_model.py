@@ -47,19 +47,19 @@ def small_inputs(rng, B=2, modality="av"):
 class TestConfig:
     def test_bad_modality_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig(modality="x")
+            ModelConfig(modality="x", fusion="subatten", feature_dim=6)
 
     def test_bad_fusion_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig(fusion="attention")
+            ModelConfig(modality="avt", fusion="attention", feature_dim=6)
 
     def test_branch_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig(modality="a", feature_dim=16, audio=SMALL_AUDIO)
+            ModelConfig(modality="a", fusion="subatten", feature_dim=16, audio=SMALL_AUDIO)
 
     def test_active_modality_without_branch_rejected(self):
         with pytest.raises(ConfigError, match="text branch"):
-            ModelConfig(modality="avt", feature_dim=6, audio=SMALL_AUDIO, visual=SMALL_VISUAL)
+            ModelConfig(modality="avt", fusion="subatten", feature_dim=6, audio=SMALL_AUDIO, visual=SMALL_VISUAL)
 
     def test_active_order_is_fixed(self):
         assert small_config("avt").active == ("a", "v", "t")

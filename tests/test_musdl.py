@@ -16,7 +16,7 @@ from depest.musdl import (
     transform_labels,
 )
 
-CFG = MusdlConfig()
+CFG = MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0)  # the config.DEFAULTS values
 
 
 def kl_value(target, pred) -> float:
@@ -30,13 +30,13 @@ def kl_value(target, pred) -> float:
 
 class TestTransform:
     def test_rows_normalized(self):
-        soft = transform_labels([0, 1, 2, 3, 0, 1, 2, 3])
+        soft = transform_labels([0, 1, 2, 3, 0, 1, 2, 3], CFG)
         assert soft.shape == (8, 32)
         np.testing.assert_allclose(soft.sum(axis=1), np.ones(8), atol=1e-6)
         assert np.all(soft > 0.0)
 
     def test_peak_sits_at_class_midpoint(self):
-        soft = transform_labels([0, 1, 2, 3, 0, 0, 0, 0])
+        soft = transform_labels([0, 1, 2, 3, 0, 0, 0, 0], CFG)
         # center (s + 0.5)*8 - 0.5 is a half-integer; the two straddling
         # grid points tie in exact arithmetic and argmax takes the lower
         for row, s in zip(soft[:4], [0, 1, 2, 3]):
@@ -45,36 +45,36 @@ class TestTransform:
 
     def test_mirror_symmetry(self):
         # scores s and 3-s give mirror-image rows
-        soft = transform_labels([0, 1, 2, 3, 0, 0, 0, 0])
+        soft = transform_labels([0, 1, 2, 3, 0, 0, 0, 0], CFG)
         np.testing.assert_allclose(soft[0], soft[3][::-1], atol=1e-12)
         np.testing.assert_allclose(soft[1], soft[2][::-1], atol=1e-12)
 
     def test_round_trip_every_score(self):
         for s in range(4):
-            soft = transform_labels([s] * 8)
-            np.testing.assert_array_equal(decode_prediction(soft), [s] * 8)
+            soft = transform_labels([s] * 8, CFG)
+            np.testing.assert_array_equal(decode_prediction(soft, CFG), [s] * 8)
 
     def test_round_trip_mixed(self):
         for hard in [(0, 1, 2, 3, 3, 2, 1, 0), (2, 2, 0, 3, 1, 1, 0, 2)]:
             np.testing.assert_array_equal(
-                decode_prediction(transform_labels(hard)), list(hard)
+                decode_prediction(transform_labels(hard, CFG), CFG), list(hard)
             )
 
     def test_non_integer_label_rejected(self):
         with pytest.raises(DomainError):
-            transform_labels([0.5, 0, 0, 0, 0, 0, 0, 0])
+            transform_labels([0.5, 0, 0, 0, 0, 0, 0, 0], CFG)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DomainError):
-            transform_labels([0, 0, 0, 0, 0, 0, 0, 4])
+            transform_labels([0, 0, 0, 0, 0, 0, 0, 4], CFG)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ShapeError):
-            transform_labels([0, 1, 2])
+            transform_labels([0, 1, 2], CFG)
 
     def test_sigma_controls_spread(self):
-        tight = transform_labels([1] * 8, MusdlConfig(sigma=0.5))
-        wide = transform_labels([1] * 8, MusdlConfig(sigma=10.0))
+        tight = transform_labels([1] * 8, MusdlConfig(n_classes=4, n_expanded=32, sigma=0.5))
+        wide = transform_labels([1] * 8, MusdlConfig(n_classes=4, n_expanded=32, sigma=10.0))
         assert tight[0].max() > wide[0].max()
 
 
@@ -84,29 +84,29 @@ class TestDecode:
         rows[0, 17] = 1.0  # 17 // 8 = 2
         rows[1, 0] = 1.0
         rows[2, 31] = 1.0
-        np.testing.assert_array_equal(decode_prediction(rows), [2, 0, 3])
+        np.testing.assert_array_equal(decode_prediction(rows, CFG), [2, 0, 3])
 
     def test_tie_takes_lowest_index(self):
         row = np.zeros((1, 32))
         row[0, 7] = 0.5
         row[0, 8] = 0.5  # tie across the class boundary
-        np.testing.assert_array_equal(decode_prediction(row), [0])
+        np.testing.assert_array_equal(decode_prediction(row, CFG), [0])
 
     def test_accepts_graph_tensors(self):
         rows = np.zeros((2, 32))
         rows[0, 9] = 1.0
         rows[1, 30] = 1.0
-        got = decode_prediction(ad.tensor(rows))
+        got = decode_prediction(ad.tensor(rows), CFG)
         np.testing.assert_array_equal(got, [1, 3])
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ShapeError):
-            decode_prediction(np.zeros((2, 16)))
+            decode_prediction(np.zeros((2, 16)), CFG)
 
 
 class TestKl:
     def test_self_divergence_zero(self):
-        soft = transform_labels([1, 3, 0, 2, 1, 1, 2, 0])
+        soft = transform_labels([1, 3, 0, 2, 1, 1, 2, 0], CFG)
         loss = kl_rows(soft, ad.tensor(soft.copy()))
         assert abs(loss.data) < 1e-9
         assert abs(kl_value(soft, soft)) < 1e-9
@@ -181,4 +181,4 @@ class TestKl:
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=8, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_decode_inverts_transform(self, hard):
-        np.testing.assert_array_equal(decode_prediction(transform_labels(hard)), hard)
+        np.testing.assert_array_equal(decode_prediction(transform_labels(hard, CFG), CFG), hard)

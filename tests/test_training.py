@@ -29,6 +29,7 @@ VISUAL_CFG = BranchConfig(
 )
 TEXT_CFG = BranchConfig(in_channels=512, conv_channels=(4,), pools=(1,), strides=(1,), lstm_hidden=3, out_dim=6)
 SAM_CFG = SamConfig(rho=0.05, lr=0.1)
+MUSDL_CFG = MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0)  # the config.DEFAULTS values
 
 
 def make_model(modality="a", fusion="mean", seed=5):
@@ -62,7 +63,7 @@ def separable_clips(n_per_group=12, seed=1):
 class TestSoftTargets:
     def test_shape_and_row_sums(self, rng):
         clips = [tiny_clip(rng, (0, 1, 2, 3, 3, 2, 1, 0)), tiny_clip(rng, (1,) * 8)]
-        t = soft_targets(clips, MusdlConfig())
+        t = soft_targets(clips, MUSDL_CFG)
         assert t.shape == (2, 8, 32)
         assert np.allclose(t.sum(axis=-1), 1.0)
 
@@ -74,6 +75,7 @@ class TestOverfit:
         history = train(
             model,
             clips,
+            musdl_cfg=MUSDL_CFG,
             sam_cfg=SamConfig(rho=0.05, lr=0.1, momentum=0.9),
             epochs=40,
             batch_size=8,
@@ -84,7 +86,7 @@ class TestOverfit:
 
     def test_history_one_entry_per_epoch(self):
         clips = separable_clips(n_per_group=4)
-        history = train(make_model(), clips, sam_cfg=SAM_CFG, epochs=3, batch_size=4, seed=0)
+        history = train(make_model(), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=3, batch_size=4, seed=0)
         assert [h.epoch for h in history] == [1, 2, 3]
 
 
@@ -92,7 +94,7 @@ class TestSgdEquivalence:
     def test_rho_zero_matches_manual_loop(self):
         """rho=0 without dynamic weights is a plain SGD loop, bit for bit."""
         clips = separable_clips(n_per_group=4)
-        musdl_cfg = MusdlConfig()
+        musdl_cfg = MUSDL_CFG
         lr = 0.1
         epochs, batch_size, seed = 2, 4, 3
 
@@ -151,7 +153,8 @@ class TestLogging:
         logs = []
         for _ in range(2):
             fh = io.StringIO()
-            train(make_model(seed=9), clips, sam_cfg=SAM_CFG, epochs=3, batch_size=4, seed=4, log_fh=fh)
+            train(make_model(seed=9), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=3, batch_size=4, seed=4,
+                  log_fh=fh)
             logs.append(fh.getvalue())
         assert logs[0] == logs[1]
         assert len(logs[0].strip().splitlines()) == 3
@@ -160,25 +163,27 @@ class TestLogging:
 class TestEarlyStop:
     def test_stop_accuracy_halts_first_epoch(self):
         clips = separable_clips(n_per_group=2)
-        history = train(make_model(), clips, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0, stop_accuracy=0.0)
+        history = train(make_model(), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0,
+                        stop_accuracy=0.0)
         assert len(history) == 1
 
     def test_time_budget_halts_at_epoch_boundary(self):
         clips = separable_clips(n_per_group=2)
-        history = train(make_model(), clips, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0, time_budget_s=0.0)
+        history = train(make_model(), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0,
+                        time_budget_s=0.0)
         assert len(history) == 1
 
     def test_empty_clip_list_rejected(self):
         with pytest.raises(EmptyInputError):
-            train(make_model(), [], sam_cfg=SAM_CFG, epochs=1)
+            train(make_model(), [], musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=1, batch_size=16)
         with pytest.raises(EmptyInputError):
-            evaluate_clips(make_model(), [])
+            evaluate_clips(make_model(), [], MUSDL_CFG, 16)
 
 
 class TestEvaluate:
     def test_result_shapes(self, rng):
         clips = [tiny_clip(rng, (i % 4,) * 8, participant_id=f"P{i}") for i in range(5)]
-        ev = evaluate_clips(make_model(), clips, batch_size=2)
+        ev = evaluate_clips(make_model(), clips, MUSDL_CFG, 2)
         assert ev.subscores.shape == (5, 8)
         assert len(ev.records) == 5
         assert 0.0 <= ev.clip_accuracy <= 1.0
@@ -186,7 +191,7 @@ class TestEvaluate:
 
     def test_single_gender_leaves_other_nan(self, rng):
         clips = [tiny_clip(rng, (1,) * 8, participant_id=f"P{i}", gender="female") for i in range(3)]
-        ev = evaluate_clips(make_model(), clips)
+        ev = evaluate_clips(make_model(), clips, MUSDL_CFG, 16)
         assert not np.isnan(ev.female_accuracy)
         assert np.isnan(ev.male_accuracy)
 
@@ -199,6 +204,7 @@ class TestComparison:
             lambda fusion, modality: make_model(modality=modality, fusion=fusion),
             fusion_modes=("mean", "concat"),
             sam_cfg=SAM_CFG,
+            musdl_cfg=MUSDL_CFG,
             modalities=("av",),
             epochs=1,
             batch_size=4,
@@ -232,7 +238,7 @@ class TestComparison:
             return models[-1]
 
         fusion_comparison(separable_clips(n_per_group=2), make, fusion_modes=("mean", "concat"),
-                          sam_cfg=SAM_CFG, modalities=("a",), epochs=1, batch_size=4)
+                          sam_cfg=SAM_CFG, musdl_cfg=MUSDL_CFG, modalities=("a",), epochs=1, batch_size=4)
         # one eval per training epoch, then one shared by the accuracy and participant metrics
         assert [sum(c is m for c in calls) for m in models] == [2, 2]
 
@@ -243,7 +249,7 @@ class TestAggregate:
         for pid, gender in (("P2", "male"), ("P0", "female"), ("P1", "female")):
             for k in range(2):
                 clips.append(tiny_clip(rng, (2,) * 8, participant_id=pid, gender=gender, clip_index=k))
-        truth, preds = aggregate_predictions(make_model(), clips)
+        truth, preds = aggregate_predictions(make_model(), clips, MUSDL_CFG, 16)
         assert [r.participant_id for r in truth] == ["P0", "P1", "P2"]
         assert set(preds) == {"P0", "P1", "P2"}
         for r in truth:

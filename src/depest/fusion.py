@@ -45,15 +45,14 @@ class ChannelAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4:
             raise ShapeError(f"channel attention expects [B,C,H,W], got {x.data.shape}")
-        B, C, H, W = x.data.shape
+        B, C = x.data.shape[:2]
 
         local = self.local_bn2(self.local_pw2(ad.relu(self.local_bn1(self.local_pw1(x)))))
 
         pooled = ad.reshape(ad.mean(x, axis=(2, 3)), (B, C, 1, 1))
         glob = self.global_bn2(self.global_pw2(ad.relu(self.global_bn1(self.global_pw1(pooled)))))
-        glob_b = ad.mul(glob, ad.tensor(np.ones((1, 1, H, W), dtype=x.data.dtype)))
 
-        return ad.sigmoid(ad.add(local, glob_b))
+        return ad.sigmoid(ad.add(local, glob))  # [B,C,1,1] broadcasts over the grid
 
 
 class AttentionalFusion(Module):

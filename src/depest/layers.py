@@ -6,6 +6,15 @@ closures (their loops would be wasteful as compositions of elementwise
 graph nodes); ``bilstm_summary`` composes autodiff ops. All are validated
 by finite-difference checks in the test suite.
 
+``bilstm`` follows the cuDNN RNN recipe (Appleyard et al. 2016): time-major
+buffers, the input projection of all steps as one GEMM before the loop,
+and in backward a loop of elementwise work and ``dz @ U^T`` whose stacked
+``dz`` feeds one GEMM each for the weight, recurrent and input gradients.
+Its backward flushes gradient values below the dtype's smallest normal
+number to zero, as GPU float32 kernels do. ``conv2d`` with a kernel as tall
+as its input correlates along the width only, with the height folded into
+the channels.
+
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 own parameters (Tensors with ``requires_grad=True``) and non-trainable
 buffers (plain arrays, e.g. batch-norm running stats), and expose them
@@ -19,7 +28,7 @@ import itertools
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accum, _node, _sigmoid
+from .autodiff import Tensor, _accum, _node
 from .errors import ConfigError, ShapeError
 
 # -- functional ops ----------------------------------------------------
@@ -37,32 +46,49 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
 
     The shared kernel of :func:`conv1d` and :func:`conv2d`, which validate
     shapes first. Each kernel offset contracts the channel axis of one
-    strided window of the padded input.
+    strided window of the padded input. A 2-D kernel as tall as the
+    unpadded input (the visual front-end) folds the height into the
+    channel axis and correlates along the width only: 3 taps instead of
+    216 for a [64, 3, 72, 3] kernel. The input gradient is computed only
+    when the input needs one.
     """
+    xd, wd = x.data, weight.data
+    fold = len(stride) == 2 and padding[0] == 0 and wd.shape[2] == xd.shape[2]
+    if fold:
+        xd = xd.reshape(xd.shape[0], -1, xd.shape[3])
+        wd = wd.reshape(wd.shape[0], -1, wd.shape[3])
+        stride, padding = stride[1:], padding[1:]
     fwd_eq, dw_eq, dx_eq = _CONV_EQUATIONS[len(stride)]
-    size = x.data.shape[2:]
-    kernel = weight.data.shape[2:]
+    size = xd.shape[2:]
+    kernel = wd.shape[2:]
     out_size = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(size, padding, kernel, stride))
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((p, p) for p in padding)) if any(padding) else x.data
+    xp = np.pad(xd, ((0, 0), (0, 0)) + tuple((p, p) for p in padding)) if any(padding) else xd
     # per kernel offset: its weight slice [O, I] and its input window
     taps = [
         ((Ellipsis,) + q, (Ellipsis,) + tuple(slice(a, a + s * (n - 1) + 1, s) for a, s, n in zip(q, stride, out_size)))
         for q in itertools.product(*map(range, kernel))
     ]
-    out_data = np.zeros(x.data.shape[:1] + weight.data.shape[:1] + out_size, dtype=x.data.dtype)
+    out_data = np.zeros(xd.shape[:1] + wd.shape[:1] + out_size, dtype=xd.dtype)
     for tap, win in taps:
-        out_data += np.einsum(fwd_eq, xp[win], weight.data[tap], optimize=True)
+        out_data += np.einsum(fwd_eq, xp[win], wd[tap], optimize=True)
     if bias is not None:
         out_data += bias.data.reshape((1, -1) + (1,) * len(size))
+    if fold:
+        out_data = out_data[:, :, None]
 
     def bwd(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(weight.data)
+        if fold:
+            g = g[:, :, 0]
+        dw = np.zeros_like(wd)
         for tap, win in taps:
             dw[tap] = np.einsum(dw_eq, g, xp[win], optimize=True)
-            dxp[win] += np.einsum(dx_eq, g, weight.data[tap], optimize=True)
-        _accum(weight, dw)
-        _accum(x, dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp)
+        _accum(weight, dw.reshape(weight.data.shape))
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for tap, win in taps:
+                dxp[win] += np.einsum(dx_eq, g, wd[tap], optimize=True)
+            dx = dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp
+            _accum(x, dx.reshape(x.data.shape))
         if bias is not None:
             _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
 
@@ -187,6 +213,15 @@ def batch_norm(
     return _node(out_data, (x, gamma, beta), bwd, "batch_norm")
 
 
+def _flush_subnormals(a: np.ndarray) -> None:
+    """Zero, in place, the values below the dtype's smallest normal number.
+
+    float32 gradients that decay through hundreds of recurrent steps reach
+    subnormals, on which x86 arithmetic is many times slower.
+    """
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
+
+
 def bilstm(
     x: Tensor,
     w_f: Tensor,
@@ -219,67 +254,75 @@ def bilstm(
         if p.data.shape != shape:
             raise ShapeError(f"bilstm parameter {name} expected shape {shape}, got {p.data.shape}")
 
+    dtype = x.data.dtype
+    xt = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(T * B, D)  # time-major rows
+    # sigmoid(z) = 0.5 * (1 + tanh(z / 2)): one tanh activates all four gate
+    # slabs, scaled by 0.5 on i, f, o and by 1 on the candidate slab g
+    scale = np.full(4 * H, 0.5, dtype=dtype)
+    scale[2 * H : 3 * H] = 1.0
+    shift = 1.0 - scale
+
     def run_dir(w, u, b, reverse):
-        hs = np.zeros((B, T, H), dtype=x.data.dtype)
-        cache = []
-        h = np.zeros((B, H), dtype=x.data.dtype)
-        c = np.zeros((B, H), dtype=x.data.dtype)
-        times = range(T - 1, -1, -1) if reverse else range(T)
-        for t in times:
-            z = x.data[:, t] @ w.data + h @ u.data + b.data
-            zi, zf, zg, zo = np.split(z, 4, axis=1)
-            i_g = _sigmoid(zi)
-            f_g = _sigmoid(zf)
-            g_g = np.tanh(zg)
-            o_g = _sigmoid(zo)
-            c_prev = c
-            h_prev = h
-            c = f_g * c_prev + i_g * g_g
-            hc = np.tanh(c)
-            h = o_g * hc
-            hs[:, t] = h
-            cache.append((t, i_g, f_g, g_g, o_g, c_prev, hc, h_prev))
-        return hs, cache
+        # hs/cs hold the states in time order, padded by the zero initial
+        # state: slot t is step t's input state going forward, slot t + 1 going back
+        gates = (xt @ w.data + b.data).reshape(T, B, 4 * H)
+        hs = np.zeros((T + 1, B, H), dtype=dtype)
+        cs = np.zeros((T + 1, B, H), dtype=dtype)
+        hc = np.empty((T, B, H), dtype=dtype)
+        for t in range(T - 1, -1, -1) if reverse else range(T):
+            prev, nxt = (t + 1, t) if reverse else (t, t + 1)
+            z = gates[t]
+            z += hs[prev] @ u.data
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            cs[nxt] = z[:, H : 2 * H] * cs[prev] + z[:, :H] * z[:, 2 * H : 3 * H]
+            np.tanh(cs[nxt], out=hc[t])
+            np.multiply(z[:, 3 * H :], hc[t], out=hs[nxt])
+        return gates, hs, cs, hc
 
-    hs_f, cache_f = run_dir(w_f, u_f, b_f, reverse=False)
-    hs_b, cache_b = run_dir(w_b, u_b, b_b, reverse=True)
-    out_data = np.concatenate([hs_f, hs_b], axis=2)
+    cache_f = run_dir(w_f, u_f, b_f, reverse=False)
+    cache_b = run_dir(w_b, u_b, b_b, reverse=True)
+    hs_f, hs_b = cache_f[1], cache_b[1]
+    out_data = np.concatenate([hs_f[1:], hs_b[:-1]], axis=2).transpose(1, 0, 2)  # [B, T, 2H]
 
-    def run_dir_bwd(w, u, b, cache, gh):
-        dw = np.zeros_like(w.data)
-        du = np.zeros_like(u.data)
-        db = np.zeros_like(b.data)
-        dx = np.zeros_like(x.data)
-        dh = np.zeros((B, H), dtype=x.data.dtype)
-        dc = np.zeros((B, H), dtype=x.data.dtype)
-        for t, i_g, f_g, g_g, o_g, c_prev, hc, h_prev in reversed(cache):
-            dh = dh + gh[:, t]
-            do = dh * hc
-            dc = dc + dh * o_g * (1.0 - hc * hc)
-            dz = np.concatenate(
-                [
-                    dc * g_g * i_g * (1.0 - i_g),
-                    dc * c_prev * f_g * (1.0 - f_g),
-                    dc * i_g * (1.0 - g_g * g_g),
-                    do * o_g * (1.0 - o_g),
-                ],
-                axis=1,
-            )
-            dw += x.data[:, t].T @ dz
-            du += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dx[:, t] += dz @ w.data.T
-            dh = dz @ u.data.T
-            dc = dc * f_g
-        _accum(w, dw)
-        _accum(u, du)
-        _accum(b, db)
-        return dx
+    def run_dir_bwd(w, u, b, cache, gh, reverse):
+        gates, hs, cs, hc = cache
+        i_s, f_s, g_s, o_s = (gates[:, :, k * H : (k + 1) * H] for k in range(4))
+        c_prev = cs[1:] if reverse else cs[:-1]
+        u_t = np.ascontiguousarray(u.data.T)  # a transposed view makes the GEMM twice as slow
+        dzs = np.empty((T, B, 4 * H), dtype=dtype)
+        dh = np.zeros((B, H), dtype=dtype)
+        dc = np.zeros((B, H), dtype=dtype)
+        for t in range(T) if reverse else range(T - 1, -1, -1):
+            i_g, f_g, g_g, o_g = i_s[t], f_s[t], g_s[t], o_s[t]
+            dh += gh[t]
+            dc += dh * o_g * (1.0 - hc[t] * hc[t])
+            dz = dzs[t]
+            dz[:, :H] = dc * g_g * i_g * (1.0 - i_g)
+            dz[:, H : 2 * H] = dc * c_prev[t] * f_g * (1.0 - f_g)
+            dz[:, 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
+            dz[:, 3 * H :] = dh * hc[t] * o_g * (1.0 - o_g)
+            _flush_subnormals(dz)
+            dh = dz @ u_t
+            dc *= f_g
+            _flush_subnormals(dh)
+            _flush_subnormals(dc)
+        dz2 = dzs.reshape(T * B, 4 * H)
+        h_prev = (hs[1:] if reverse else hs[:-1]).reshape(T * B, H)
+        _accum(w, xt.T @ dz2)
+        _accum(u, h_prev.T @ dz2)
+        _accum(b, dz2.sum(axis=0))
+        return dz2 @ w.data.T
 
     def bwd(g):
-        dx = run_dir_bwd(w_f, u_f, b_f, cache_f, g[:, :, :H])
-        dx = dx + run_dir_bwd(w_b, u_b, b_b, cache_b, g[:, :, H:])
-        _accum(x, dx)
+        gt = g.transpose(1, 0, 2)  # [T, B, 2H] view
+        dx = run_dir_bwd(w_f, u_f, b_f, cache_f, gt[:, :, :H], reverse=False)
+        dx += run_dir_bwd(w_b, u_b, b_b, cache_b, gt[:, :, H:], reverse=True)
+        # two nearly cancelling directions can sum to a subnormal
+        _flush_subnormals(dx)
+        _accum(x, dx.reshape(T, B, D).transpose(1, 0, 2))
 
     return _node(out_data, (x, w_f, u_f, b_f, w_b, u_b, b_b), bwd, "bilstm")
 

@@ -183,31 +183,34 @@ class MultiModalClassifier(Module):
         return ad.stack(probs, axis=1)  # [B, N_ITEMS, n_classes]
 
 
-def clip_to_inputs(clip: ClipSample, cfg: ModelConfig, dtype=np.float32) -> dict:
-    """ClipSample arrays -> batch-1 graph tensors keyed by forward() arg."""
+def _clip_arrays(clip: ClipSample, cfg: ModelConfig) -> dict:
+    """Per-modality views of a clip in model layout, keyed by forward() arg."""
     out = {}
     if "a" in cfg.modality:
-        out["audio"] = ad.tensor(clip.audio[None].astype(dtype))  # [1, n_mels, T]
+        out["audio"] = clip.audio  # [n_mels, T]
     if "v" in cfg.modality:
         if clip.visual.shape[0] == 0:
             raise DataError(f"clip {clip.clip_index} of {clip.participant_id} has no visual frames")
-        vis = np.transpose(clip.visual, (2, 1, 0))  # [T,72,3] -> [3,72,T]
-        out["visual"] = ad.tensor(vis[None].astype(dtype))
+        out["visual"] = np.transpose(clip.visual, (2, 1, 0))  # [T,72,3] -> [3,72,T]
     if "t" in cfg.modality:
-        out["text"] = ad.tensor(clip.text.T[None].astype(dtype))  # [1, 512, S]
+        out["text"] = clip.text.T  # [512, S]
     return out
 
 
 def batch_inputs(clips, cfg: ModelConfig, dtype=np.float32) -> dict:
-    """Stack equal-shape clips into batched modality tensors."""
+    """Stack equal-shape clips into C-contiguous batched modality tensors."""
     if not clips:
         raise DataError("empty clip batch")
-    singles = [clip_to_inputs(c, cfg, dtype) for c in clips]
+    singles = [_clip_arrays(c, cfg) for c in clips]
     out = {}
     for key in singles[0]:
-        arrs = [s[key].data[0] for s in singles]
-        shapes = {a.shape for a in arrs}
+        shapes = {s[key].shape for s in singles}
         if len(shapes) != 1:
             raise ShapeError(f"ragged '{key}' shapes in batch: {sorted(shapes)}")
-        out[key] = ad.tensor(np.stack(arrs))
+        # one array written clip by clip: np.stack would keep the transposed
+        # per-clip layout, and a later reshape of it would copy the batch
+        batch = np.empty((len(singles),) + singles[0][key].shape, dtype=dtype)
+        for i, s in enumerate(singles):
+            batch[i] = s[key]
+        out[key] = ad.tensor(batch)
     return out

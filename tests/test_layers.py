@@ -132,6 +132,46 @@ class TestConv2d:
         np.testing.assert_array_equal(w2.grad[:, :, 0], w1.grad)
         np.testing.assert_array_equal(b2.grad, b1.grad)
 
+    def test_full_height_kernel_matches_conv1d_on_folded_input(self, rng):
+        # a kernel as tall as the input is a conv1d over height x channels
+        x = rng.normal(size=(2, 3, 5, 9))
+        w = rng.normal(size=(4, 3, 5, 3))
+        b = rng.normal(size=(4,))
+        g = rng.normal(size=(2, 4, 1, 4))
+        x2, w2, b2 = (ad.tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        x1, w1, b1 = (ad.tensor(a.copy(), requires_grad=True) for a in (x.reshape(2, 15, 9), w.reshape(4, 15, 3), b))
+        out2 = conv2d(x2, w2, b2, stride=(1, 2))
+        out1 = conv1d(x1, w1, b1, stride=2)
+        ad.backward(ad.sum_(ad.mul(out2, ad.tensor(g))))
+        ad.backward(ad.sum_(ad.mul(out1, ad.tensor(g[:, :, 0]))))
+        assert out2.data.shape == (2, 4, 1, 4)
+        np.testing.assert_array_equal(out2.data[:, :, 0], out1.data)
+        np.testing.assert_array_equal(x2.grad.reshape(2, 15, 9), x1.grad)
+        np.testing.assert_array_equal(w2.grad.reshape(4, 15, 3), w1.grad)
+        np.testing.assert_array_equal(b2.grad, b1.grad)
+
+    def test_full_height_kernel_grads_match_fd(self, rng):
+        x = rng.normal(size=(2, 3, 5, 9))
+        w = rng.normal(size=(4, 3, 5, 3))
+        b = rng.normal(size=(4,))
+        xt, wt, bt = (ad.tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = conv2d(xt, wt, bt, stride=(1, 2))
+        np.testing.assert_allclose(out.data, brute_conv2d(x, w, b, (1, 2), (0, 0)), atol=1e-12)
+        ad.backward(ad.sum_(ad.tanh(out)))
+        num = fd_gradients(lambda a, ww, bb: np.tanh(brute_conv2d(a, ww, bb, (1, 2), (0, 0))).sum(), [x, w, b])
+        assert rel_err(xt.grad, num[0]) < TOL
+        assert rel_err(wt.grad, num[1]) < TOL
+        assert rel_err(bt.grad, num[2]) < TOL
+
+    @pytest.mark.parametrize("kernel,padding", [((5, 3), (0, 0)), ((3, 3), (1, 1))], ids=["full_height", "padded"])
+    def test_input_without_grad_gets_none(self, rng, kernel, padding):
+        # model inputs are data: their gradient is never formed
+        x = ad.tensor(rng.normal(size=(2, 3, 5, 9)))
+        w = ad.tensor(rng.normal(size=(4, 3) + kernel), requires_grad=True)
+        ad.backward(ad.sum_(conv2d(x, w, stride=(1, 2), padding=padding)))
+        assert x.grad is None
+        assert w.grad is not None
+
 
 class TestPooling:
     def test_max_pool_forward(self):
@@ -229,6 +269,82 @@ def unrolled_lstm_two_steps(x, w, u, b):
     return np.stack(hs)
 
 
+def reference_bilstm(x, wf, uf, bf, wb, ub, bb, g):
+    """Step-by-step BiLSTM forward and backward: per-step GEMMs, no flushing.
+
+    x: [B, T, D]; g: upstream gradient [B, T, 2H]. Returns the output and
+    the gradients of x, wf, uf, bf, wb, ub, bb.
+    """
+
+    def sigm(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    B, T, _ = x.shape
+    H = uf.shape[0]
+
+    def run_dir(w, u, b, reverse):
+        hs = np.zeros((B, T, H), dtype=x.dtype)
+        cache = []
+        h = np.zeros((B, H), dtype=x.dtype)
+        c = np.zeros((B, H), dtype=x.dtype)
+        for t in range(T - 1, -1, -1) if reverse else range(T):
+            z = x[:, t] @ w + h @ u + b
+            zi, zf, zg, zo = np.split(z, 4, axis=1)
+            i_g, f_g, g_g, o_g = sigm(zi), sigm(zf), np.tanh(zg), sigm(zo)
+            c_prev, h_prev = c, h
+            c = f_g * c_prev + i_g * g_g
+            hc = np.tanh(c)
+            h = o_g * hc
+            hs[:, t] = h
+            cache.append((t, i_g, f_g, g_g, o_g, c_prev, hc, h_prev))
+        return hs, cache
+
+    def run_dir_bwd(w, u, cache, gh):
+        dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros(4 * H, dtype=x.dtype)
+        dx = np.zeros_like(x)
+        dh = np.zeros((B, H), dtype=x.dtype)
+        dc = np.zeros((B, H), dtype=x.dtype)
+        for t, i_g, f_g, g_g, o_g, c_prev, hc, h_prev in reversed(cache):
+            dh = dh + gh[:, t]
+            do = dh * hc
+            dc = dc + dh * o_g * (1.0 - hc * hc)
+            dz = np.concatenate(
+                [
+                    dc * g_g * i_g * (1.0 - i_g),
+                    dc * c_prev * f_g * (1.0 - f_g),
+                    dc * i_g * (1.0 - g_g * g_g),
+                    do * o_g * (1.0 - o_g),
+                ],
+                axis=1,
+            )
+            dw += x[:, t].T @ dz
+            du += h_prev.T @ dz
+            db += dz.sum(axis=0)
+            dx[:, t] += dz @ w.T
+            dh = dz @ u.T
+            dc = dc * f_g
+        return dx, dw, du, db
+
+    hs_f, cache_f = run_dir(wf, uf, bf, reverse=False)
+    hs_b, cache_b = run_dir(wb, ub, bb, reverse=True)
+    dx_f, dwf, duf, dbf = run_dir_bwd(wf, uf, cache_f, g[:, :, :H])
+    dx_b, dwb, dub, dbb = run_dir_bwd(wb, ub, cache_b, g[:, :, H:])
+    return np.concatenate([hs_f, hs_b], axis=2), [dx_f + dx_b, dwf, duf, dbf, dwb, dub, dbb]
+
+
+def run_bilstm(arrays, g):
+    """bilstm output and the gradients of its seven operands under upstream g."""
+    tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = bilstm(*tensors)
+    ad.backward(ad.sum_(ad.mul(out, ad.tensor(g))))
+    return out.data, [t.grad for t in tensors]
+
+
+def lstm_arrays(rng, B, T, D, H, dtype, scale=0.5):
+    shapes = [(B, T, D), (D, 4 * H), (H, 4 * H), (4 * H,), (D, 4 * H), (H, 4 * H), (4 * H,)]
+    return [(rng.normal(size=s) * scale).astype(dtype) for s in shapes]
+
+
 class TestBiLSTM:
     def test_forward_matches_unrolled_oracle(self, rng):
         D, H, T = 3, 2, 2
@@ -270,6 +386,38 @@ class TestBiLSTM:
         num = fd_gradients(f, arrays)
         for t, n in zip(tensors, num):
             assert rel_err(t.grad, n) < TOL
+
+    def test_matches_step_reference_float64(self, rng):
+        arrays = lstm_arrays(rng, B=2, T=7, D=3, H=4, dtype=np.float64)
+        g = rng.normal(size=(2, 7, 8))
+        out, grads = run_bilstm(arrays, g)
+        ref_out, ref_grads = reference_bilstm(*arrays, g)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_matches_step_reference_float32(self, rng):
+        arrays = lstm_arrays(rng, B=16, T=64, D=8, H=16, dtype=np.float32)
+        g = rng.normal(size=(16, 64, 32)).astype(np.float32)
+        out, grads = run_bilstm(arrays, g)
+        ref_out, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
+        assert rel_err(out, ref_out) <= 1e-5
+        for got, want in zip(grads, ref_grads):
+            assert got.dtype == np.float32
+            assert rel_err(got, want) <= 1e-5
+
+    def test_summary_gradient_leaves_no_subnormals(self, rng):
+        # a gradient at the two summary steps only decays through the
+        # recurrence; unflushed, float32 reaches subnormals long before T=1500
+        B, T, H = 2, 1500, 16
+        arrays = lstm_arrays(rng, B=B, T=T, D=8, H=H, dtype=np.float32)
+        g = np.zeros((B, T, 2 * H), dtype=np.float32)
+        g[:, -1, :H] = 1.0
+        g[:, 0, H:] = 1.0
+        _, grads = run_bilstm(arrays, g)
+        dx = grads[0]
+        assert np.all(np.isfinite(dx)) and np.any(dx != 0)
+        assert not np.any((dx != 0) & (np.abs(dx) < np.finfo(np.float32).tiny))
 
     def test_forget_gate_bias_init(self, rng):
         lstm = BiLSTM(4, 3, rng=rng)

@@ -12,7 +12,6 @@ from depest.model import (
     ModelConfig,
     MultiModalClassifier,
     batch_inputs,
-    clip_to_inputs,
 )
 
 SMALL_AUDIO = BranchConfig(in_channels=8, conv_channels=(4,), pools=(2,), strides=(1,), lstm_hidden=3, out_dim=6)
@@ -190,7 +189,7 @@ class TestForward:
 class TestClipPlumbing:
     def test_clip_to_inputs_layout(self, rng):
         clip = tiny_clip(rng, (1, 0, 2, 0, 1, 0, 0, 3))
-        inputs = clip_to_inputs(clip, small_config("avt"))
+        inputs = batch_inputs([clip], small_config("avt"))
         assert inputs["audio"].data.shape == (1, 8, 12)
         assert inputs["visual"].data.shape == (1, 3, 72, 6)
         assert inputs["text"].data.shape == (1, 512, 4)
@@ -203,11 +202,11 @@ class TestClipPlumbing:
         clip = tiny_clip(rng, (0,) * 8, t_vis=6)
         clip.visual = np.zeros((0, 72, 3))
         with pytest.raises(DataError):
-            clip_to_inputs(clip, small_config("av"))
+            batch_inputs([clip], small_config("av"))
 
     def test_unused_modalities_skipped(self, rng):
         clip = tiny_clip(rng, (0,) * 8)
-        inputs = clip_to_inputs(clip, small_config("a"))
+        inputs = batch_inputs([clip], small_config("a"))
         assert set(inputs) == {"audio"}
 
     def test_batch_inputs_stacks(self, rng):
@@ -215,6 +214,16 @@ class TestClipPlumbing:
         batch = batch_inputs(clips, small_config("av"))
         assert batch["audio"].data.shape == (3, 8, 12)
         assert batch["visual"].data.shape == (3, 3, 72, 6)
+
+    def test_batch_inputs_are_c_contiguous(self, rng):
+        # the full-height visual conv folds [B,3,72,T] into [B,216,T] as a view
+        clips = [tiny_clip(rng, (0,) * 8, clip_index=k) for k in range(3)]
+        batch = batch_inputs(clips, small_config("avt"))
+        for key, t in batch.items():
+            assert t.data.flags.c_contiguous, key
+            assert t.data.dtype == np.float32
+        np.testing.assert_array_equal(batch["visual"].data[1], clips[1].visual.transpose(2, 1, 0).astype(np.float32))
+        np.testing.assert_array_equal(batch["text"].data[2], clips[2].text.T.astype(np.float32))
 
     def test_batch_inputs_ragged_rejected(self, rng):
         clips = [tiny_clip(rng, (0,) * 8), tiny_clip(rng, (0,) * 8, t_audio=20)]

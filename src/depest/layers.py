@@ -3,17 +3,22 @@
 The ops ``conv1d`` and ``conv2d`` (one shared correlation kernel),
 ``max_pool1d``, ``batch_norm`` and ``bilstm`` carry hand-derived backward
 closures (their loops would be wasteful as compositions of elementwise
-graph nodes); ``bilstm_summary`` composes autodiff ops. All are validated
-by finite-difference checks in the test suite.
+graph nodes). All are validated by finite-difference checks in the test
+suite.
 
 ``bilstm`` follows the cuDNN RNN recipe (Appleyard et al. 2016): time-major
 buffers, the input projection of all steps as one GEMM before the loop,
 and in backward a loop of elementwise work and ``dz @ U^T`` whose stacked
 ``dz`` feeds one GEMM each for the weight, recurrent and input gradients.
-Its backward flushes gradient values below the dtype's smallest normal
-number to zero, as GPU float32 kernels do. ``conv2d`` with a kernel as tall
-as its input correlates along the width only, with the height folded into
-the channels.
+It returns only the [B, 2H] summary the model reads, so each direction's
+backward starts from one gradient at its last step, which then decays.
+Backward flushes ``dz``, ``dh`` and ``dc`` to zero below the square root
+of the dtype's smallest normal number (flush-to-zero, as GPU float32
+kernels do): no product inside a GEMM is then subnormal, which would be
+many times slower on x86. Once ``dh`` and ``dc`` are all zero every later
+``dz`` is exactly zero, so the loop stops and its GEMMs cover only the
+steps it reached. ``conv2d`` with a kernel as tall as its input
+correlates along the width only, with the height folded into the channels.
 
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 own parameters (Tensors with ``requires_grad=True``) and non-trainable
@@ -24,6 +29,7 @@ by dotted name for checkpointing and optimizers.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 
@@ -34,10 +40,15 @@ from .errors import ConfigError, ShapeError
 # -- functional ops ----------------------------------------------------
 
 
-# einsum equations (output, weight gradient, input gradient) by correlated-axis count
-_CONV_EQUATIONS = {
-    1: ("bit,oi->bot", "bot,bit->oi", "bot,oi->bit"),
-    2: ("bihw,oi->bohw", "bohw,bihw->oi", "bohw,oi->bihw"),
+# per tap (output, weight gradient, input gradient) by correlated-axis count; with one
+# axis, matmul hands the strided window to BLAS without the copy einsum makes of it
+_CONV_CONTRACTIONS = {
+    1: (
+        lambda win, w: np.matmul(w, win),
+        partial(np.einsum, "bot,bit->oi", optimize=True),
+        lambda g, w: np.matmul(w.T, g),
+    ),
+    2: tuple(partial(np.einsum, eq, optimize=True) for eq in ("bihw,oi->bohw", "bohw,bihw->oi", "bohw,oi->bihw")),
 }
 
 
@@ -58,7 +69,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
         xd = xd.reshape(xd.shape[0], -1, xd.shape[3])
         wd = wd.reshape(wd.shape[0], -1, wd.shape[3])
         stride, padding = stride[1:], padding[1:]
-    fwd_eq, dw_eq, dx_eq = _CONV_EQUATIONS[len(stride)]
+    fwd, dw_of, dx_of = _CONV_CONTRACTIONS[len(stride)]
     size = xd.shape[2:]
     kernel = wd.shape[2:]
     out_size = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(size, padding, kernel, stride))
@@ -70,7 +81,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
     ]
     out_data = np.zeros(xd.shape[:1] + wd.shape[:1] + out_size, dtype=xd.dtype)
     for tap, win in taps:
-        out_data += np.einsum(fwd_eq, xp[win], wd[tap], optimize=True)
+        out_data += fwd(xp[win], wd[tap])
     if bias is not None:
         out_data += bias.data.reshape((1, -1) + (1,) * len(size))
     if fold:
@@ -81,12 +92,12 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
             g = g[:, :, 0]
         dw = np.zeros_like(wd)
         for tap, win in taps:
-            dw[tap] = np.einsum(dw_eq, g, xp[win], optimize=True)
+            dw[tap] = dw_of(g, xp[win])
         _accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for tap, win in taps:
-                dxp[win] += np.einsum(dx_eq, g, wd[tap], optimize=True)
+                dxp[win] += dx_of(g, wd[tap])
             dx = dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp
             _accum(x, dx.reshape(x.data.shape))
         if bias is not None:
@@ -213,13 +224,9 @@ def batch_norm(
     return _node(out_data, (x, gamma, beta), bwd, "batch_norm")
 
 
-def _flush_subnormals(a: np.ndarray) -> None:
-    """Zero, in place, the values below the dtype's smallest normal number.
-
-    float32 gradients that decay through hundreds of recurrent steps reach
-    subnormals, on which x86 arithmetic is many times slower.
-    """
-    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
+def _flush(a: np.ndarray, floor: float) -> None:
+    """Zero, in place, the values of ``a`` whose magnitude is below ``floor``."""
+    a[np.abs(a) < floor] = 0.0
 
 
 def bilstm(
@@ -231,11 +238,12 @@ def bilstm(
     u_b: Tensor,
     b_b: Tensor,
 ) -> Tensor:
-    """Bidirectional LSTM over the time axis.
+    """Bidirectional LSTM over the time axis, summarised as its final states.
 
     x: [B, T, D]; w: [D, 4H]; u: [H, 4H]; b: [4H]. Gate slab order is
-    input, forget, candidate, output. Per-step outputs of the forward and
-    backward passes are concatenated to [B, T, 2H].
+    input, forget, candidate, output. Returns [B, 2H]: the forward state
+    after the last step joined to the backward state after step 0 (the
+    last step that direction sees).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"bilstm expects [B,T,D] input, got {x.data.shape}")
@@ -284,63 +292,54 @@ def bilstm(
 
     cache_f = run_dir(w_f, u_f, b_f, reverse=False)
     cache_b = run_dir(w_b, u_b, b_b, reverse=True)
-    hs_f, hs_b = cache_f[1], cache_b[1]
-    out_data = np.concatenate([hs_f[1:], hs_b[:-1]], axis=2).transpose(1, 0, 2)  # [B, T, 2H]
+    out_data = np.concatenate([cache_f[1][T], cache_b[1][0]], axis=1)
 
-    def run_dir_bwd(w, u, b, cache, gh, reverse):
+    floor = np.sqrt(np.finfo(dtype).tiny)  # the product of two values above it is normal
+
+    def run_dir_bwd(w, u, b, cache, dh, dx, reverse):
         gates, hs, cs, hc = cache
         i_s, f_s, g_s, o_s = (gates[:, :, k * H : (k + 1) * H] for k in range(4))
         c_prev = cs[1:] if reverse else cs[:-1]
         u_t = np.ascontiguousarray(u.data.T)  # a transposed view makes the GEMM twice as slow
         dzs = np.empty((T, B, 4 * H), dtype=dtype)
-        dh = np.zeros((B, H), dtype=dtype)
+        _flush(dh, floor)
         dc = np.zeros((B, H), dtype=dtype)
+        n = 0  # steps run
         for t in range(T) if reverse else range(T - 1, -1, -1):
+            # with dh and dc all zero, every dz from here on is exactly zero
+            if not (dh.any() or dc.any()):
+                break
             i_g, f_g, g_g, o_g = i_s[t], f_s[t], g_s[t], o_s[t]
-            dh += gh[t]
             dc += dh * o_g * (1.0 - hc[t] * hc[t])
             dz = dzs[t]
             dz[:, :H] = dc * g_g * i_g * (1.0 - i_g)
             dz[:, H : 2 * H] = dc * c_prev[t] * f_g * (1.0 - f_g)
             dz[:, 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
             dz[:, 3 * H :] = dh * hc[t] * o_g * (1.0 - o_g)
-            _flush_subnormals(dz)
+            _flush(dz, floor)
             dh = dz @ u_t
             dc *= f_g
-            _flush_subnormals(dh)
-            _flush_subnormals(dc)
-        dz2 = dzs.reshape(T * B, 4 * H)
-        h_prev = (hs[1:] if reverse else hs[:-1]).reshape(T * B, H)
-        _accum(w, xt.T @ dz2)
+            _flush(dh, floor)
+            _flush(dc, floor)
+            n += 1
+        live = slice(0, n) if reverse else slice(T - n, T)  # the steps the loop ran, in time order
+        dz2 = dzs[live].reshape(n * B, 4 * H)
+        rows = slice(live.start * B, live.stop * B)
+        h_prev = (hs[1:] if reverse else hs[:-1])[live].reshape(n * B, H)
+        _accum(w, xt[rows].T @ dz2)
         _accum(u, h_prev.T @ dz2)
         _accum(b, dz2.sum(axis=0))
-        return dz2 @ w.data.T
+        dx[rows] += dz2 @ w.data.T
 
     def bwd(g):
-        gt = g.transpose(1, 0, 2)  # [T, B, 2H] view
-        dx = run_dir_bwd(w_f, u_f, b_f, cache_f, gt[:, :, :H], reverse=False)
-        dx += run_dir_bwd(w_b, u_b, b_b, cache_b, gt[:, :, H:], reverse=True)
+        dx = np.zeros((T * B, D), dtype=dtype)
+        run_dir_bwd(w_f, u_f, b_f, cache_f, g[:, :H].copy(), dx, reverse=False)
+        run_dir_bwd(w_b, u_b, b_b, cache_b, g[:, H:].copy(), dx, reverse=True)
         # two nearly cancelling directions can sum to a subnormal
-        _flush_subnormals(dx)
+        _flush(dx, np.finfo(dtype).tiny)
         _accum(x, dx.reshape(T, B, D).transpose(1, 0, 2))
 
     return _node(out_data, (x, w_f, u_f, b_f, w_b, u_b, b_b), bwd, "bilstm")
-
-
-def bilstm_summary(y: Tensor) -> Tensor:
-    """Final forward state concatenated with final backward state.
-
-    y: [B, T, 2H] from :func:`bilstm`. The forward half ends at the last
-    step, the backward half at step 0 (the last step that direction saw).
-    """
-    if y.data.ndim != 3:
-        raise ShapeError(f"bilstm_summary expects [B,T,2H], got {y.data.shape}")
-    T = y.data.shape[1]
-    H2 = y.data.shape[2]
-    H = H2 // 2
-    last_f = ad.reshape(ad.slice_axis(ad.slice_axis(y, 1, T - 1, T), 2, 0, H), (y.data.shape[0], H))
-    last_b = ad.reshape(ad.slice_axis(ad.slice_axis(y, 1, 0, 1), 2, H, H2), (y.data.shape[0], H))
-    return ad.concat([last_f, last_b], axis=1)
 
 
 # -- parameter-owning modules ------------------------------------------

@@ -1,8 +1,9 @@
 """End-to-end multi-modal classifier over questionnaire item scores.
 
 Each modality runs through its own backbone (conv stages with BN/ReLU
-and max-pooling, a BiLSTM over time, and a projection to a shared
-feature width), the per-modality vectors stack into a 1-channel map of
+and max-pooling, a BiLSTM over time summarised by the final state of
+each direction, and a projection of that summary to a shared feature
+width), the per-modality vectors stack into a 1-channel map of
 shape [1, n_modalities, feature_dim], and either an 8-head attentional
 fusion bank or one of the simple late-fusion rules feeds 8 independent
 softmax classifiers, one per questionnaire item, over the expanded
@@ -20,7 +21,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
 from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
-from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, ModuleList, bilstm_summary, max_pool1d
+from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, ModuleList, max_pool1d
 from .phq import N_ITEMS
 
 MODALITIES = ("a", "v", "t")
@@ -122,8 +123,7 @@ class ModalityBranch(Module):
             if self.cfg.pools[i] > 1:
                 x = max_pool1d(x, self.cfg.pools[i])
         x = ad.transpose(x, (0, 2, 1))  # [B, T, C] for the recurrence
-        summary = bilstm_summary(self.lstm(x))
-        return self.fc(summary)
+        return self.fc(self.lstm(x))
 
 
 class MultiModalClassifier(Module):

@@ -1,5 +1,7 @@
 """Layer ops against brute-force oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from depest.layers import (
     Module,
     batch_norm,
     bilstm,
-    bilstm_summary,
     conv1d,
     conv2d,
     max_pool1d,
@@ -74,6 +75,19 @@ class TestConv1d:
         assert rel_err(xt.grad, num[0]) < TOL
         assert rel_err(wt.grad, num[1]) < TOL
         assert rel_err(bt.grad, num[2]) < TOL
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_allocates_little_beyond_its_output(self, stride, rng):
+        # each tap's strided window goes to BLAS as it is, not as a copy
+        x = ad.tensor(rng.normal(size=(4, 216, 600)).astype(np.float32))
+        w = ad.tensor(rng.normal(size=(64, 216, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv1d(x, w, stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.data.nbytes
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
@@ -272,8 +286,10 @@ def unrolled_lstm_two_steps(x, w, u, b):
 def reference_bilstm(x, wf, uf, bf, wb, ub, bb, g):
     """Step-by-step BiLSTM forward and backward: per-step GEMMs, no flushing.
 
-    x: [B, T, D]; g: upstream gradient [B, T, 2H]. Returns the output and
-    the gradients of x, wf, uf, bf, wb, ub, bb.
+    x: [B, T, D]; g: upstream gradient of the summary [B, 2H], entering
+    the forward direction at its last step and the backward direction at
+    step 0. Returns the per-step states [B, T, 2H] and the gradients of
+    x, wf, uf, bf, wb, ub, bb.
     """
 
     def sigm(v):
@@ -302,10 +318,9 @@ def reference_bilstm(x, wf, uf, bf, wb, ub, bb, g):
     def run_dir_bwd(w, u, cache, gh):
         dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros(4 * H, dtype=x.dtype)
         dx = np.zeros_like(x)
-        dh = np.zeros((B, H), dtype=x.dtype)
+        dh = gh.copy()
         dc = np.zeros((B, H), dtype=x.dtype)
         for t, i_g, f_g, g_g, o_g, c_prev, hc, h_prev in reversed(cache):
-            dh = dh + gh[:, t]
             do = dh * hc
             dc = dc + dh * o_g * (1.0 - hc * hc)
             dz = np.concatenate(
@@ -327,9 +342,15 @@ def reference_bilstm(x, wf, uf, bf, wb, ub, bb, g):
 
     hs_f, cache_f = run_dir(wf, uf, bf, reverse=False)
     hs_b, cache_b = run_dir(wb, ub, bb, reverse=True)
-    dx_f, dwf, duf, dbf = run_dir_bwd(wf, uf, cache_f, g[:, :, :H])
-    dx_b, dwb, dub, dbb = run_dir_bwd(wb, ub, cache_b, g[:, :, H:])
+    dx_f, dwf, duf, dbf = run_dir_bwd(wf, uf, cache_f, g[:, :H])
+    dx_b, dwb, dub, dbb = run_dir_bwd(wb, ub, cache_b, g[:, H:])
     return np.concatenate([hs_f, hs_b], axis=2), [dx_f + dx_b, dwf, duf, dbf, dwb, dub, dbb]
+
+
+def summary_of(states):
+    """[B, T, 2H] per-step states -> [B, 2H]: last forward step, first backward step."""
+    H = states.shape[2] // 2
+    return np.concatenate([states[:, -1, :H], states[:, 0, H:]], axis=1)
 
 
 def run_bilstm(arrays, g):
@@ -355,8 +376,9 @@ class TestBiLSTM:
         out = bilstm(ad.tensor(x[None]), *(ad.tensor(params[k]) for k in ("wf", "uf", "bf", "wb", "ub", "bb")))
         fwd = unrolled_lstm_two_steps(x, params["wf"], params["uf"], params["bf"])
         bwd = unrolled_lstm_two_steps(x[::-1], params["wb"], params["ub"], params["bb"])[::-1]
-        np.testing.assert_allclose(out.data[0, :, :H], fwd, atol=1e-12)
-        np.testing.assert_allclose(out.data[0, :, H:], bwd, atol=1e-12)
+        assert out.data.shape == (1, 2 * H)
+        np.testing.assert_allclose(out.data[0, :H], fwd[-1], atol=1e-12)
+        np.testing.assert_allclose(out.data[0, H:], bwd[0], atol=1e-12)
 
     def test_single_step_directions_agree_with_shared_weights(self, rng):
         # at T=1 both directions see the same single input
@@ -365,7 +387,7 @@ class TestBiLSTM:
         lstm.u_b.data = lstm.u_f.data.copy()
         lstm.b_b.data = lstm.b_f.data.copy()
         out = lstm(ad.tensor(rng.normal(size=(2, 1, 4))))
-        np.testing.assert_allclose(out.data[:, 0, :3], out.data[:, 0, 3:], atol=1e-12)
+        np.testing.assert_allclose(out.data[:, :3], out.data[:, 3:], atol=1e-12)
 
     def test_grads_match_fd(self, rng):
         D, H, T, B = 2, 2, 3, 2
@@ -378,7 +400,7 @@ class TestBiLSTM:
             for bi in range(B):
                 fwd = unrolled_lstm_two_steps(xv[bi], wf, uf, bf)
                 bwd = unrolled_lstm_two_steps(xv[bi][::-1], wb, ub, bb)[::-1]
-                total += np.tanh(np.concatenate([fwd, bwd], axis=1)).sum()
+                total += np.tanh(np.concatenate([fwd[-1], bwd[0]])).sum()
             return total
 
         tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -389,31 +411,51 @@ class TestBiLSTM:
 
     def test_matches_step_reference_float64(self, rng):
         arrays = lstm_arrays(rng, B=2, T=7, D=3, H=4, dtype=np.float64)
-        g = rng.normal(size=(2, 7, 8))
+        g = rng.normal(size=(2, 8))
         out, grads = run_bilstm(arrays, g)
-        ref_out, ref_grads = reference_bilstm(*arrays, g)
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        ref_states, ref_grads = reference_bilstm(*arrays, g)
+        np.testing.assert_allclose(out, summary_of(ref_states), rtol=0, atol=1e-12)
         for got, want in zip(grads, ref_grads):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_matches_step_reference_float32(self, rng):
         arrays = lstm_arrays(rng, B=16, T=64, D=8, H=16, dtype=np.float32)
-        g = rng.normal(size=(16, 64, 32)).astype(np.float32)
+        g = rng.normal(size=(16, 32)).astype(np.float32)
         out, grads = run_bilstm(arrays, g)
-        ref_out, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
-        assert rel_err(out, ref_out) <= 1e-5
+        ref_states, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
+        assert rel_err(out, summary_of(ref_states)) <= 1e-5
         for got, want in zip(grads, ref_grads):
             assert got.dtype == np.float32
             assert rel_err(got, want) <= 1e-5
 
+    def test_long_sequence_float32_matches_float64_reference(self, rng):
+        # the summary gradient dies out long before T=1500: the sqrt(tiny)
+        # floor and the early exit must not move any gradient past 1e-5
+        B, T = 2, 1500
+        arrays = lstm_arrays(rng, B=B, T=T, D=8, H=16, dtype=np.float32)
+        g = rng.normal(size=(B, 32)).astype(np.float32)
+        out, grads = run_bilstm(arrays, g)
+        ref_states, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
+        assert rel_err(out, summary_of(ref_states)) <= 1e-5
+        for got, want in zip(grads, ref_grads):
+            assert got.dtype == np.float32
+            assert rel_err(got, want) <= 1e-5
+        # neither direction's backward reached the middle of the sequence
+        assert not np.any(grads[0][:, T // 2])
+
+    def test_zero_upstream_gradient_gives_zero_gradients(self, rng):
+        arrays = lstm_arrays(rng, B=2, T=9, D=3, H=4, dtype=np.float32)
+        _, grads = run_bilstm(arrays, np.zeros((2, 8), dtype=np.float32))
+        for got, a in zip(grads, arrays):
+            assert got.shape == a.shape
+            assert not np.any(got)
+
     def test_summary_gradient_leaves_no_subnormals(self, rng):
-        # a gradient at the two summary steps only decays through the
-        # recurrence; unflushed, float32 reaches subnormals long before T=1500
+        # the summary gradient decays through the recurrence; unflushed,
+        # float32 reaches subnormals long before T=1500
         B, T, H = 2, 1500, 16
         arrays = lstm_arrays(rng, B=B, T=T, D=8, H=H, dtype=np.float32)
-        g = np.zeros((B, T, 2 * H), dtype=np.float32)
-        g[:, -1, :H] = 1.0
-        g[:, 0, H:] = 1.0
+        g = np.ones((B, 2 * H), dtype=np.float32)
         _, grads = run_bilstm(arrays, g)
         dx = grads[0]
         assert np.all(np.isfinite(dx)) and np.any(dx != 0)
@@ -425,12 +467,11 @@ class TestBiLSTM:
         np.testing.assert_allclose(lstm.b_b.data[3:6], np.ones(3))
 
     def test_summary_takes_last_step_per_direction(self, rng):
-        x = rng.normal(size=(2, 5, 3))
-        lstm = BiLSTM(3, 2, rng=rng, dtype=np.float64)
-        y = lstm(ad.tensor(x))
-        s = bilstm_summary(y)
-        np.testing.assert_allclose(s.data[:, :2], y.data[:, -1, :2], atol=1e-12)
-        np.testing.assert_allclose(s.data[:, 2:], y.data[:, 0, 2:], atol=1e-12)
+        arrays = lstm_arrays(rng, B=2, T=5, D=3, H=2, dtype=np.float64)
+        out, _ = run_bilstm(arrays, np.zeros((2, 4)))
+        ref_states, _ = reference_bilstm(*arrays, np.zeros((2, 4)))
+        np.testing.assert_allclose(out[:, :2], ref_states[:, -1, :2], atol=1e-12)
+        np.testing.assert_allclose(out[:, 2:], ref_states[:, 0, 2:], atol=1e-12)
 
 
 class TestModuleSystem:

@@ -40,6 +40,8 @@ class Keypoints:
             raise FormatError(
                 f"keypoints must be [T,{FRAME_ROWS},3] with T timestamps, got {self.points.shape} and {self.times.shape}"
             )
+        if np.any(np.diff(self.times) < 0):
+            raise FormatError("keypoint timestamps must be non-decreasing")
 
 
 @dataclass
@@ -155,9 +157,9 @@ def sliding_window_clips(
 
     Clip k covers [k*stride, k*stride + window) with stride =
     window - overlap; a trailing partial window is dropped. Audio is
-    standardized log-mel per clip, keypoints are session-normalized
-    before slicing, sentences join the clip whose interval holds their
-    midpoint. Every clip inherits the session labels.
+    standardized log-mel per clip, keypoints are session-normalized and
+    sampled onto the clip's audio frames, sentences join the clip whose
+    interval holds their midpoint. Every clip inherits the session labels.
     """
     n = clip_count(session.duration_s, window_s, overlap_s)
     if n == 0:
@@ -177,7 +179,7 @@ def sliding_window_clips(
         seg = session.audio.samples[int(round(t0 * sr)) : int(round(t1 * sr))]
         grid = standardize(log_mel_spectrogram(Waveform(seg, sr), stft_cfg, mel_cfg))
 
-        visual = points[(t0 <= times) & (times < t1)]
+        visual = points[_nearest_frames(times, t0, t1, grid.values.shape[1])]
 
         text = np.zeros((max_sentences, EMBED_DIM))
         rows = np.flatnonzero((t0 <= midpoints) & (midpoints < t1))[:max_sentences]
@@ -196,6 +198,21 @@ def sliding_window_clips(
             )
         )
     return clips
+
+
+def _nearest_frames(times: np.ndarray, t0: float, t1: float, n: int) -> np.ndarray:
+    """Indices of the frames in [t0, t1) nearest to n equally spaced times from t0, none if it has none.
+
+    At 29.97 fps some repeat. At 30 fps each is kept once, even if the 8-digit text round trip moved it.
+    """
+    inside = np.flatnonzero((t0 <= times) & (times < t1))
+    if inside.size == 0:
+        return inside
+    frame_t = times[inside]
+    at = t0 + (t1 - t0) * np.arange(n) / n
+    hi = np.minimum(np.searchsorted(frame_t, at), frame_t.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    return inside[np.where(at - frame_t[lo] <= frame_t[hi] - at, lo, hi)]
 
 
 # -- delimited text I/O ------------------------------------------------

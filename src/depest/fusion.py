@@ -5,8 +5,10 @@ The attentional block treats the stacked modality vectors as a
 unit mixes a global (pooled) and a local (per-cell) excitation path,
 squashes through a sigmoid, and the block blends a refined conv of the
 input with the input itself twice over, each stage under its own
-attention weights. Heads of the sub-attentional bank are fully
-independent parameter sets, one per questionnaire item.
+attention weights. The bank's heads, one per questionnaire item, are
+independent parameter sets run as one pass over a head axis: gathered
+per role, their convs and batch norms are one op each. A lone block is
+a bank of one head.
 """
 
 from __future__ import annotations
@@ -14,12 +16,72 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accum, _node
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Module, ModuleList
+from .layers import BatchNorm, Conv2d, Module, ModuleList, batch_norm, conv2d
 from .phq import N_ITEMS
 
 BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
+
+
+def _gather(params, shape) -> Tensor:
+    """Same-shape per-head parameters stacked head-major into ``shape``; backward hands each its slice."""
+    out_data = np.stack([p.data for p in params]).reshape(shape)
+
+    def bwd(g):
+        for p, gp in zip(params, g.reshape((len(params),) + params[0].data.shape)):
+            _accum(p, gp)
+
+    return _node(out_data, tuple(params), bwd, "gather")
+
+
+def _conv_heads(y: Tensor, convs) -> Tensor:
+    """The heads' one-channel convs as one conv2d: [B, 1, H, W] -> [B, heads, H, W]."""
+    weight = _gather([c.weight for c in convs], (len(convs),) + convs[0].weight.data.shape[1:])
+    return conv2d(y, weight, _gather([c.bias for c in convs], (len(convs),)), convs[0].stride, convs[0].padding)
+
+
+def _pointwise_heads(x: Tensor, convs) -> Tensor:
+    """The heads' 1x1 one-channel convs as a per-channel scale and shift."""
+    shape = (1, len(convs), 1, 1)
+    return ad.add(ad.mul(x, _gather([c.weight for c in convs], shape)), _gather([c.bias for c in convs], shape))
+
+
+def _norm_heads(x: Tensor, bns) -> Tensor:
+    """The heads' one-channel batch norms as one over the head axis, on each head's running statistics."""
+    stats = [np.concatenate([getattr(bn, name) for bn in bns]) for name in ("running_mean", "running_var")]
+    gamma, beta = (_gather([getattr(bn, name) for bn in bns], (len(bns),)) for name in ("gamma", "beta"))
+    out = batch_norm(x, gamma, beta, *stats, bns[0].training, bns[0].momentum, bns[0].eps)
+    for bn, mu, var in zip(bns, *stats):
+        bn.running_mean[...], bn.running_var[...] = mu, var
+    return out
+
+
+def _attend_heads(units, x: Tensor) -> Tensor:
+    """Attention weights of each of ``units`` on its channel of x [B, heads, H, W]."""
+    if x.data.ndim != 4 or x.data.shape[1] != len(units):
+        raise ShapeError(f"channel attention expects [B,{len(units)},H,W], got {x.data.shape}")
+
+    def path(t, name):
+        pw1, bn1, pw2, bn2 = ([getattr(u, f"{name}_{role}") for u in units] for role in ("pw1", "bn1", "pw2", "bn2"))
+        return _norm_heads(_pointwise_heads(ad.relu(_norm_heads(_pointwise_heads(t, pw1), bn1)), pw2), bn2)
+
+    glob = path(ad.mean(x, axis=(2, 3), keepdims=True), "global")
+    return ad.sigmoid(ad.add(path(x, "local"), glob))  # [B,K,1,1] broadcasts over the grid
+
+
+def _fuse_heads(heads, y: Tensor) -> Tensor:
+    """Every head's block on the shared map y [B, 1, H, W] -> [B, heads, H, W]; logs each head's weights."""
+    x = ad.add(_conv_heads(y, [h.conv_first for h in heads]), y)  # y broadcasts over the heads
+    w = _attend_heads([h.att_mid for h in heads], x)
+    conv_y = _conv_heads(y, [h.conv_refine for h in heads])
+    one = ad.tensor(np.ones((), dtype=y.data.dtype))
+    x_ref = ad.add(ad.mul(conv_y, w), ad.mul(y, ad.sub(one, w)))
+    wp = _attend_heads([h.att_out for h in heads], x_ref)
+    out = ad.add(ad.mul(conv_y, wp), ad.mul(y, ad.sub(one, wp)))
+    for k, head in enumerate(heads):
+        head.last_w, head.last_wp, head.last_conv_y = (t.data[:, k : k + 1].copy() for t in (w, wp, conv_y))
+    return out
 
 
 class ChannelAttention(Module):
@@ -43,16 +105,7 @@ class ChannelAttention(Module):
         self.global_bn2 = BatchNorm(1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 4:
-            raise ShapeError(f"channel attention expects [B,C,H,W], got {x.data.shape}")
-        B, C = x.data.shape[:2]
-
-        local = self.local_bn2(self.local_pw2(ad.relu(self.local_bn1(self.local_pw1(x)))))
-
-        pooled = ad.reshape(ad.mean(x, axis=(2, 3)), (B, C, 1, 1))
-        glob = self.global_bn2(self.global_pw2(ad.relu(self.global_bn1(self.global_pw1(pooled)))))
-
-        return ad.sigmoid(ad.add(local, glob))  # [B,C,1,1] broadcasts over the grid
+        return _attend_heads([self], x)
 
 
 class AttentionalFusion(Module):
@@ -80,21 +133,7 @@ class AttentionalFusion(Module):
         self.last_conv_y = None
 
     def forward(self, y: Tensor) -> Tensor:
-        if y.data.ndim != 4:
-            raise ShapeError(f"fusion expects [B,C,H,W], got {y.data.shape}")
-
-        x = ad.add(self.conv_first(y), y)
-        w = self.att_mid(x)
-        conv_y = self.conv_refine(y)
-        one = ad.tensor(np.ones((), dtype=y.data.dtype))
-        x_ref = ad.add(ad.mul(conv_y, w), ad.mul(y, ad.sub(one, w)))
-        wp = self.att_out(x_ref)
-        out = ad.add(ad.mul(conv_y, wp), ad.mul(y, ad.sub(one, wp)))
-
-        self.last_w = w.data.copy()
-        self.last_wp = wp.data.copy()
-        self.last_conv_y = conv_y.data.copy()
-        return out
+        return _fuse_heads([self], y)
 
     def force_saturation(self, high: bool, magnitude: float = 25.0) -> None:
         """Pin the output-stage weights at ~1 (high) or ~0 by biasing its BNs."""
@@ -104,7 +143,7 @@ class AttentionalFusion(Module):
 
 
 class SubAttentionalBank(Module):
-    """Independent fusion heads, one per questionnaire item."""
+    """Independent fusion heads, one per questionnaire item, run as one batched pass."""
 
     def __init__(self, rng=None, dtype=np.float32):
         super().__init__()
@@ -112,7 +151,9 @@ class SubAttentionalBank(Module):
         self.heads = ModuleList([AttentionalFusion(rng=rng, dtype=dtype) for _ in range(N_ITEMS)])
 
     def forward(self, y: Tensor) -> list:
-        return [head(y) for head in self.heads]
+        """[B, 1, H, W] -> one [B, 1, H, W] output per head."""
+        out = _fuse_heads(list(self.heads), y)
+        return [ad.slice_axis(out, 1, k, k + 1) for k in range(len(self.heads))]
 
 
 def baseline_fuse(method: str, vectors) -> Tensor:

@@ -29,7 +29,6 @@ by dotted name for checkpointing and optimizers.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 import numpy as np
 
@@ -40,28 +39,18 @@ from .errors import ConfigError, ShapeError
 # -- functional ops ----------------------------------------------------
 
 
-# per tap (output, weight gradient, input gradient) by correlated-axis count; with one
-# axis, matmul hands the strided window to BLAS without the copy einsum makes of it
-_CONV_CONTRACTIONS = {
-    1: (
-        lambda win, w: np.matmul(w, win),
-        partial(np.einsum, "bot,bit->oi", optimize=True),
-        lambda g, w: np.matmul(w.T, g),
-    ),
-    2: tuple(partial(np.einsum, eq, optimize=True) for eq in ("bihw,oi->bohw", "bohw,bihw->oi", "bohw,oi->bihw")),
-}
-
-
 def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding: tuple, op: str) -> Tensor:
     """Cross-correlation over the trailing ``len(stride)`` axes.
 
     The shared kernel of :func:`conv1d` and :func:`conv2d`, which validate
-    shapes first. Each kernel offset contracts the channel axis of one
-    strided window of the padded input. A 2-D kernel as tall as the
-    unpadded input (the visual front-end) folds the height into the
-    channel axis and correlates along the width only: 3 taps instead of
-    216 for a [64, 3, 72, 3] kernel. The input gradient is computed only
-    when the input needs one.
+    shapes first. A 2-D kernel as tall as the unpadded input (the visual
+    front-end) folds the height into the channels and correlates along the
+    width only: 3 taps instead of 216 for a [64, 3, 72, 3] kernel. With one
+    correlated axis, each tap's strided window goes to ``np.matmul`` as it
+    lies (``np.einsum`` would copy it). Other 2-D convs (the fusion bank's
+    3x3 ones on small maps) stack the windows into im2col columns
+    [B, C_in*kh*kw, oh*ow] and make each contraction one GEMM. The input
+    gradient is computed only when the input needs one.
     """
     xd, wd = x.data, weight.data
     fold = len(stride) == 2 and padding[0] == 0 and wd.shape[2] == xd.shape[2]
@@ -69,7 +58,6 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
         xd = xd.reshape(xd.shape[0], -1, xd.shape[3])
         wd = wd.reshape(wd.shape[0], -1, wd.shape[3])
         stride, padding = stride[1:], padding[1:]
-    fwd, dw_of, dx_of = _CONV_CONTRACTIONS[len(stride)]
     size = xd.shape[2:]
     kernel = wd.shape[2:]
     out_size = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(size, padding, kernel, stride))
@@ -79,9 +67,15 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
         ((Ellipsis,) + q, (Ellipsis,) + tuple(slice(a, a + s * (n - 1) + 1, s) for a, s, n in zip(q, stride, out_size)))
         for q in itertools.product(*map(range, kernel))
     ]
-    out_data = np.zeros(xd.shape[:1] + wd.shape[:1] + out_size, dtype=xd.dtype)
-    for tap, win in taps:
-        out_data += fwd(xp[win], wd[tap])
+    B, I, O = xd.shape[0], xd.shape[1], wd.shape[0]
+    if len(stride) == 1:
+        out_data = np.zeros((B, O) + out_size, dtype=xd.dtype)
+        for tap, win in taps:
+            out_data += np.matmul(wd[tap], xp[win])
+    else:
+        cols = np.stack([xp[win] for _, win in taps], axis=2).reshape(B, I * len(taps), -1)
+        w2 = wd.reshape(O, -1)  # [O, I*kh*kw], offsets in the order of the columns
+        out_data = np.matmul(w2, cols).reshape((B, O) + out_size)
     if bias is not None:
         out_data += bias.data.reshape((1, -1) + (1,) * len(size))
     if fold:
@@ -90,14 +84,21 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
     def bwd(g):
         if fold:
             g = g[:, :, 0]
-        dw = np.zeros_like(wd)
-        for tap, win in taps:
-            dw[tap] = dw_of(g, xp[win])
+        if len(stride) == 1:
+            dw = np.stack([np.matmul(g, xp[win].transpose(0, 2, 1)).sum(axis=0) for _, win in taps], axis=-1)
+        else:
+            g = g.reshape(B, O, -1)
+            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
         _accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
-            for tap, win in taps:
-                dxp[win] += dx_of(g, wd[tap])
+            if len(stride) == 1:
+                for tap, win in taps:
+                    dxp[win] += np.matmul(wd[tap].T, g)
+            else:
+                dcols = np.matmul(w2.T, g).reshape((B, I, len(taps)) + out_size)
+                for k, (_, win) in enumerate(taps):
+                    dxp[win] += dcols[:, :, k]
             dx = dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp
             _accum(x, dx.reshape(x.data.shape))
         if bias is not None:

@@ -141,6 +141,7 @@ def train(
                 return ad.mul(kl_rows(flat_targets, flat, roww), ad.tensor(scale))
 
             losses.append(opt.step(loss_fn))
+            del inputs  # the next batch is built with this one freed
 
         ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
         stats = EpochStats(

@@ -29,7 +29,17 @@ from depest.features import (
     write_embeddings,
     write_keypoints,
 )
+from depest.model import BranchConfig, ModelConfig, batch_inputs
 from depest.synthetic import generate_synthetic_corpus
+
+VISUAL_ONLY = ModelConfig(
+    modality="v",
+    fusion="subatten",
+    feature_dim=6,
+    visual=BranchConfig(
+        in_channels=3, conv_channels=(4,), pools=(1,), strides=(1,), lstm_hidden=3, out_dim=6, conv2d_height=72
+    ),
+)
 
 
 def make_points(rng, n_frames, scale=1.0, offset=0.0):
@@ -100,6 +110,8 @@ class TestContainers:
             Keypoints(times=np.arange(3.0), points=np.zeros((3, FRAME_ROWS, 2)))
         with pytest.raises(FormatError):
             Keypoints(times=np.arange(2.0), points=make_points(rng, 3))
+        with pytest.raises(FormatError, match="non-decreasing"):
+            Keypoints(times=np.array([0.0, 0.2, 0.1]), points=make_points(rng, 3))
 
     def test_sentences_shape_checked(self, rng):
         with pytest.raises(FormatError):
@@ -150,13 +162,13 @@ class TestClipCount:
             assert (n - 1) * stride + window <= dur + 1e-6
 
 
-def tiny_session(rng, duration_s=130.0, subscores=(1, 0, 2, 0, 1, 0, 0, 3)):
+def tiny_session(rng, duration_s=130.0, subscores=(1, 0, 2, 0, 1, 0, 0, 3), frame_rate=30.0):
     sr = 16000
     audio = Waveform(rng.normal(scale=0.1, size=int(duration_s * sr)), sr)
-    n_frames = int(duration_s * 30)
+    n_frames = int(duration_s * frame_rate)
     return SessionFeatures(
         audio=audio,
-        frames=Keypoints(times=np.arange(n_frames) / 30.0, points=make_points(rng, n_frames)),
+        frames=Keypoints(times=np.arange(n_frames) / frame_rate, points=make_points(rng, n_frames)),
         sentences=make_sentences(rng, 5.0 * np.arange(int(duration_s // 5)), 3.0),
         phq_subscores=subscores,
         participant_id="p1",
@@ -199,6 +211,30 @@ class TestSlidingWindow:
         for c in sliding_window_clips(session):
             assert abs(c.audio.mean()) < 1e-9
             assert abs(c.audio.std() - 1.0) < 1e-9
+
+    def test_non_integer_frame_rate_gives_clips_that_batch(self, rng):
+        # 29.97 fps puts 1799 and 1798 frames in the two windows; both are
+        # sampled onto the 1800 audio frames, nearest frame first
+        session = tiny_session(rng, duration_s=130.0, frame_rate=29.97)
+        clips = sliding_window_clips(session)
+        assert [c.visual.shape for c in clips] == [(1800, FRAME_ROWS, 3)] * 2
+        times = session.frames.times
+        points = normalize_keypoints(session.frames.points)
+        for c in clips:
+            inside = np.flatnonzero((c.start_s <= times) & (times < c.start_s + 60.0))
+            at = c.start_s + np.arange(1800) / 30.0
+            nearest = inside[np.abs(times[inside][None, :] - at[:, None]).argmin(axis=1)]
+            np.testing.assert_array_equal(c.visual, points[nearest])
+        assert batch_inputs(clips, VISUAL_ONLY)["visual"].data.shape == (2, 3, FRAME_ROWS, 1800)
+
+    def test_window_without_frames_rejected_at_batching(self, rng):
+        session = tiny_session(rng, duration_s=130.0)
+        keep = session.frames.times < 40.0
+        session.frames = Keypoints(times=session.frames.times[keep], points=session.frames.points[keep])
+        clips = sliding_window_clips(session)
+        assert clips[1].visual.shape == (0, FRAME_ROWS, 3)
+        with pytest.raises(DataError):
+            batch_inputs(clips[1:], VISUAL_ONLY)
 
     def test_short_session_rejected(self, rng):
         with pytest.raises(EmptyOutputError):

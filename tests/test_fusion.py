@@ -10,6 +10,27 @@ from depest.fusion import AttentionalFusion, ChannelAttention, SubAttentionalBan
 from depest.phq import N_ITEMS
 
 
+def reference_attention(att, x):
+    """Channel attention as one head ran it before the bank was batched:
+    one-channel 1x1 convs and batch norms, called module by module."""
+    B, C = x.data.shape[:2]
+    local = att.local_bn2(att.local_pw2(ad.relu(att.local_bn1(att.local_pw1(x)))))
+    pooled = ad.reshape(ad.mean(x, axis=(2, 3)), (B, C, 1, 1))
+    glob = att.global_bn2(att.global_pw2(ad.relu(att.global_bn1(att.global_pw1(pooled)))))
+    return ad.sigmoid(ad.add(local, glob))
+
+
+def reference_fusion(head, y):
+    """One head's fusion block as a graph of its own: the per-head bank's forward."""
+    x = ad.add(head.conv_first(y), y)
+    w = reference_attention(head.att_mid, x)
+    conv_y = head.conv_refine(y)
+    one = ad.tensor(np.ones((), dtype=y.data.dtype))
+    x_ref = ad.add(ad.mul(conv_y, w), ad.mul(y, ad.sub(one, w)))
+    wp = reference_attention(head.att_out, x_ref)
+    return ad.add(ad.mul(conv_y, wp), ad.mul(y, ad.sub(one, wp)))
+
+
 class TestChannelAttention:
     def test_output_in_unit_interval(self, rng):
         att = ChannelAttention(rng=rng, dtype=np.float64)
@@ -124,7 +145,8 @@ class TestBank:
         assert not np.array_equal(p0.data, p1.data)
 
     def test_gradient_isolation_between_heads(self, rng):
-        # a loss built from head 3 alone must not touch other heads
+        # a loss built from head 3 alone must not touch other heads; the
+        # batched pass hands them exactly-zero gradients
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)
         outs = bank(ad.tensor(rng.normal(size=(1, 1, 3, 8))))
         ad.backward(ad.sum_(ad.mul(outs[3], outs[3])))
@@ -133,7 +155,40 @@ class TestBank:
                 if i == 3:
                     assert p.grad is not None, f"head 3 {name}"
                 else:
-                    assert p.grad is None, f"head {i} {name}"
+                    assert p.grad is None or not np.any(p.grad), f"head {i} {name}"
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batched_bank_matches_per_head_reference(self, training):
+        banks = [SubAttentionalBank(rng=np.random.default_rng(7), dtype=np.float64) for _ in range(2)]
+        rng = np.random.default_rng(8)
+        for name, buf in banks[0].named_buffers():
+            buf[...] = rng.uniform(0.5, 2.0, size=buf.shape) if name.endswith("var") else rng.normal(size=buf.shape)
+        banks[1].load_state(banks[0].state())
+        for bank in banks:
+            bank.train(training)
+        y = rng.normal(size=(2, 1, 3, 8))
+        g = rng.normal(size=(N_ITEMS, 2, 1, 3, 8))
+
+        bank, ref = banks
+        y_bank, y_ref = (ad.tensor(y.copy(), requires_grad=True) for _ in range(2))
+        outs = bank(y_bank)
+        ref_outs = [reference_fusion(head, y_ref) for head in ref.heads]
+        for o in (outs, ref_outs):
+            ad.backward(ad.sum_(ad.mul(ad.stack(o, axis=0), ad.tensor(g))))
+
+        for o, r in zip(outs, ref_outs):
+            np.testing.assert_allclose(o.data, r.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y_bank.grad, y_ref.grad, rtol=0, atol=1e-12)
+        # the sums run in another order; one-channel batch norms scale a
+        # head's gradients (to ~1e3 on some seeds) and the rounding with them
+        for head, ref_head in zip(bank.heads, ref.heads):
+            ref_params = dict(ref_head.named_parameters())
+            scale = max(np.abs(p.grad).max() for p in ref_params.values())
+            for name, p in head.named_parameters():
+                np.testing.assert_allclose(p.grad, ref_params[name].grad, rtol=0, atol=1e-12 * scale, err_msg=name)
+        ref_buffers = dict(ref.named_buffers())
+        for name, buf in bank.named_buffers():
+            np.testing.assert_allclose(buf, ref_buffers[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_mutating_one_head_leaves_others_fixed(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)

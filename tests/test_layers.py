@@ -89,6 +89,22 @@ class TestConv1d:
             tracemalloc.stop()
         assert peak <= 3 * out.data.nbytes
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_weight_gradient_allocates_little_beyond_g(self, stride, rng):
+        # each tap's window is contracted where it lies, not copied: the
+        # window is 13x the size of g at stride 1
+        x = ad.tensor(rng.normal(size=(4, 216, 600)).astype(np.float32))  # needs no gradient
+        w = ad.tensor(rng.normal(size=(16, 216, 3)).astype(np.float32), requires_grad=True)
+        out = conv1d(x, w, stride=stride)
+        g = np.ones_like(out.data)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * g.nbytes
+
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
             conv1d(ad.tensor(np.zeros((1, 2, 2))), ad.tensor(np.zeros((1, 2, 3))))

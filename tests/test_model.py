@@ -140,6 +140,20 @@ class TestForward:
         for name, p in model.named_parameters():
             assert p.grad is not None, name
 
+    def test_subatten_graph_size(self, rng):
+        # the bank runs its 8 heads as one batched pass: 138 graph nodes in
+        # this forward, where 8 one-channel head graphs made it 375
+        model = MultiModalClassifier(small_config("avt", "subatten"), rng=rng, dtype=np.float64)
+        out = model(**small_inputs(rng, B=2, modality="avt"))
+        seen, todo, nodes = set(), [out], 0
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                todo.extend(t._parents)
+                nodes += bool(t._op)  # leaves have no op
+        assert nodes <= 150
+
     def test_head_gradient_isolation(self, rng):
         # a loss reading only item 0 sends zero gradient to other heads
         model = MultiModalClassifier(small_config("av", "concat"), rng=rng, dtype=np.float64)

@@ -68,8 +68,6 @@ def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):

@@ -13,8 +13,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .dsp import read_wav, reclip_audio
 from .errors import DataError, FormatError
 from .features import (
@@ -80,11 +78,15 @@ def read_manifest(path) -> list:
             if pid in seen:
                 raise DataError(f"{path}:{ln}: duplicate participant id '{pid}'")
             seen.add(pid)
+            try:
+                subscores = tuple(int(v) for v in row[2:10])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{ln}: subscores must be integers, got {row[2:10]}") from exc
             entries.append(
                 ManifestEntry(
                     participant_id=pid,
                     gender=row[1],
-                    phq_subscores=tuple(int(v) for v in row[2:10]),
+                    phq_subscores=subscores,
                     audio_path=path.parent / row[10],
                     keypoints_path=path.parent / row[11],
                     embeddings_path=path.parent / row[12],
@@ -163,9 +165,9 @@ def read_clip_bundle(bundle_dir) -> ClipSample:
             meta[key] = rest
     try:
         return ClipSample(
-            audio=read_tensor(bundle_dir / "audio.mft").astype(np.float64),
-            visual=read_tensor(bundle_dir / "visual.mft").astype(np.float64),
-            text=read_tensor(bundle_dir / "text.mft").astype(np.float64),
+            audio=read_tensor(bundle_dir / "audio.mft"),
+            visual=read_tensor(bundle_dir / "visual.mft"),
+            text=read_tensor(bundle_dir / "text.mft"),
             phq_subscores=tuple(int(v) for v in meta["subscores"].split()),
             participant_id=meta["participant_id"],
             gender=meta["gender"],
@@ -174,6 +176,8 @@ def read_clip_bundle(bundle_dir) -> ClipSample:
         )
     except KeyError as exc:
         raise FormatError(f"{meta_path}: missing metadata key {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: malformed number: {exc}") from exc
 
 
 def write_clips(out_dir, clips) -> list:

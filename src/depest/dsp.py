@@ -2,15 +2,16 @@
 
 Chain: raw mono waveform -> optional energy reclipping -> Hann-window
 STFT -> power spectrogram -> 80-bin mel projection -> log with floor ->
-global standardization. All stages are pure functions over small value
-types; the STFT itself is rfft-backed and cross-checked against a naive
-direct-summation transform in the tests.
+global standardization. All stages are pure functions from a Waveform
+and two frozen configs to plain arrays; the STFT itself is rfft-backed
+and cross-checked against a naive direct-summation transform in the
+tests.
 """
 
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +53,6 @@ class StftConfig:
         if self.fft_len < self.window_len:
             raise ConfigError(f"fft_len {self.fft_len} shorter than window_len {self.window_len}")
 
-    @property
-    def n_bins(self) -> int:
-        return self.fft_len // 2 + 1
-
 
 @dataclass(frozen=True)
 class MelConfig:
@@ -68,25 +65,6 @@ class MelConfig:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
         if not (0.0 <= self.f_min_hz < self.f_max_hz):
             raise ConfigError(f"need 0 <= f_min < f_max, got ({self.f_min_hz}, {self.f_max_hz})")
-
-
-@dataclass
-class SpectrogramGrid:
-    """2-D feature grid, frequency-like bins x frames."""
-
-    values: np.ndarray
-    bin_centers_hz: np.ndarray = field(default=None)
-    frame_hop_s: float = 0.0
-    degenerate: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise FormatError(f"grid must be 2-D, got shape {self.values.shape}")
-        if self.values.size == 0:
-            raise EmptyInputError("grid has no cells")
-        if self.bin_centers_hz is None:
-            self.bin_centers_hz = np.zeros(self.values.shape[0])
 
 
 def hann_window(window_len: int) -> np.ndarray:
@@ -116,16 +94,6 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     frames = frame_signal(w.samples, cfg.window_len, cfg.hop)
     tapered = frames * hann_window(cfg.window_len)[None, :]
     return np.fft.rfft(tapered, n=cfg.fft_len, axis=1).T
-
-
-def power_spectrogram(w: Waveform, cfg: StftConfig = StftConfig()) -> SpectrogramGrid:
-    spec = stft(w, cfg)
-    freqs = np.arange(cfg.n_bins) * (w.sample_rate_hz / cfg.fft_len)
-    return SpectrogramGrid(
-        values=np.abs(spec) ** 2,
-        bin_centers_hz=freqs,
-        frame_hop_s=cfg.hop / w.sample_rate_hz,
-    )
 
 
 def mel_scale(f_hz) -> float:
@@ -163,23 +131,18 @@ def mel_filterbank(mel_cfg: MelConfig, fft_len: int, sample_rate_hz: int) -> np.
     return bank
 
 
-def log_mel_spectrogram(w: Waveform, stft_cfg: StftConfig = StftConfig(), mel_cfg: MelConfig = MelConfig()) -> SpectrogramGrid:
-    power = power_spectrogram(w, stft_cfg)
+def log_mel_spectrogram(w: Waveform, stft_cfg: StftConfig = StftConfig(), mel_cfg: MelConfig = MelConfig()) -> np.ndarray:
+    """Log of the mel-projected power spectrogram, [n_mels, n_frames]."""
     bank = mel_filterbank(mel_cfg, stft_cfg.fft_len, w.sample_rate_hz)
-    values = np.log(LOG_FLOOR + bank @ power.values)
-    centers = mel_to_hz(
-        np.linspace(mel_scale(mel_cfg.f_min_hz), mel_scale(mel_cfg.f_max_hz), mel_cfg.n_mels + 2)[1:-1]
-    )
-    return SpectrogramGrid(values=values, bin_centers_hz=centers, frame_hop_s=power.frame_hop_s)
+    return np.log(LOG_FLOOR + bank @ (np.abs(stft(w, stft_cfg)) ** 2))
 
 
-def standardize(grid: SpectrogramGrid) -> SpectrogramGrid:
-    """Zero-mean unit-variance over all cells; constant grids map to zeros."""
-    mu = grid.values.mean()
-    sigma = grid.values.std()
+def standardize(values: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance over all cells; constant input maps to zeros."""
+    sigma = values.std()
     if sigma == 0.0:
-        return replace(grid, values=np.zeros_like(grid.values), degenerate=True)
-    return replace(grid, values=(grid.values - mu) / sigma, degenerate=False)
+        return np.zeros_like(values)
+    return (values - values.mean()) / sigma
 
 
 def reclip_audio(

@@ -74,7 +74,11 @@ class Sentences:
 
 @dataclass
 class ClipSample:
-    """One fixed-length window of a session, all modalities aligned."""
+    """One fixed-length window of a session, all modalities aligned.
+
+    The three modality arrays are float32, the dtype of the bundle files
+    and of the model, cast once here.
+    """
 
     audio: np.ndarray  # [n_mels, frames], standardized log-mel
     visual: np.ndarray  # [n_frames, 72, 3]
@@ -86,6 +90,9 @@ class ClipSample:
     start_s: float = 0.0
 
     def __post_init__(self):
+        self.audio, self.visual, self.text = (
+            np.asarray(a, dtype=np.float32) for a in (self.audio, self.visual, self.text)
+        )
         self.phq_subscores = tuple(int(s) for s in self.phq_subscores)
         if len(self.phq_subscores) != 8:
             raise DataError(f"expected 8 item subscores, got {len(self.phq_subscores)}")
@@ -177,9 +184,9 @@ def sliding_window_clips(
         t0 = k * stride
         t1 = t0 + window_s
         seg = session.audio.samples[int(round(t0 * sr)) : int(round(t1 * sr))]
-        grid = standardize(log_mel_spectrogram(Waveform(seg, sr), stft_cfg, mel_cfg))
+        audio = standardize(log_mel_spectrogram(Waveform(seg, sr), stft_cfg, mel_cfg))
 
-        visual = points[_nearest_frames(times, t0, t1, grid.values.shape[1])]
+        visual = points[_nearest_frames(times, t0, t1, audio.shape[1])]
 
         text = np.zeros((max_sentences, EMBED_DIM))
         rows = np.flatnonzero((t0 <= midpoints) & (midpoints < t1))[:max_sentences]
@@ -187,7 +194,7 @@ def sliding_window_clips(
 
         clips.append(
             ClipSample(
-                audio=grid.values,
+                audio=audio,
                 visual=visual,
                 text=text,
                 phq_subscores=session.phq_subscores,

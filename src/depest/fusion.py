@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, _accum, _node
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Module, ModuleList, batch_norm, conv2d
+from .layers import BatchNorm, Conv2d, Module, batch_norm, conv2d
 from .phq import N_ITEMS
 
 BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
@@ -148,11 +148,11 @@ class SubAttentionalBank(Module):
     def __init__(self, rng=None, dtype=np.float32):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.heads = ModuleList([AttentionalFusion(rng=rng, dtype=dtype) for _ in range(N_ITEMS)])
+        self.heads = [AttentionalFusion(rng=rng, dtype=dtype) for _ in range(N_ITEMS)]
 
     def forward(self, y: Tensor) -> list:
         """[B, 1, H, W] -> one [B, 1, H, W] output per head."""
-        out = _fuse_heads(list(self.heads), y)
+        out = _fuse_heads(self.heads, y)
         return [ad.slice_axis(out, 1, k, k + 1) for k in range(len(self.heads))]
 
 

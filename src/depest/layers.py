@@ -23,7 +23,8 @@ correlates along the width only, with the height folded into the channels.
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 own parameters (Tensors with ``requires_grad=True``) and non-trainable
 buffers (plain arrays, e.g. batch-norm running stats), and expose them
-by dotted name for checkpointing and optimizers.
+by dotted name for checkpointing and optimizers; the modules in a list
+attribute are named by their index (``heads.3.weight``).
 """
 
 from __future__ import annotations
@@ -361,10 +362,14 @@ class Module:
         self._buffer_names.add(name)
 
     def _children(self):
+        """Public attributes by name; each entry of a list attribute as ``name.i``."""
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            yield name, value
+            if isinstance(value, list):
+                yield from ((f"{name}.{i}", v) for i, v in enumerate(value))
+            else:
+                yield name, value
 
     def named_parameters(self, prefix: str = ""):
         for name, value in self._children():
@@ -422,38 +427,6 @@ class Module:
             if buf.shape != arr.shape:
                 raise ShapeError(f"shape mismatch for buffer '{name}': model {buf.shape}, state {arr.shape}")
             buf[...] = arr
-
-
-class ModuleList(Module):
-    def __init__(self, modules=()):
-        super().__init__()
-        self._mods = list(modules)
-
-    def append(self, m: Module) -> None:
-        self._mods.append(m)
-
-    def __iter__(self):
-        return iter(self._mods)
-
-    def __getitem__(self, i):
-        return self._mods[i]
-
-    def __len__(self):
-        return len(self._mods)
-
-    def named_parameters(self, prefix: str = ""):
-        for i, m in enumerate(self._mods):
-            yield from m.named_parameters(f"{prefix}{i}.")
-
-    def named_buffers(self, prefix: str = ""):
-        for i, m in enumerate(self._mods):
-            yield from m.named_buffers(f"{prefix}{i}.")
-
-    def train(self, mode: bool = True):
-        self.training = mode
-        for m in self._mods:
-            m.train(mode)
-        return self
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:

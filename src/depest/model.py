@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
 from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
-from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, ModuleList, max_pool1d
+from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, max_pool1d
 from .phq import N_ITEMS
 
 MODALITIES = ("a", "v", "t")
@@ -92,26 +92,24 @@ class ModalityBranch(Module):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.cfg = cfg
-        convs, bns = [], []
+        self.convs, self.bns = [], []
         prev = cfg.in_channels
         for i, ch in enumerate(cfg.conv_channels):
             if i == 0 and cfg.conv2d_height > 0:
-                convs.append(
+                self.convs.append(
                     Conv2d(prev, ch, (cfg.conv2d_height, cfg.kernel), stride=(1, cfg.strides[i]), rng=rng, dtype=dtype)
                 )
             else:
-                convs.append(Conv1d(prev, ch, cfg.kernel, stride=cfg.strides[i], rng=rng, dtype=dtype))
-            bns.append(BatchNorm(ch, dtype=dtype))
+                self.convs.append(Conv1d(prev, ch, cfg.kernel, stride=cfg.strides[i], rng=rng, dtype=dtype))
+            self.bns.append(BatchNorm(ch, dtype=dtype))
             prev = ch
-        self.convs = ModuleList(convs)
-        self.bns = ModuleList(bns)
         self.lstm = BiLSTM(prev, cfg.lstm_hidden, rng=rng, dtype=dtype)
         self.fc = Linear(2 * cfg.lstm_hidden, cfg.out_dim, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         """[B, C, T] (or [B, C, H, T] for a 2-D first stage) -> [B, out_dim]."""
-        for i in range(len(self.convs)):
-            x = self.convs[i](x)
+        for conv, bn, pool in zip(self.convs, self.bns, self.cfg.pools):
+            x = conv(x)
             if x.data.ndim == 4:
                 if x.data.shape[2] != 1:
                     raise ShapeError(
@@ -119,9 +117,9 @@ class ModalityBranch(Module):
                     )
                 b, c, _, t = x.data.shape
                 x = ad.reshape(x, (b, c, t))
-            x = ad.relu(self.bns[i](x))
-            if self.cfg.pools[i] > 1:
-                x = max_pool1d(x, self.cfg.pools[i])
+            x = ad.relu(bn(x))
+            if pool > 1:
+                x = max_pool1d(x, pool)
         x = ad.transpose(x, (0, 2, 1))  # [B, T, C] for the recurrence
         return self.fc(self.lstm(x))
 
@@ -151,7 +149,7 @@ class MultiModalClassifier(Module):
             head_in = n * d
         else:
             head_in = d
-        self.heads = ModuleList([Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)])
+        self.heads = [Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)]
 
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
         """Batched modality tensors -> [B, N_ITEMS, n_classes] distributions."""
@@ -179,7 +177,7 @@ class MultiModalClassifier(Module):
                 fused = baseline_fuse(self.cfg.fusion, stacked)
                 head_inputs = [fused] * N_ITEMS
 
-        probs = [ad.softmax(self.heads[k](head_inputs[k]), axis=1) for k in range(N_ITEMS)]
+        probs = [ad.softmax(head(x), axis=1) for head, x in zip(self.heads, head_inputs)]
         return ad.stack(probs, axis=1)  # [B, N_ITEMS, n_classes]
 
 
@@ -197,8 +195,8 @@ def _clip_arrays(clip: ClipSample, cfg: ModelConfig) -> dict:
     return out
 
 
-def batch_inputs(clips, cfg: ModelConfig, dtype=np.float32) -> dict:
-    """Stack equal-shape clips into C-contiguous batched modality tensors."""
+def batch_inputs(clips, cfg: ModelConfig) -> dict:
+    """Stack equal-shape clips into C-contiguous batched modality tensors of the clips' dtype (float32)."""
     if not clips:
         raise DataError("empty clip batch")
     singles = [_clip_arrays(c, cfg) for c in clips]
@@ -209,7 +207,7 @@ def batch_inputs(clips, cfg: ModelConfig, dtype=np.float32) -> dict:
             raise ShapeError(f"ragged '{key}' shapes in batch: {sorted(shapes)}")
         # one array written clip by clip: np.stack would keep the transposed
         # per-clip layout, and a later reshape of it would copy the batch
-        batch = np.empty((len(singles),) + singles[0][key].shape, dtype=dtype)
+        batch = np.empty((len(singles),) + singles[0][key].shape, dtype=singles[0][key].dtype)
         for i, s in enumerate(singles):
             batch[i] = s[key]
         out[key] = ad.tensor(batch)

@@ -9,7 +9,6 @@ set, split by gender for the epoch log.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +98,11 @@ def train(
     seed: int = 0,
     stop_accuracy: float = None,
     log_fh=None,
-    time_budget_s: float = None,
 ) -> list:
     """Full training run; returns per-epoch stats (last epoch may stop early).
 
     stop_accuracy halts once clip-level binary accuracy reaches the
-    target; time_budget_s halts at the first epoch boundary past the
-    budget. The epoch log (if log_fh given) gets one line per epoch:
+    target. The epoch log (if log_fh given) gets one line per epoch:
     epoch, mean loss, clip accuracy, female accuracy, male accuracy.
     """
     clips = list(clips)
@@ -119,7 +116,6 @@ def train(
     steps = max(1, (len(clips) + batch_size - 1) // batch_size)
 
     history = []
-    started = time.monotonic()
     for epoch in range(1, epochs + 1):
         model.train()
         losses = []
@@ -157,8 +153,6 @@ def train(
             log_fh.write(stats.log_line() + "\n")
             log_fh.flush()
         if stop_accuracy is not None and stats.clip_accuracy >= stop_accuracy:
-            break
-        if time_budget_s is not None and time.monotonic() - started > time_budget_s:
             break
     return history
 

@@ -7,6 +7,8 @@ contract: 1 for usage and config problems, 2 for data and format
 problems, 0 on success.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,25 @@ class TestDataErrors:
         rc = main(["preprocess", "--manifest", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_integer_subscore_in_manifest_returns_2(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["raw"] / "manifest.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "1.5"
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
+        rc = main(["preprocess", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{manifest}:2:" in capsys.readouterr().err
+
+    def test_malformed_clip_index_in_bundle_returns_2(self, pipeline, tmp_path, capsys):
+        clips = tmp_path / "clips"
+        shutil.copytree(pipeline["clips"], clips)
+        meta = sorted(clips.glob("*/meta.txt"))[0]  # the first clip, index 0
+        meta.write_text(meta.read_text().replace("clip_index 0\n", "clip_index zero\n"))
+        rc = main(["train", "--clips-dir", str(clips), "--out-dir", str(tmp_path / "run"), "--config", str(pipeline["cfg"])])
+        assert rc == 2
+        assert f"{meta}:" in capsys.readouterr().err
 
     def test_missing_clips_dir_returns_2(self, pipeline, tmp_path, capsys):
         rc = main(

@@ -75,6 +75,15 @@ class TestManifest:
         with pytest.raises(DataError):
             read_manifest(tmp_path / "nope.csv")
 
+    def test_non_integer_subscore_rejected_with_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, [entry("P000"), entry("P001")])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("P001,female,1,", "P001,female,one,")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{path}:3:"):
+            read_manifest(path)
+
     def test_bad_gender_rejected(self):
         with pytest.raises(DataError):
             entry(gender="other")
@@ -95,10 +104,10 @@ class TestClipBundles:
         assert back.clip_index == 4
         assert back.start_s == 200.0
         assert back.phq_subscores == clip.phq_subscores
-        # storage is float32
-        np.testing.assert_allclose(back.audio, clip.audio, atol=1e-6)
-        np.testing.assert_allclose(back.visual, clip.visual, atol=1e-6)
-        np.testing.assert_allclose(back.text, clip.text, atol=1e-6)
+        # clips and storage are both float32, so the round trip is exact
+        np.testing.assert_array_equal(back.audio, clip.audio)
+        np.testing.assert_array_equal(back.visual, clip.visual)
+        np.testing.assert_array_equal(back.text, clip.text)
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "b").mkdir()
@@ -112,6 +121,18 @@ class TestClipBundles:
         meta.write_text("participant_id P000\n")
         with pytest.raises(FormatError):
             read_clip_bundle(tmp_path / "b")
+
+    def test_malformed_number_in_meta_rejected(self, tmp_path, rng):
+        write_clip_bundle(tmp_path / "b", tiny_clip(rng, (0,) * 8))
+        meta = tmp_path / "b" / "meta.txt"
+        meta.write_text(meta.read_text().replace("clip_index 0", "clip_index zero"))
+        with pytest.raises(FormatError, match="meta.txt"):
+            read_clip_bundle(tmp_path / "b")
+
+    def test_read_clips_gives_float32(self, tmp_path, rng):
+        write_clips(tmp_path, [tiny_clip(rng, (0,) * 8)])
+        (back,) = read_clips(tmp_path)
+        assert (back.audio.dtype, back.visual.dtype, back.text.dtype) == (np.float32,) * 3
 
     def test_write_clips_layout_and_order(self, tmp_path, rng):
         clips = [

@@ -204,13 +204,13 @@ class TestSlidingWindow:
         in_clip0 = (0.0 <= mid) & (mid < 60.0)
         n0 = int(in_clip0.sum())
         assert np.count_nonzero(np.any(clips[0].text != 0.0, axis=1)) == n0
-        np.testing.assert_array_equal(clips[0].text[:n0], session.sentences.vectors[in_clip0])
+        np.testing.assert_array_equal(clips[0].text[:n0], session.sentences.vectors[in_clip0].astype(np.float32))
 
     def test_audio_standardized_per_clip(self, rng):
         session = tiny_session(rng, duration_s=120.0)
         for c in sliding_window_clips(session):
-            assert abs(c.audio.mean()) < 1e-9
-            assert abs(c.audio.std() - 1.0) < 1e-9
+            assert abs(c.audio.mean(dtype=np.float64)) < 1e-9
+            assert abs(c.audio.std(dtype=np.float64) - 1.0) < 1e-9
 
     def test_non_integer_frame_rate_gives_clips_that_batch(self, rng):
         # 29.97 fps puts 1799 and 1798 frames in the two windows; both are
@@ -224,7 +224,7 @@ class TestSlidingWindow:
             inside = np.flatnonzero((c.start_s <= times) & (times < c.start_s + 60.0))
             at = c.start_s + np.arange(1800) / 30.0
             nearest = inside[np.abs(times[inside][None, :] - at[:, None]).argmin(axis=1)]
-            np.testing.assert_array_equal(c.visual, points[nearest])
+            np.testing.assert_array_equal(c.visual, points[nearest].astype(np.float32))
         assert batch_inputs(clips, VISUAL_ONLY)["visual"].data.shape == (2, 3, FRAME_ROWS, 1800)
 
     def test_window_without_frames_rejected_at_batching(self, rng):
@@ -235,6 +235,10 @@ class TestSlidingWindow:
         assert clips[1].visual.shape == (0, FRAME_ROWS, 3)
         with pytest.raises(DataError):
             batch_inputs(clips[1:], VISUAL_ONLY)
+
+    def test_modalities_are_float32(self, rng):
+        for c in sliding_window_clips(tiny_session(rng, duration_s=70.0)):
+            assert (c.audio.dtype, c.visual.dtype, c.text.dtype) == (np.float32,) * 3
 
     def test_short_session_rejected(self, rng):
         with pytest.raises(EmptyOutputError):

@@ -511,6 +511,31 @@ class TestModuleSystem:
         for (_, p1), (_, p2) in zip(net.named_parameters(), other.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    def test_list_attribute_entries_named_by_index(self, rng):
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.convs = [Conv1d(2, 3, 3, rng=rng), Conv1d(3, 3, 3, rng=rng)]
+                self.bns = [BatchNorm(3), BatchNorm(3)]
+
+        net = Net()
+        assert [n for n, _ in net.named_parameters()] == [
+            "convs.0.weight", "convs.0.bias", "convs.1.weight", "convs.1.bias",
+            "bns.0.gamma", "bns.0.beta", "bns.1.gamma", "bns.1.beta",
+        ]
+        assert [n for n, _ in net.named_buffers()] == [
+            "bns.0.running_mean", "bns.0.running_var", "bns.1.running_mean", "bns.1.running_var",
+        ]
+        net.eval()
+        assert not any(m.training for m in net.convs + net.bns)
+
+        net.bns[1].running_mean[...] = 5.0
+        other = Net()
+        other.load_state({k: v.copy() for k, v in net.state().items()})
+        for (n1, a1), (n2, a2) in zip(net.state().items(), other.state().items()):
+            assert n1 == n2
+            np.testing.assert_array_equal(a1, a2)
+
     def test_load_state_missing_key_rejected(self, rng):
         lin = Linear(2, 2, rng=rng)
         with pytest.raises(ShapeError):

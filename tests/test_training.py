@@ -167,12 +167,6 @@ class TestEarlyStop:
                         stop_accuracy=0.0)
         assert len(history) == 1
 
-    def test_time_budget_halts_at_epoch_boundary(self):
-        clips = separable_clips(n_per_group=2)
-        history = train(make_model(), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=50, batch_size=4, seed=0,
-                        time_budget_s=0.0)
-        assert len(history) == 1
-
     def test_empty_clip_list_rejected(self):
         with pytest.raises(EmptyInputError):
             train(make_model(), [], musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=1, batch_size=16)

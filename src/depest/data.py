@@ -60,8 +60,8 @@ def write_manifest(path, entries) -> None:
 
 def read_manifest(path) -> list:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
+    if not path.is_file():
+        raise DataError(f"manifest not found or not a file: {path}")
     entries = []
     seen = set()
     with open(path, newline="") as fh:
@@ -99,7 +99,7 @@ def read_manifest(path) -> list:
 
 def load_session(entry: ManifestEntry) -> SessionFeatures:
     for p in (entry.audio_path, entry.keypoints_path, entry.embeddings_path):
-        if not Path(p).exists():
+        if not Path(p).is_file():
             raise DataError(f"missing modality file for {entry.participant_id}: {p}")
     return SessionFeatures(
         audio=read_wav(entry.audio_path),

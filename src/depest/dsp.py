@@ -201,9 +201,12 @@ def read_wav(path) -> Waveform:
                 raise FormatError(f"expected 16-bit PCM, got sample width {fh.getsampwidth()}")
             n_ch = fh.getnchannels()
             sr = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
-    except wave.Error as exc:
+            n_frames = fh.getnframes()
+            raw = fh.readframes(n_frames)
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside a header
         raise FormatError(f"not a readable WAV file: {path}") from exc
+    if len(raw) != n_frames * n_ch * 2:
+        raise FormatError(f"truncated WAV file: {path} declares {n_frames} frames, holds {len(raw) / (n_ch * 2):g}")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_ch > 1:
         data = data.reshape(-1, n_ch).mean(axis=1)

@@ -13,6 +13,7 @@ session labels.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +227,24 @@ def _nearest_frames(times: np.ndarray, t0: float, t1: float, n: int) -> np.ndarr
 
 
 def _read_rows(path, n_fields: int, what: str) -> np.ndarray:
-    """Whitespace-delimited text -> [rows, n_fields], checked line by line."""
+    """Whitespace-delimited text -> [rows, n_fields].
+
+    numpy's C reader parses the file; one it rejects, or one with the
+    wrong row width, goes to the line scanner, which names the bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.size == 0 or rows.shape[1] != n_fields:
+        return _scan_rows(path, n_fields, what)
+    return rows
+
+
+def _scan_rows(path, n_fields: int, what: str) -> np.ndarray:
+    """Line-by-line parse that raises FormatError naming path:line."""
     rows = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):

@@ -11,6 +11,7 @@ derives from the seed, so the same call writes byte-identical corpora.
 
 from __future__ import annotations
 
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from .dsp import Waveform, write_wav
 from .errors import ConfigError
 from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, write_embeddings, write_keypoints
 
-TONE_BASE_HZ = 250.0
-TONE_STEP_HZ = 170.0
+TONE_BASE_HZ = 250
+TONE_STEP_HZ = 170
 TONE_BASE_AMP = 0.02
 TONE_SCORE_AMP = 0.02
 NOISE_AMP = 0.005
@@ -75,13 +76,24 @@ def _sample_subscores(rng: np.random.Generator, depressed: bool) -> tuple:
 
 
 def synth_audio(rng: np.random.Generator, subscores, duration_s: float, sample_rate: int) -> Waveform:
-    """Tone mixture: tone k's amplitude encodes item k's score."""
+    """Tone mixture: tone k's amplitude encodes item k's score.
+
+    The tones sit on an integer grid (base + k * step Hz), so at an
+    integer sample rate the mixture repeats every
+    sr / gcd(sr, base, step) samples (0.1 s at 16 kHz). One period is
+    summed sample by sample and tiled; later periods differ from a
+    per-sample evaluation only by that sine's rounding error. The noise
+    is one standard_normal(n) draw, so the generator reaches the
+    keypoint and embedding draws in the same state.
+    """
     n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
-    x = np.zeros(n)
+    period = sample_rate // gcd(sample_rate, TONE_BASE_HZ, TONE_STEP_HZ)
+    t = np.arange(min(n, period)) / sample_rate
+    tones = np.zeros(t.size)
     for k, s in enumerate(subscores):
         amp = TONE_BASE_AMP + TONE_SCORE_AMP * s
-        x += amp * np.sin(2 * np.pi * (TONE_BASE_HZ + TONE_STEP_HZ * k) * t)
+        tones += amp * np.sin(2 * np.pi * (TONE_BASE_HZ + TONE_STEP_HZ * k) * t)
+    x = np.resize(tones, n)
     x += NOISE_AMP * rng.standard_normal(n)
     return Waveform(samples=x, sample_rate_hz=sample_rate)
 
@@ -125,6 +137,8 @@ def generate_synthetic_corpus(
     """Write sessions + manifest under out_dir; returns the manifest path."""
     if n_participants < 2:
         raise ConfigError("need at least 2 participants to cover both binary classes")
+    if not duration_s > 0:
+        raise ConfigError(f"session duration must be positive, got {duration_s} s")
     n_dep = int(round(depressed_fraction * n_participants))
     n_dep = min(max(n_dep, 1), n_participants - 1)  # both classes must appear
     dep_flags = _stratified_flags(n_participants, n_dep)

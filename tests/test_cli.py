@@ -166,6 +166,12 @@ class TestUsageErrors:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_non_positive_duration_returns_1(self, tmp_path, capsys):
+        rc = main(["synth-data", "--out-dir", str(tmp_path / "raw"), "--duration-s", "-5"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "duration" in err[0]
+
     def test_malformed_config_line_returns_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochs\n")
@@ -179,6 +185,22 @@ class TestDataErrors:
         rc = main(["preprocess", "--manifest", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_manifest_directory_returns_2(self, tmp_path, capsys):
+        rc = main(["preprocess", "--manifest", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not a file" in err[0]
+
+    def test_truncated_wav_returns_2(self, pipeline, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(pipeline["raw"], raw)
+        wav = raw / "P000" / "audio.wav"
+        wav.write_bytes(wav.read_bytes()[:30])
+        rc = main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(wav) in err[0]
 
     def test_non_integer_subscore_in_manifest_returns_2(self, pipeline, tmp_path, capsys):
         lines = (pipeline["raw"] / "manifest.csv").read_text().splitlines()

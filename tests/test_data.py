@@ -45,6 +45,10 @@ class TestManifest:
         # stored paths are relative; loaded ones hang off the manifest dir
         assert back[0].audio_path == tmp_path / "P000/audio.wav"
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="not a file"):
+            read_manifest(tmp_path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         write_manifest(path, [entry("P000"), entry("P000", "male")])

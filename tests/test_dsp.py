@@ -284,6 +284,15 @@ class TestWavIo:
         with pytest.raises(FormatError):
             read_wav(path)
 
+    @pytest.mark.parametrize("keep", [30, 44 + 2 * 100 + 1, 44 + 2 * 100])
+    def test_truncated_wav_rejected(self, tmp_path, keep):
+        # inside the header, inside a sample, and a whole sample short of the declared count
+        path = tmp_path / "t.wav"
+        write_wav(path, Waveform(np.zeros(1000)))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match="t.wav"):
+            read_wav(path)
+
     def test_empty_waveform_rejected(self):
         with pytest.raises(EmptyInputError):
             Waveform(np.array([]))

@@ -21,6 +21,8 @@ from depest.features import (
     Keypoints,
     Sentences,
     SessionFeatures,
+    _read_rows,
+    _scan_rows,
     clip_count,
     ingest_embeddings,
     normalize_keypoints,
@@ -308,6 +310,48 @@ class TestTextIo:
         path.write_text(good + "\n" + good.replace("1.0", "x", 1))
         with pytest.raises(FormatError, match="bad.txt:3: non-numeric"):
             read_keypoints(path)
+
+    def test_hash_inside_row_rejected_with_line(self, tmp_path):
+        good = "0.0 " + " ".join(["1.0"] * 216) + "\n"
+        path = tmp_path / "bad.txt"
+        path.write_text(good + good.replace(" 1.0", " 1.0#", 1) + good)
+        with pytest.raises(FormatError, match="bad.txt:2: non-numeric"):
+            read_keypoints(path)
+        path.write_text(good + good[:-1] + " # note\n")
+        with pytest.raises(FormatError, match="bad.txt:2: expected 217 fields, got 219"):
+            read_keypoints(path)
+
+    def test_every_row_wrong_width_names_line_1(self, tmp_path):
+        row = "0.0 " + " ".join(["1.0"] * 215) + "\n"
+        path = tmp_path / "bad.txt"
+        path.write_text(row * 3)
+        with pytest.raises(FormatError, match="bad.txt:1: expected 217 fields, got 216"):
+            read_keypoints(path)
+
+    def test_whitespace_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("  \n\n\t \n")
+        with pytest.raises(EmptyInputError):
+            read_keypoints(path)
+        with pytest.raises(EmptyInputError):
+            ingest_embeddings(path)
+
+    def test_one_row_file_gives_one_row(self, tmp_path, rng):
+        path = tmp_path / "one.txt"
+        write_keypoints(path, Keypoints(times=[0.5], points=make_points(rng, 1)))
+        assert read_keypoints(path).points.shape == (1, FRAME_ROWS, 3)
+        write_embeddings(path, make_sentences(rng, [1.0], 2.0))
+        back = ingest_embeddings(path)
+        assert back.vectors.shape == (1, EMBED_DIM)
+        assert back.starts.shape == back.stops.shape == (1,)
+
+    def test_reader_matches_line_scanner(self, tmp_path):
+        manifest = generate_synthetic_corpus(tmp_path / "c", n_participants=2, duration_s=10.0)
+        for name, width in (("keypoints.txt", 1 + FRAME_ROWS * 3), ("embeddings.txt", 2 + EMBED_DIM)):
+            path = manifest.parent / "P001" / name
+            fast = _read_rows(path, width, name)
+            assert fast.shape[1] == width
+            assert fast.tobytes() == _scan_rows(path, width, name).tobytes()
 
     def test_embeddings_round_trip(self, tmp_path, rng):
         rows = make_sentences(rng, np.arange(3) * 2.0, 1.5)

@@ -98,6 +98,11 @@ class TestStratification:
         with pytest.raises(ConfigError):
             generate_synthetic_corpus(tmp_path / "c", n_participants=1)
 
+    @pytest.mark.parametrize("duration_s", [0.0, -5.0])
+    def test_non_positive_duration_rejected(self, tmp_path, duration_s):
+        with pytest.raises(ConfigError, match="duration"):
+            generate_synthetic_corpus(tmp_path / "c", n_participants=2, duration_s=duration_s)
+
     def test_scores_respect_binary_classes(self, tmp_path):
         manifest = generate_synthetic_corpus(tmp_path / "c", n_participants=12, duration_s=12.0)
         for e in read_manifest(manifest):
@@ -118,6 +123,27 @@ class TestSignalRecovery:
             amp = 2.0 * abs(np.mean(w.samples * np.exp(-2j * np.pi * f * t)))
             recovered.append(round((amp - TONE_BASE_AMP) / TONE_SCORE_AMP))
         assert tuple(recovered) == subs
+
+    @pytest.mark.parametrize(
+        "duration_s, sample_rate",
+        [
+            (160.0, 16000),  # 1,600-sample period tiled 1,600 times
+            (3.0, 16001),  # coprime with the tone grid: the period is one second
+            (0.05, 16000),  # shorter than one period
+        ],
+    )
+    def test_tiled_tones_match_per_sample_formula(self, duration_s, sample_rate):
+        subs = (0, 3, 1, 2, 0, 1, 3, 2)
+        w = synth_audio(np.random.default_rng(5), subs, duration_s, sample_rate)
+        n = int(round(duration_s * sample_rate))
+        t = np.arange(n) / sample_rate
+        expected = sum(
+            (TONE_BASE_AMP + TONE_SCORE_AMP * s) * np.sin(2 * np.pi * (TONE_BASE_HZ + TONE_STEP_HZ * k) * t)
+            for k, s in enumerate(subs)
+        )
+        expected = expected + NOISE_AMP * np.random.default_rng(5).standard_normal(n)
+        assert w.samples.shape == (n,)
+        np.testing.assert_allclose(w.samples, expected, rtol=0, atol=1e-9)
 
     def test_audio_noise_floor_small(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,8 @@
 
 Subcommands: synth-data, preprocess, train, eval, aggregate,
 inspect-checkpoint. Exit codes: 0 success, 1 usage/config error, 2
-data or file-format error, 3 numeric failure.
+data, file-format or OS file error, 3 numeric failure; each toolkit
+error class carries its own code.
 """
 
 from __future__ import annotations
@@ -15,27 +16,15 @@ import numpy as np
 
 from . import config as cfgmod
 from .data import read_clips, read_manifest, write_clips
-from .errors import (
-    ConfigError,
-    DataError,
-    DomainError,
-    EmptyInputError,
-    EmptyOutputError,
-    FormatError,
-    GraphError,
-    NumericError,
-    ShapeError,
-)
+from .errors import ConfigError, DepestError
 from .model import FUSION_MODES, MODALITY_SETS, MultiModalClassifier
-from .phq import compute_metrics, gender_split_report
 from .synthetic import generate_synthetic_corpus
 from .tensorio import load_checkpoint, save_checkpoint
-from .training import aggregate_predictions, evaluate_clips, train
+from .training import evaluate_clips, report, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,42 +164,29 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _evaluate(args, file_name: str, report_lines) -> int:
+    """Restore the checkpoint, evaluate every clip, print and write the report."""
     cfg = _load_cfg(args)
     clips = read_clips(args.clips_dir)
     model = _restore_model(args.checkpoint, cfg)
     ev = evaluate_clips(model, clips, cfgmod.musdl_config(cfg), cfg["batch_size"])
-
-    from .phq import derive_phq
-
-    pred_bin = [r.binary for r in ev.records]
-    pred_score = [r.score for r in ev.records]
-    true_records = [derive_phq(c.phq_subscores) for c in clips]
-    rep = compute_metrics(pred_bin, [r.binary for r in true_records], pred_score, [r.score for r in true_records])
-
-    lines = ["[clip-level]"] + rep.lines()
-    text = "\n".join(lines)
+    text = "\n".join(report_lines(clips, ev))
     print(text)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "clip_metrics.txt").write_text(text + "\n")
+        (out / file_name).write_text(text + "\n")
     return EXIT_OK
+
+
+def cmd_eval(args) -> int:
+    return _evaluate(args, "clip_metrics.txt", lambda clips, ev: ["[clip-level]"] + ev.report.overall.lines())
 
 
 def cmd_aggregate(args) -> int:
-    cfg = _load_cfg(args)
-    clips = read_clips(args.clips_dir)
-    model = _restore_model(args.checkpoint, cfg)
-    truth, preds = aggregate_predictions(model, clips, cfgmod.musdl_config(cfg), cfg["batch_size"])
-    report = gender_split_report(truth, preds)
-    text = "\n".join(report.lines())
-    print(text)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "participant_report.txt").write_text(text + "\n")
-    return EXIT_OK
+    return _evaluate(
+        args, "participant_report.txt", lambda clips, ev: report(clips, ev.records, by_participant=True).lines()
+    )
 
 
 def cmd_inspect_checkpoint(args) -> int:
@@ -238,15 +214,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (DepestError, OSError) as exc:  # OS file errors (missing, wrong kind, permissions) are data errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, FormatError, DomainError, ShapeError, EmptyInputError, EmptyOutputError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return getattr(exc, "exit_code", EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 from .errors import ConfigError
+from .features import EMBED_DIM, FRAME_ROWS
 from .model import BranchConfig, ModelConfig
 from .musdl import MusdlConfig
 from .sam import SamConfig
@@ -147,41 +148,25 @@ def sam_config(cfg: dict) -> SamConfig:
 
 def model_config(cfg: dict) -> ModelConfig:
     d = cfg["feature_dim"]
-    h = cfg["lstm_hidden"]
-    audio = BranchConfig(
-        in_channels=cfg["n_mels"],
-        conv_channels=_int_tuple("audio_channels", cfg["audio_channels"]),
-        kernel=cfg["audio_kernel"],
-        pools=_int_tuple("audio_pools", cfg["audio_pools"]),
-        strides=_int_tuple("audio_strides", cfg["audio_strides"]),
-        lstm_hidden=h,
-        out_dim=d,
-    )
-    visual = BranchConfig(
-        in_channels=3,
-        conv_channels=_int_tuple("visual_channels", cfg["visual_channels"]),
-        kernel=cfg["visual_kernel"],
-        pools=_int_tuple("visual_pools", cfg["visual_pools"]),
-        strides=_int_tuple("visual_strides", cfg["visual_strides"]),
-        lstm_hidden=h,
-        out_dim=d,
-        conv2d_height=72,
-    )
-    text = BranchConfig(
-        in_channels=512,
-        conv_channels=_int_tuple("text_channels", cfg["text_channels"]),
-        kernel=cfg["text_kernel"],
-        pools=_int_tuple("text_pools", cfg["text_pools"]),
-        strides=_int_tuple("text_strides", cfg["text_strides"]),
-        lstm_hidden=h,
-        out_dim=d,
-    )
+
+    def branch(name: str, in_channels: int, **extra) -> BranchConfig:
+        return BranchConfig(
+            in_channels=in_channels,
+            conv_channels=_int_tuple(f"{name}_channels", cfg[f"{name}_channels"]),
+            kernel=cfg[f"{name}_kernel"],
+            pools=_int_tuple(f"{name}_pools", cfg[f"{name}_pools"]),
+            strides=_int_tuple(f"{name}_strides", cfg[f"{name}_strides"]),
+            lstm_hidden=cfg["lstm_hidden"],
+            out_dim=d,
+            **extra,
+        )
+
     return ModelConfig(
         modality=cfg["modality"],
         fusion=cfg["fusion"],
         feature_dim=d,
-        audio=audio,
-        visual=visual,
-        text=text,
+        audio=branch("audio", cfg["n_mels"]),
+        visual=branch("visual", 3, conv2d_height=FRAME_ROWS),  # xyz per keypoint row
+        text=branch("text", EMBED_DIM),
         n_classes=cfg["musdl_expanded"],
     )

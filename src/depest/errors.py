@@ -1,16 +1,20 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: usage problems exit 1, data/format
-problems exit 2, numeric failures exit 3.
+Each class carries the CLI exit code it maps onto: usage problems exit
+1, data/format problems exit 2, numeric failures exit 3.
 """
 
 
 class DepestError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 2
+
 
 class ConfigError(DepestError):
     """Invalid configuration value or combination."""
+
+    exit_code = 1
 
 
 class ShapeError(DepestError):
@@ -40,6 +44,10 @@ class DataError(DepestError):
 class GraphError(DepestError):
     """Misuse of the autodiff graph (non-scalar loss, double backward)."""
 
+    exit_code = 3
+
 
 class NumericError(DepestError):
     """Non-finite value where the pipeline requires finite numerics."""
+
+    exit_code = 3

@@ -4,7 +4,9 @@ One step draws a weighted batch, builds the soft-label targets, and
 runs a two-pass sharpness-aware update on the summed (optionally
 class-weight scaled) KL loss. Epoch stats track the mean step loss plus
 clip-level binary accuracy and per-item accuracy over the whole clip
-set, split by gender for the epoch log.
+set, split by gender for the epoch log. Every reported metric, per
+clip or per participant, comes from one gender-split report over the
+clips' predicted records.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import EmptyInputError
+from .errors import ConfigError, EmptyInputError
 from .model import MultiModalClassifier, batch_inputs
 from .musdl import MusdlConfig, decode_prediction, kl_rows, transform_labels
-from .phq import aggregate_participant, derive_phq
+from .phq import GenderSplitReport, aggregate_participant, derive_phq, gender_split_report
 from .sam import SamConfig, SamOptimizer
 from .sampling import compute_sampler_weights, draw_indices, dynamic_class_weights, row_weights_for_batch
 
@@ -42,18 +44,37 @@ class EpochStats:
 class EvalResult:
     subscores: np.ndarray  # [n_clips, n_items] predictions
     records: list  # PhqRecord per clip
-    clip_accuracy: float
     subscore_accuracy: np.ndarray
-    female_accuracy: float
-    male_accuracy: float
+    report: GenderSplitReport  # clip level
 
 
 def soft_targets(clips, musdl_cfg: MusdlConfig) -> np.ndarray:
     return np.stack([transform_labels(np.array(c.phq_subscores), musdl_cfg) for c in clips])
 
 
+def report(clips, records, by_participant: bool = False) -> GenderSplitReport:
+    """Gender-split metrics of per-clip predicted records against clip labels.
+
+    Clips group by participant id (in sorted order) or, by default, one
+    group per clip in clip order. Truth and prediction of a group are
+    each aggregated by mean score and strict-majority binary vote.
+    """
+    groups = {}
+    for i, (clip, rec) in enumerate(zip(clips, records)):
+        group = groups.setdefault(clip.participant_id if by_participant else i, (clip.gender, [], []))
+        group[1].append(derive_phq(clip.phq_subscores))
+        group[2].append(rec)
+    truth, preds = [], {}
+    for key in sorted(groups):
+        gender, true_recs, pred_recs = groups[key]
+        truth.append(aggregate_participant(key, gender, true_recs))
+        pred = aggregate_participant(key, gender, pred_recs)
+        preds[key] = (pred.binary, pred.score)
+    return gender_split_report(truth, preds)
+
+
 def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, batch_size: int) -> EvalResult:
-    """Eval-mode forward over all clips; accuracy against clip labels."""
+    """Eval-mode forward over all clips; clip-level report against clip labels."""
     clips = list(clips)
     if not clips:
         raise EmptyInputError("no clips to evaluate")
@@ -65,23 +86,12 @@ def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, b
         for row in dist:
             preds.append(decode_prediction(row, musdl_cfg))
     subs = np.stack(preds)  # [n, n_items]
-
-    truth = np.array([c.phq_subscores for c in clips])
     records = [derive_phq(s) for s in subs]
-    pred_bin = np.array([r.binary for r in records])
-    true_bin = np.array([derive_phq(s).binary for s in truth])
-    correct = pred_bin == true_bin
-
-    genders = np.array([c.gender for c in clips])
-    fem = genders == "female"
-    male = genders == "male"
     return EvalResult(
         subscores=subs,
         records=records,
-        clip_accuracy=float(correct.mean()),
-        subscore_accuracy=(subs == truth).mean(axis=0),
-        female_accuracy=float(correct[fem].mean()) if fem.any() else float("nan"),
-        male_accuracy=float(correct[male].mean()) if male.any() else float("nan"),
+        subscore_accuracy=(subs == np.array([c.phq_subscores for c in clips])).mean(axis=0),
+        report=report(clips, records),
     )
 
 
@@ -108,6 +118,8 @@ def train(
     clips = list(clips)
     if not clips:
         raise EmptyInputError("no training clips")
+    if epochs < 1 or batch_size < 1:
+        raise ConfigError(f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}")
     n_expanded = musdl_cfg.n_expanded
     targets_all = soft_targets(clips, musdl_cfg)  # [n, n_items, m']
     weights = compute_sampler_weights(clips, sampler_mode, gender_balance)
@@ -140,13 +152,14 @@ def train(
             del inputs  # the next batch is built with this one freed
 
         ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
+        rep = ev.report
         stats = EpochStats(
             epoch=epoch,
             loss=float(np.mean(losses)),
-            clip_accuracy=ev.clip_accuracy,
+            clip_accuracy=rep.overall.accuracy,
             subscore_accuracy=ev.subscore_accuracy,
-            female_accuracy=ev.female_accuracy,
-            male_accuracy=ev.male_accuracy,
+            female_accuracy=rep.female.accuracy if rep.female else float("nan"),
+            male_accuracy=rep.male.accuracy if rep.male else float("nan"),
         )
         history.append(stats)
         if log_fh is not None:
@@ -174,8 +187,6 @@ def fusion_comparison(
     rows of dicts: fusion, modality, clip binary accuracy, f1, mae,
     rmse at participant level. No ordering among methods is implied.
     """
-    from .phq import compute_metrics
-
     rows = []
     for modality in modalities:
         for mode in fusion_modes:
@@ -190,18 +201,12 @@ def fusion_comparison(
                 seed=seed,
             )
             ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
-            truth, preds = _aggregate_eval(clips, ev)
-            rep = compute_metrics(
-                [preds[r.participant_id][0] for r in truth],
-                [r.binary for r in truth],
-                [preds[r.participant_id][1] for r in truth],
-                [r.score for r in truth],
-            )
+            rep = report(clips, ev.records, by_participant=True).overall
             rows.append(
                 {
                     "fusion": mode,
                     "modality": modality,
-                    "clip_accuracy": ev.clip_accuracy,
+                    "clip_accuracy": ev.report.overall.accuracy,
                     "f1": rep.f1,
                     "mae": rep.mae,
                     "rmse": rep.rmse,
@@ -220,31 +225,3 @@ def comparison_table(rows) -> str:
         )
     return "\n".join(lines)
 
-
-def aggregate_predictions(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, batch_size: int):
-    """Participant-level truth results and predictions.
-
-    Returns (truth_results, pred_by_id) suitable for the gender-split
-    report: truths from the clip labels, predictions from the model's
-    per-clip records aggregated by mean score / majority binary.
-    """
-    clips = list(clips)
-    return _aggregate_eval(clips, evaluate_clips(model, clips, musdl_cfg, batch_size))
-
-
-def _aggregate_eval(clips: list, ev: EvalResult):
-    """aggregate_predictions on an existing evaluation of the same clips."""
-    by_pid = {}
-    for clip, rec in zip(clips, ev.records):
-        by_pid.setdefault(clip.participant_id, {"gender": clip.gender, "true": [], "pred": []})
-        by_pid[clip.participant_id]["true"].append(derive_phq(clip.phq_subscores))
-        by_pid[clip.participant_id]["pred"].append(rec)
-
-    truth_results = []
-    pred_by_id = {}
-    for pid in sorted(by_pid):
-        info = by_pid[pid]
-        truth_results.append(aggregate_participant(pid, info["gender"], info["true"]))
-        pred_agg = aggregate_participant(pid, info["gender"], info["pred"])
-        pred_by_id[pid] = (pred_agg.binary, pred_agg.score)
-    return truth_results, pred_by_id

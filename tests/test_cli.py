@@ -12,6 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
+from depest import errors
 from depest.cli import main
 from depest.tensorio import load_checkpoint
 
@@ -179,6 +180,13 @@ class TestUsageErrors:
         assert rc == 1
         assert "key=value" in capsys.readouterr().err
 
+    def test_zero_epochs_returns_1(self, pipeline, tmp_path, capsys):
+        rc = main(["train", "--clips-dir", str(pipeline["clips"]), "--out-dir", str(tmp_path),
+                   "--config", str(pipeline["cfg"]), "--epochs", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "epochs" in err[0]
+
 
 class TestDataErrors:
     def test_missing_manifest_returns_2(self, tmp_path, capsys):
@@ -259,6 +267,41 @@ class TestDataErrors:
         rc = main(["inspect-checkpoint", "--checkpoint", str(cut)])
         assert rc == 2
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inspect-checkpoint", "--checkpoint", "{dir}"],
+            ["eval", "--clips-dir", "{clips}", "--checkpoint", "{dir}", "--config", "{cfg}"],
+            ["preprocess", "--manifest", "{manifest}", "--out-dir", "{out}", "--config", "{dir}"],
+            ["train", "--clips-dir", "{file}", "--out-dir", "{out}"],
+        ],
+        ids=["checkpoint-dir", "eval-checkpoint-dir", "config-dir", "clips-dir-file"],
+    )
+    def test_wrong_path_kind_returns_2(self, pipeline, tmp_path, capsys, argv):
+        paths = {
+            "dir": tmp_path,
+            "file": pipeline["cfg"],
+            "clips": pipeline["clips"],
+            "cfg": pipeline["cfg"],
+            "manifest": pipeline["raw"] / "manifest.csv",
+            "out": tmp_path / "out",
+        }
+        rc = main([a.format(**paths) for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "cls, code",
+    [(errors.ConfigError, 1), (errors.GraphError, 3), (errors.NumericError, 3)]
+    + [(getattr(errors, n), 2) for n in ("DepestError", "ShapeError", "DomainError", "EmptyInputError",
+                                         "EmptyOutputError", "FormatError", "DataError")],
+)
+def test_error_classes_carry_exit_codes(cls, code):
+    assert cls("x").exit_code == code
 
 
 class TestConfigHashGuard:

@@ -1,4 +1,4 @@
-"""Training loop: overfit sanity, SGD equivalence, logs, early stops."""
+"""Training loop: overfit sanity, SGD equivalence, logs, early stops, reports."""
 
 import io
 
@@ -8,17 +8,18 @@ import pytest
 from conftest import tiny_clip
 from depest import autodiff as ad
 from depest import training
-from depest.errors import EmptyInputError
+from depest.errors import ConfigError, EmptyInputError
 from depest.model import BranchConfig, ModelConfig, MultiModalClassifier, batch_inputs
 from depest.musdl import MusdlConfig, kl_rows
+from depest.phq import aggregate_participant, compute_metrics, derive_phq, gender_split_report
 from depest.sam import SamConfig
 from depest.sampling import compute_sampler_weights, draw_indices
 from depest.training import (
     EpochStats,
-    aggregate_predictions,
     comparison_table,
     evaluate_clips,
     fusion_comparison,
+    report,
     soft_targets,
     train,
 )
@@ -173,6 +174,12 @@ class TestEarlyStop:
         with pytest.raises(EmptyInputError):
             evaluate_clips(make_model(), [], MUSDL_CFG, 16)
 
+    @pytest.mark.parametrize("epochs, batch_size", [(0, 4), (-1, 4), (1, 0)])
+    def test_non_positive_epochs_or_batch_rejected(self, epochs, batch_size):
+        clips = separable_clips(n_per_group=1)
+        with pytest.raises(ConfigError):
+            train(make_model(), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=epochs, batch_size=batch_size)
+
 
 class TestEvaluate:
     def test_result_shapes(self, rng):
@@ -180,14 +187,21 @@ class TestEvaluate:
         ev = evaluate_clips(make_model(), clips, MUSDL_CFG, 2)
         assert ev.subscores.shape == (5, 8)
         assert len(ev.records) == 5
-        assert 0.0 <= ev.clip_accuracy <= 1.0
+        assert ev.report.overall.n == 5
+        assert 0.0 <= ev.report.overall.accuracy <= 1.0
         assert ev.subscore_accuracy.shape == (8,)
 
     def test_single_gender_leaves_other_nan(self, rng):
         clips = [tiny_clip(rng, (1,) * 8, participant_id=f"P{i}", gender="female") for i in range(3)]
         ev = evaluate_clips(make_model(), clips, MUSDL_CFG, 16)
-        assert not np.isnan(ev.female_accuracy)
-        assert np.isnan(ev.male_accuracy)
+        assert ev.report.female.n == 3
+        assert ev.report.male is None
+        fh = io.StringIO()
+        history = train(make_model(), clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=1, batch_size=4, log_fh=fh)
+        female, male = fh.getvalue().split()[3:]
+        assert not np.isnan(float(female)) and female == f"{history[0].female_accuracy:.4f}"
+        assert male == "nan"
+        assert np.isnan(history[0].male_accuracy)
 
 
 class TestComparison:
@@ -237,18 +251,81 @@ class TestComparison:
         assert [sum(c is m for c in calls) for m in models] == [2, 2]
 
 
+def mixed_clips_and_records(seed=3):
+    """Two clips or three per participant, both genders, random labels and predictions."""
+    rng = np.random.default_rng(seed)
+    clips, records = [], []
+    for p, (gender, n_clips) in enumerate((("male", 3), ("female", 2), ("female", 3), ("male", 2), ("female", 1))):
+        for k in range(n_clips):
+            clips.append(tiny_clip(rng, tuple(rng.integers(0, 4, size=8)), participant_id=f"P{p}",
+                                   gender=gender, clip_index=k))
+            records.append(derive_phq(rng.integers(0, 4, size=8)))
+    return clips, records
+
+
+def per_clip_metrics(clips, records):
+    """The clip-level formula: metrics over the per-clip binary and score lists."""
+    truth = [derive_phq(c.phq_subscores) for c in clips]
+    return compute_metrics([r.binary for r in records], [t.binary for t in truth],
+                           [r.score for r in records], [t.score for t in truth])
+
+
+def participant_metrics(clips, records):
+    """The participant-level formula: aggregate each participant's truth and predictions by id."""
+    by_pid = {}
+    for clip, rec in zip(clips, records):
+        info = by_pid.setdefault(clip.participant_id, {"gender": clip.gender, "true": [], "pred": []})
+        info["true"].append(derive_phq(clip.phq_subscores))
+        info["pred"].append(rec)
+    truth, preds = [], {}
+    for pid in sorted(by_pid):
+        info = by_pid[pid]
+        truth.append(aggregate_participant(pid, info["gender"], info["true"]))
+        agg = aggregate_participant(pid, info["gender"], info["pred"])
+        preds[pid] = (agg.binary, agg.score)
+    return gender_split_report(truth, preds)
+
+
+class TestReport:
+    def test_clip_level_matches_per_clip_metrics(self):
+        clips, records = mixed_clips_and_records()
+        rep = report(clips, records)
+        assert rep.overall == per_clip_metrics(clips, records)
+        for gender in ("female", "male"):
+            idx = [i for i, c in enumerate(clips) if c.gender == gender]
+            assert getattr(rep, gender) == per_clip_metrics([clips[i] for i in idx], [records[i] for i in idx])
+
+    def test_evaluate_clips_report_is_clip_level(self):
+        clips, _ = mixed_clips_and_records()
+        ev = evaluate_clips(make_model(), clips, MUSDL_CFG, 4)
+        assert ev.report == report(clips, ev.records)
+        assert ev.report.overall == per_clip_metrics(clips, ev.records)
+        assert ev.report.overall.n == len(clips)
+
+    def test_participant_level_matches_grouped_aggregation(self):
+        clips, records = mixed_clips_and_records()
+        rep = report(clips, records, by_participant=True)
+        assert rep == participant_metrics(clips, records)
+        assert (rep.overall.n, rep.female.n, rep.male.n) == (5, 3, 2)
+
+
 class TestAggregate:
     def test_participant_grouping(self, rng):
         clips = []
         for pid, gender in (("P2", "male"), ("P0", "female"), ("P1", "female")):
             for k in range(2):
                 clips.append(tiny_clip(rng, (2,) * 8, participant_id=pid, gender=gender, clip_index=k))
-        truth, preds = aggregate_predictions(make_model(), clips, MUSDL_CFG, 16)
-        assert [r.participant_id for r in truth] == ["P0", "P1", "P2"]
-        assert set(preds) == {"P0", "P1", "P2"}
-        for r in truth:
-            assert r.score == 16  # eight items at 2 apiece
-            assert r.binary == 1
-        for binary, score in preds.values():
-            assert binary in (0, 1)
-            assert 0.0 <= score <= 24.0
+        pred_scores = [4, 6, 12, 14, 9, 12]  # two clips each of P2, P0, P1
+        records = [derive_phq([min(3, max(0, s - 3 * i)) for i in range(8)]) for s in pred_scores]
+        assert [r.score for r in records] == pred_scores
+        rep = report(clips, records, by_participant=True)
+        # truth: eight items at 2 apiece, score 16, binary 1, for every participant
+        assert (rep.overall.n, rep.female.n, rep.male.n) == (3, 2, 1)
+        # P0 votes 1,1 -> 1; P1 votes 0,1 -> no strict majority -> 0; P2 votes 0,0 -> 0
+        assert rep.overall.recall == pytest.approx(1 / 3)
+        assert rep.female.accuracy == 0.5
+        assert rep.male.accuracy == 0.0
+        # mean predicted scores 13, 10.5, 5 against 16
+        assert rep.female.mae == pytest.approx((3 + 5.5) / 2)
+        assert rep.male.mae == pytest.approx(11.0)
+        assert rep.overall.mae == pytest.approx((3 + 5.5 + 11) / 3)

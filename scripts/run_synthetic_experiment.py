@@ -1,11 +1,11 @@
 """Full synthetic-corpus experiment: generate, preprocess, train, report.
 
 Drives the `depest` CLI through synth-data, preprocess, train, eval and
-aggregate. The run config is written once to <out-dir>/run.cfg and every
-subcommand reads it, so the checkpoint's config hash matches and the
-file can be passed to a later `depest eval`. The built-in settings are a
-reduced model that converges on a laptop CPU in well under a minute;
-pass --config to replace them entirely.
+aggregate. The run config is written once to <out-dir>/run.cfg, which
+preprocess and train read; the checkpoint stores it, so eval and
+aggregate need only the checkpoint. The built-in settings are a reduced
+model that converges on a laptop CPU in well under a minute; pass
+--config to replace them entirely.
 """
 
 import argparse
@@ -59,7 +59,7 @@ def main() -> int:
 
     raw, clips, run = out / "raw", out / "clips", out / "run"
     conf = ["--config", run_cfg]
-    restore = ["--clips-dir", clips, "--checkpoint", run / "model.ckpt", "--out-dir", run, *conf]
+    restore = ["--clips-dir", clips, "--checkpoint", run / "model.ckpt", "--out-dir", run]
     steps = [
         ["synth-data", "--out-dir", raw, "--participants", args.participants, "--seed", args.seed,
          "--duration-s", args.duration_s, "--depressed-fraction", args.depressed_fraction],

@@ -9,7 +9,7 @@ Only the operations the model and its gradient checks use are
 implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``tanh``,
 ``relu``, ``sigmoid``, ``softmax``, the reductions ``sum_``, ``mean``,
 ``max_reduce`` and ``lower_median``, the shape ops ``reshape``,
-``transpose``, ``slice_axis``, ``concat`` and ``stack``, and ``affine``.
+``transpose``, ``slice_axis`` and ``stack``, and ``affine``.
 Convolution, pooling, batch norm and the LSTM (which carry their own
 hand-derived backwards) live in :mod:`depest.layers`.
 """
@@ -19,16 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphError, NumericError, ShapeError
-
-# When enabled, every op asserts its output is finite. Cheap insurance in
-# tests; off by default because the check is O(n) per op during training.
-_CHECK_FINITE = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-
 
 class Tensor:
     """Array value node in the autodiff graph."""
@@ -43,8 +33,6 @@ class Tensor:
         self._backward = _backward
         self._op = _op
         self._done = False
-        if _CHECK_FINITE and self.data.dtype.kind == "f" and not np.all(np.isfinite(self.data)):
-            raise NumericError(f"non-finite values produced by op '{_op or 'leaf'}'")
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op or 'leaf'}, grad={self.requires_grad})"
@@ -269,25 +257,9 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def max_reduce(a: Tensor, axis: int) -> Tensor:
-    """Maximum along one axis; ties route gradient to the lowest index."""
-    idx = np.argmax(a.data, axis=axis)
-    out_data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        _accum(a, full)
-
-    return _node(out_data, (a,), bwd, "max")
-
-
-def lower_median(a: Tensor, axis: int) -> Tensor:
-    """Lower median along one axis (deterministic for even counts)."""
-    n = a.data.shape[axis]
-    rank = (n - 1) // 2
-    order = np.argsort(a.data, axis=axis, kind="stable")
-    idx = np.take_along_axis(order, np.full_like(order.take([0], axis=axis), rank), axis=axis)
+def _select(a: Tensor, idx: np.ndarray, axis: int, op: str) -> Tensor:
+    """The entry at ``idx`` of each lane along ``axis``; gradient scatters back to it."""
+    idx = np.expand_dims(idx, axis)
     out_data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
 
     def bwd(g):
@@ -295,7 +267,18 @@ def lower_median(a: Tensor, axis: int) -> Tensor:
         np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
         _accum(a, full)
 
-    return _node(out_data, (a,), bwd, "lower_median")
+    return _node(out_data, (a,), bwd, op)
+
+
+def max_reduce(a: Tensor, axis: int) -> Tensor:
+    """Maximum along one axis; ties route gradient to the lowest index."""
+    return _select(a, np.argmax(a.data, axis=axis), axis, "max")
+
+
+def lower_median(a: Tensor, axis: int) -> Tensor:
+    """Lower median along one axis (deterministic for even counts)."""
+    rank = (a.data.shape[axis] - 1) // 2
+    return _select(a, np.argsort(a.data, axis=axis, kind="stable").take(rank, axis=axis), axis, "lower_median")
 
 
 # -- shape manipulation ------------------------------------------------
@@ -335,21 +318,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         _accum(a, full)
 
     return _node(out_data, (a,), bwd, "slice")
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _node(out_data, tuple(tensors), bwd, "concat")
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import read_clips, read_manifest, write_clips
+from .data import preprocess_session, read_clips, read_manifest, write_clips
 from .errors import ConfigError, DepestError
 from .model import FUSION_MODES, MODALITY_SETS, MultiModalClassifier
 from .synthetic import generate_synthetic_corpus
@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="depest", description="Multi-modal depression estimation pipeline.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sd = sub.add_parser("synth-data", help="generate a synthetic corpus", parents=[], add_help=True)
+    sd = sub.add_parser("synth-data", help="generate a synthetic corpus")
     sd.add_argument("--out-dir", required=True)
     sd.add_argument("--seed", type=int, default=0)
     sd.add_argument("--participants", type=int, default=8)
@@ -65,13 +65,13 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="clip-level metrics for a checkpoint")
     ev.add_argument("--clips-dir", required=True)
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--config")
+    ev.add_argument("--config", help="must match the config the checkpoint stores")
     ev.add_argument("--out-dir")
 
     ag = sub.add_parser("aggregate", help="participant-level + gender-split report")
     ag.add_argument("--clips-dir", required=True)
     ag.add_argument("--checkpoint", required=True)
-    ag.add_argument("--config")
+    ag.add_argument("--config", help="must match the config the checkpoint stores")
     ag.add_argument("--out-dir")
 
     ic = sub.add_parser("inspect-checkpoint", help="print checkpoint contents")
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_cfg(args, **extra) -> dict:
+def _load_cfg(args) -> dict:
     overrides = {}
     for attr, key in (("seed", "seed"), ("modality", "modality"), ("fusion", "fusion"), ("sam_rho", "sam_rho"), ("epochs", "epochs")):
         val = getattr(args, attr, None)
@@ -87,21 +87,21 @@ def _load_cfg(args, **extra) -> dict:
             overrides[key] = val
     if getattr(args, "no_gb", False):
         overrides["gender_balance"] = 0
-    overrides.update(extra)
     return cfgmod.parse_config(getattr(args, "config", None), overrides)
 
 
-def _restore_model(checkpoint_path, cfg: dict) -> MultiModalClassifier:
-    ckpt = load_checkpoint(checkpoint_path)
-    if ckpt.config_hash != cfgmod.config_hash(cfg):
-        raise ConfigError(
-            f"checkpoint was trained under a different config "
-            f"(checkpoint {ckpt.config_hash[:12]}, current {cfgmod.config_hash(cfg)[:12]}); "
-            f"pass the matching --config"
-        )
+def _restore_model(args) -> tuple:
+    """Rebuild the checkpoint's model under the config it stores; a given --config must equal it."""
+    ckpt = load_checkpoint(args.checkpoint)
+    cfg = cfgmod.parse_config(None, dict(line.partition("=")[::2] for line in ckpt.config_text.splitlines()))
+    if args.config is not None:
+        given = _load_cfg(args)
+        differ = [key for key in sorted(cfg) if given[key] != cfg[key]]
+        if differ:
+            raise ConfigError(f"checkpoint was trained under a different config; --config differs in {', '.join(differ)}")
     model = MultiModalClassifier(cfgmod.model_config(cfg), rng=np.random.default_rng(cfg["seed"]))
     model.load_state(ckpt.state)
-    return model
+    return model, cfg
 
 
 def cmd_synth_data(args) -> int:
@@ -119,8 +119,6 @@ def cmd_synth_data(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _load_cfg(args)
     entries = read_manifest(args.manifest)
-    from .data import preprocess_session
-
     total = 0
     for entry in entries:
         clips = preprocess_session(entry, cfg)
@@ -166,9 +164,8 @@ def cmd_train(args) -> int:
 
 def _evaluate(args, file_name: str, report_lines) -> int:
     """Restore the checkpoint, evaluate every clip, print and write the report."""
-    cfg = _load_cfg(args)
+    model, cfg = _restore_model(args)
     clips = read_clips(args.clips_dir)
-    model = _restore_model(args.checkpoint, cfg)
     ev = evaluate_clips(model, clips, cfgmod.musdl_config(cfg), cfg["batch_size"])
     text = "\n".join(report_lines(clips, ev))
     print(text)

@@ -2,9 +2,8 @@
 
 One text file, one `key=value` per line, '#' comments allowed. Every key
 has a default here; unknown keys are rejected so typos fail loudly. The
-canonical serialization (sorted keys) is what gets hashed into
-checkpoints, letting eval refuse a checkpoint trained under a different
-configuration.
+canonical serialization (sorted keys) is stored in checkpoints, so eval
+rebuilds a model under the configuration it was trained with.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from .model import BranchConfig, ModelConfig
 from .musdl import MusdlConfig
 from .sam import SamConfig
 from .dsp import MelConfig, StftConfig
-from .tensorio import config_digest
 
 DEFAULTS = {
     # audio front-end
@@ -102,7 +100,7 @@ def parse_config(path=None, overrides: dict = None) -> dict:
 
 
 def canonical_text(cfg: dict) -> str:
-    """Sorted key=value lines; this exact text is hashed into checkpoints."""
+    """Sorted key=value lines; this exact text is stored in checkpoints."""
     lines = []
     for key in sorted(cfg):
         value = cfg[key]
@@ -110,10 +108,6 @@ def canonical_text(cfg: dict) -> str:
             value = repr(value)
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
-
-
-def config_hash(cfg: dict) -> str:
-    return config_digest(canonical_text(cfg))
 
 
 def _int_tuple(key: str, raw: str) -> tuple:

@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import mel_config, stft_config
 from .dsp import read_wav, reclip_audio
 from .errors import DataError, FormatError
 from .features import (
@@ -22,9 +23,10 @@ from .features import (
     read_keypoints,
     sliding_window_clips,
 )
+from .phq import ITEM_MAX, N_ITEMS
 from .tensorio import read_tensor, write_tensor
 
-MANIFEST_FIELDS = ["participant_id", "gender"] + [f"s{i}" for i in range(8)] + ["audio", "keypoints", "embeddings"]
+MANIFEST_FIELDS = ["participant_id", "gender"] + [f"s{i}" for i in range(N_ITEMS)] + ["audio", "keypoints", "embeddings"]
 
 
 @dataclass
@@ -40,7 +42,7 @@ class ManifestEntry:
         if self.gender not in ("female", "male"):
             raise DataError(f"gender must be female or male, got '{self.gender}'")
         subs = tuple(int(s) for s in self.phq_subscores)
-        if len(subs) != 8 or any(s < 0 or s > 3 for s in subs):
+        if len(subs) != N_ITEMS or any(s < 0 or s > ITEM_MAX for s in subs):
             raise DataError(f"bad subscores for {self.participant_id}: {self.phq_subscores}")
         self.phq_subscores = subs
 
@@ -78,20 +80,13 @@ def read_manifest(path) -> list:
             if pid in seen:
                 raise DataError(f"{path}:{ln}: duplicate participant id '{pid}'")
             seen.add(pid)
+            items = row[2 : 2 + N_ITEMS]
             try:
-                subscores = tuple(int(v) for v in row[2:10])
+                subscores = tuple(int(v) for v in items)
             except ValueError as exc:
-                raise FormatError(f"{path}:{ln}: subscores must be integers, got {row[2:10]}") from exc
-            entries.append(
-                ManifestEntry(
-                    participant_id=pid,
-                    gender=row[1],
-                    phq_subscores=subscores,
-                    audio_path=path.parent / row[10],
-                    keypoints_path=path.parent / row[11],
-                    embeddings_path=path.parent / row[12],
-                )
-            )
+                raise FormatError(f"{path}:{ln}: subscores must be integers, got {items}") from exc
+            audio, keypoints, embeddings = (path.parent / name for name in row[2 + N_ITEMS :])
+            entries.append(ManifestEntry(pid, row[1], subscores, audio, keypoints, embeddings))
     if not entries:
         raise DataError(f"{path}: manifest lists no participants")
     return entries
@@ -113,8 +108,6 @@ def load_session(entry: ManifestEntry) -> SessionFeatures:
 
 def preprocess_session(entry: ManifestEntry, cfg: dict) -> list:
     """Manifest row -> clip samples under the given run config."""
-    from .config import mel_config, stft_config  # local import to avoid a cycle
-
     session = load_session(entry)
     if cfg["reclip"]:
         # audio-only trimming; visual/text timelines are untouched, so only

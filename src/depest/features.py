@@ -20,6 +20,7 @@ import numpy as np
 
 from .dsp import MelConfig, StftConfig, Waveform, log_mel_spectrogram, standardize
 from .errors import ConfigError, DataError, EmptyInputError, EmptyOutputError, FormatError
+from .phq import ITEM_MAX, N_ITEMS
 
 N_LANDMARKS = 68
 N_GAZE = 4
@@ -95,10 +96,10 @@ class ClipSample:
             np.asarray(a, dtype=np.float32) for a in (self.audio, self.visual, self.text)
         )
         self.phq_subscores = tuple(int(s) for s in self.phq_subscores)
-        if len(self.phq_subscores) != 8:
-            raise DataError(f"expected 8 item subscores, got {len(self.phq_subscores)}")
-        if any(s < 0 or s > 3 for s in self.phq_subscores):
-            raise DataError(f"subscores must lie in [0,3], got {self.phq_subscores}")
+        if len(self.phq_subscores) != N_ITEMS:
+            raise DataError(f"expected {N_ITEMS} item subscores, got {len(self.phq_subscores)}")
+        if any(s < 0 or s > ITEM_MAX for s in self.phq_subscores):
+            raise DataError(f"subscores must lie in [0,{ITEM_MAX}], got {self.phq_subscores}")
 
 
 @dataclass

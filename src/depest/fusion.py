@@ -135,11 +135,11 @@ class AttentionalFusion(Module):
     def forward(self, y: Tensor) -> Tensor:
         return _fuse_heads([self], y)
 
-    def force_saturation(self, high: bool, magnitude: float = 25.0) -> None:
+    def force_saturation(self, high: bool) -> None:
         """Pin the output-stage weights at ~1 (high) or ~0 by biasing its BNs."""
         for bn in (self.att_out.local_bn2, self.att_out.global_bn2):
             bn.gamma.data[...] = 0.0
-            bn.beta.data[...] = magnitude if high else -magnitude
+            bn.beta.data[...] = 25.0 if high else -25.0
 
 
 class SubAttentionalBank(Module):

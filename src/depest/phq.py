@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError, EmptyInputError, ShapeError
 
 N_ITEMS = 8
+ITEM_MAX = 3
 BINARY_CUTOFF = 10
 
 SEVERITY_BANDS = (
@@ -30,7 +31,6 @@ SEVERITY_BANDS = (
 
 @dataclass(frozen=True)
 class PhqRecord:
-    subscores: tuple
     score: int
     binary: int
     severity: str
@@ -40,7 +40,6 @@ class PhqRecord:
 class ParticipantResult:
     participant_id: str
     gender: str
-    clip_records: list
     score: float  # mean of clip scores
     binary: int  # strict-majority vote over clip binaries
 
@@ -83,11 +82,10 @@ def derive_phq(subscores) -> PhqRecord:
     subs = tuple(int(s) for s in subscores)
     if len(subs) != N_ITEMS:
         raise DomainError(f"expected {N_ITEMS} subscores, got {len(subs)}")
-    if any(s < 0 or s > 3 for s in subs):
-        raise DomainError(f"subscores must lie in [0,3], got {subs}")
+    if any(s < 0 or s > ITEM_MAX for s in subs):
+        raise DomainError(f"subscores must lie in [0,{ITEM_MAX}], got {subs}")
     score = sum(subs)
     return PhqRecord(
-        subscores=subs,
         score=score,
         binary=int(score >= BINARY_CUTOFF),
         severity=severity_band(score),
@@ -104,7 +102,6 @@ def aggregate_participant(participant_id: str, gender: str, clip_records) -> Par
     return ParticipantResult(
         participant_id=participant_id,
         gender=gender,
-        clip_records=clip_records,
         score=float(np.mean(scores)),
         binary=int(np.mean(votes) > 0.5),
     )

@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError
+from .phq import BINARY_CUTOFF
 
 SAMPLER_MODES = ("score", "binary")
 
@@ -23,7 +24,7 @@ def _clip_class(clip, mode: str):
     total = sum(clip.phq_subscores)
     if mode == "score":
         return total
-    return int(total >= 10)
+    return int(total >= BINARY_CUTOFF)
 
 
 def compute_sampler_weights(clips, mode: str = "score", gender_balance: bool = False) -> np.ndarray:

@@ -20,12 +20,14 @@ from .data import ManifestEntry, write_manifest
 from .dsp import Waveform, write_wav
 from .errors import ConfigError
 from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, write_embeddings, write_keypoints
+from .phq import BINARY_CUTOFF, ITEM_MAX, N_ITEMS
 
 TONE_BASE_HZ = 250
 TONE_STEP_HZ = 170
 TONE_BASE_AMP = 0.02
 TONE_SCORE_AMP = 0.02
 NOISE_AMP = 0.005
+SENTENCE_EVERY_S = 5.0
 
 
 def _fixed_geometry():
@@ -66,12 +68,12 @@ def _stratified_flags(n: int, n_true: int) -> list:
 
 def _sample_subscores(rng: np.random.Generator, depressed: bool) -> tuple:
     if depressed:
-        items = rng.integers(1, 4, size=8)
-        while items.sum() < 10:
-            idx = rng.integers(0, 8)
-            items[idx] = min(3, items[idx] + 1)
+        items = rng.integers(1, ITEM_MAX + 1, size=N_ITEMS)
+        while items.sum() < BINARY_CUTOFF:
+            idx = rng.integers(0, N_ITEMS)
+            items[idx] = min(ITEM_MAX, items[idx] + 1)
     else:
-        items = rng.integers(0, 2, size=8)  # total <= 8, always below the cut
+        items = rng.integers(0, 2, size=N_ITEMS)  # total <= 8, always below the cut
     return tuple(int(v) for v in items)
 
 
@@ -115,14 +117,14 @@ def synth_keypoints(rng: np.random.Generator, total_score: int, duration_s: floa
     return Keypoints(times=times, points=points)
 
 
-def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int, duration_s: float, every_s: float = 5.0) -> Sentences:
+def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int, duration_s: float) -> Sentences:
     """One sentence every few seconds, displaced along class directions."""
     _, _, _, u_bin, u_score = _fixed_geometry()
     sign = 1.0 if depressed else -1.0
     mean = 2.0 * sign * u_bin + (total_score / 24.0) * u_score
-    n = int(duration_s // every_s)
-    starts = np.arange(n) * every_s
-    return Sentences(starts=starts, stops=starts + every_s * 0.8, vectors=mean + 0.3 * rng.standard_normal((n, EMBED_DIM)))
+    n = int(duration_s // SENTENCE_EVERY_S)
+    starts = np.arange(n) * SENTENCE_EVERY_S
+    return Sentences(starts=starts, stops=starts + SENTENCE_EVERY_S * 0.8, vectors=mean + 0.3 * rng.standard_normal((n, EMBED_DIM)))
 
 
 def generate_synthetic_corpus(
@@ -171,7 +173,6 @@ def generate_synthetic_corpus(
         )
 
     manifest = out_dir / "manifest.csv"
-    # entries carry absolute-ish paths for loading; the file stores them
-    # relative to the manifest location
+    # entry paths are relative to the manifest, which read_manifest resolves
     write_manifest(manifest, entries)
     return manifest

@@ -85,10 +85,6 @@ def read_tensor(path) -> np.ndarray:
     return arr
 
 
-def config_digest(config_text: str) -> str:
-    return hashlib.sha256(config_text.encode()).hexdigest()
-
-
 @dataclass
 class Checkpoint:
     epoch: int
@@ -99,18 +95,20 @@ class Checkpoint:
 
 def save_checkpoint(path, epoch: int, config_text: str, state: dict) -> None:
     """Epoch + config snapshot + named float32 tensors, name-sorted."""
-    blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, epoch)
-    blob += hashlib.sha256(config_text.encode()).digest()
     cfg = config_text.encode()
-    blob += struct.pack("<I", len(cfg)) + cfg
     names = sorted(state)
-    blob += struct.pack("<I", len(names))
+    parts = [
+        CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, epoch),
+        hashlib.sha256(cfg).digest(),
+        struct.pack("<I", len(cfg)) + cfg,
+        struct.pack("<I", len(names)),
+    ]
     for name in names:
         nb = name.encode()
-        blob += struct.pack("<I", len(nb)) + nb
-        blob += _tensor_bytes(np.asarray(state[name]))
+        parts.append(struct.pack("<I", len(nb)) + nb)
+        parts.append(_tensor_bytes(np.asarray(state[name])))
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(b"".join(parts))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -3,8 +3,8 @@
 One step draws a weighted batch, builds the soft-label targets, and
 runs a two-pass sharpness-aware update on the summed (optionally
 class-weight scaled) KL loss. Epoch stats track the mean step loss plus
-clip-level binary accuracy and per-item accuracy over the whole clip
-set, split by gender for the epoch log. Every reported metric, per
+clip-level binary accuracy over the whole clip set, split by gender for
+the epoch log. Every reported metric, per
 clip or per participant, comes from one gender-split report over the
 clips' predicted records.
 """
@@ -29,7 +29,6 @@ class EpochStats:
     epoch: int
     loss: float
     clip_accuracy: float  # binary, over all clips
-    subscore_accuracy: np.ndarray  # [n_items]
     female_accuracy: float
     male_accuracy: float
 
@@ -44,7 +43,6 @@ class EpochStats:
 class EvalResult:
     subscores: np.ndarray  # [n_clips, n_items] predictions
     records: list  # PhqRecord per clip
-    subscore_accuracy: np.ndarray
     report: GenderSplitReport  # clip level
 
 
@@ -90,7 +88,6 @@ def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, b
     return EvalResult(
         subscores=subs,
         records=records,
-        subscore_accuracy=(subs == np.array([c.phq_subscores for c in clips])).mean(axis=0),
         report=report(clips, records),
     )
 
@@ -157,7 +154,6 @@ def train(
             epoch=epoch,
             loss=float(np.mean(losses)),
             clip_accuracy=rep.overall.accuracy,
-            subscore_accuracy=ev.subscore_accuracy,
             female_accuracy=rep.female.accuracy if rep.female else float("nan"),
             male_accuracy=rep.male.accuracy if rep.male else float("nan"),
         )

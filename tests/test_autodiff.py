@@ -119,14 +119,12 @@ class TestReductionsAndShape:
         a = ad.reshape(xt, (3, 4))
         b = ad.transpose(a, (1, 0))
         c = ad.slice_axis(b, 0, 1, 3)
-        d = ad.concat([c, c], axis=1)
-        e = ad.stack([d, d], axis=0)
+        e = ad.stack([c, c], axis=0)
         ad.backward(ad.sum_(ad.mul(e, e)))
 
         def f(v):
             a = v.reshape(3, 4).T[1:3]
-            d = np.concatenate([a, a], axis=1)
-            e = np.stack([d, d])
+            e = np.stack([a, a])
             return (e**2).sum()
 
         (num,) = fd_gradients(f, [x])

@@ -14,7 +14,7 @@ import pytest
 
 from depest import errors
 from depest.cli import main
-from depest.tensorio import load_checkpoint
+from depest.tensorio import load_checkpoint, save_checkpoint
 
 # small model, short run; keys mirror the config-file syntax users write
 TINY_CFG = """
@@ -304,18 +304,46 @@ def test_error_classes_carry_exit_codes(cls, code):
     assert cls("x").exit_code == code
 
 
+@pytest.fixture(scope="module")
+def audio_mean_run(pipeline):
+    """A checkpoint trained with --modality a --fusion mean, plus a config file that matches it."""
+    run = pipeline["root"] / "run_a_mean"
+    rc = main(["train", "--clips-dir", str(pipeline["clips"]), "--out-dir", str(run),
+               "--config", str(pipeline["cfg"]), "--modality", "a", "--fusion", "mean"])
+    assert rc == 0
+    matching = pipeline["root"] / "a_mean.cfg"
+    matching.write_text(TINY_CFG + "modality = a\nfusion = mean\n")
+    return run / "model.ckpt", matching
+
+
 class TestConfigHashGuard:
-    def test_eval_refuses_mismatched_config(self, pipeline, capsys):
-        # defaults differ from the training config, so the hash cannot match
-        rc = main(
-            [
-                "eval",
-                "--clips-dir", str(pipeline["clips"]),
-                "--checkpoint", str(pipeline["run"] / "model.ckpt"),
-            ]
-        )
+    @pytest.mark.parametrize("command", ["eval", "aggregate"])
+    def test_restores_under_the_stored_config(self, pipeline, audio_mean_run, capsys, command):
+        # flags change the trained config; without --config the checkpoint's own is used
+        ckpt, matching = audio_mean_run
+        argv = [command, "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(ckpt)]
+        assert main(argv + ["--config", str(matching)]) == 0
+        want = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_eval_refuses_mismatched_config(self, pipeline, audio_mean_run, capsys):
+        ckpt, _ = audio_mean_run
+        rc = main(["eval", "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(ckpt),
+                   "--config", str(pipeline["cfg"])])
         assert rc == 1
-        assert "different config" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "different config" in err[0] and "fusion, modality" in err[0]
+
+    def test_unknown_key_in_stored_config_returns_1(self, pipeline, tmp_path, capsys):
+        ckpt = load_checkpoint(pipeline["run"] / "model.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, ckpt.epoch, ckpt.config_text + "learning_rate=0.1\n", ckpt.state)
+        rc = main(["eval", "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "learning_rate" in err[0]
 
     def test_aggregate_refuses_mismatched_config(self, pipeline, tmp_path, capsys):
         tweaked = tmp_path / "tweaked.cfg"

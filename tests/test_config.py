@@ -1,11 +1,10 @@
-"""Flat key=value config parsing and hashing."""
+"""Flat key=value config parsing and canonical text."""
 
 import pytest
 
 from depest.config import (
     DEFAULTS,
     canonical_text,
-    config_hash,
     mel_config,
     model_config,
     musdl_config,
@@ -86,20 +85,19 @@ class TestCanonical:
         assert text == canonical_text(dict(reversed(list(cfg.items()))))
 
     def test_hash_changes_with_any_value(self):
-        base = parse_config()
-        h0 = config_hash(base)
+        base = canonical_text(parse_config())
         for key, bumped in [("lr", 0.5), ("epochs", 3), ("modality", "a"), ("sam_rho", 0.0)]:
             cfg = parse_config(overrides={key: bumped})
-            assert config_hash(cfg) != h0, key
+            assert canonical_text(cfg) != base, key
 
     def test_hash_stable_across_parses(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("lr=0.05\n")
-        assert config_hash(parse_config(path)) == config_hash(parse_config(overrides={"lr": 0.05}))
+        assert canonical_text(parse_config(path)) == canonical_text(parse_config(overrides={"lr": 0.05}))
 
     def test_float_repr_distinguishes_close_values(self):
-        a = config_hash(parse_config(overrides={"lr": 0.1}))
-        b = config_hash(parse_config(overrides={"lr": 0.1 + 1e-12}))
+        a = canonical_text(parse_config(overrides={"lr": 0.1}))
+        b = canonical_text(parse_config(overrides={"lr": 0.1 + 1e-12}))
         assert a != b
 
 

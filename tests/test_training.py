@@ -143,8 +143,7 @@ class TestSgdEquivalence:
 class TestLogging:
     def test_log_line_fields(self):
         stats = EpochStats(
-            epoch=3, loss=0.5, clip_accuracy=0.75,
-            subscore_accuracy=np.zeros(8), female_accuracy=1.0, male_accuracy=0.5,
+            epoch=3, loss=0.5, clip_accuracy=0.75, female_accuracy=1.0, male_accuracy=0.5,
         )
         parts = stats.log_line().split()
         assert parts == ["3", "0.500000", "0.7500", "1.0000", "0.5000"]
@@ -189,7 +188,6 @@ class TestEvaluate:
         assert len(ev.records) == 5
         assert ev.report.overall.n == 5
         assert 0.0 <= ev.report.overall.accuracy <= 1.0
-        assert ev.subscore_accuracy.shape == (8,)
 
     def test_single_gender_leaves_other_nan(self, rng):
         clips = [tiny_clip(rng, (1,) * 8, participant_id=f"P{i}", gender="female") for i in range(3)]

@@ -1,12 +1,15 @@
 """Flat key=value run configuration.
 
 One text file, one `key=value` per line, '#' comments allowed. Every key
-has a default here; unknown keys are rejected so typos fail loudly. The
+has a default here, the one home of every run setting; unknown keys and
+non-finite float values are rejected so typos fail loudly. The
 canonical serialization (sorted keys) is stored in checkpoints, so eval
 rebuilds a model under the configuration it was trained with.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import ConfigError
 from .features import EMBED_DIM, FRAME_ROWS
@@ -20,11 +23,8 @@ DEFAULTS = {
     "sample_rate": 16000,
     "window_len": 1024,
     "fft_len": 1024,
-    "hop": 533,
+    "hop": 533,  # floor(16000 / 30): one hop per 30 Hz video frame
     "n_mels": 80,
-    "reclip": 0,  # audio-only energy reclipping (desyncs modality timelines; off by default)
-    "reclip_threshold": 1e-4,
-    "reclip_min_segment_s": 0.0,
     # clip cutting
     "clip_window_s": 60.0,
     "clip_overlap_s": 10.0,
@@ -96,6 +96,9 @@ def parse_config(path=None, overrides: dict = None) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key '{key}'")
         cfg[key] = _coerce(key, str(value)) if isinstance(value, str) else value
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' must be finite, got {value}")
     return cfg
 
 

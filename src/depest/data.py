@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import mel_config, stft_config
-from .dsp import read_wav, reclip_audio
+from .dsp import read_wav
 from .errors import DataError, FormatError
 from .features import (
     ClipSample,
@@ -108,19 +108,8 @@ def load_session(entry: ManifestEntry) -> SessionFeatures:
 
 def preprocess_session(entry: ManifestEntry, cfg: dict) -> list:
     """Manifest row -> clip samples under the given run config."""
-    session = load_session(entry)
-    if cfg["reclip"]:
-        # audio-only trimming; visual/text timelines are untouched, so only
-        # enable this for audio-only experiments
-        session.audio = reclip_audio(
-            session.audio,
-            energy_threshold=cfg["reclip_threshold"],
-            min_segment_s=cfg["reclip_min_segment_s"],
-            frame_len=cfg["window_len"],
-            hop=cfg["hop"],
-        )
     return sliding_window_clips(
-        session,
+        load_session(entry),
         window_s=cfg["clip_window_s"],
         overlap_s=cfg["clip_overlap_s"],
         stft_cfg=stft_config(cfg),

@@ -1,11 +1,12 @@
 """Audio front-end: waveform in, standardized log-mel grid out.
 
-Chain: raw mono waveform -> optional energy reclipping -> Hann-window
-STFT -> power spectrogram -> 80-bin mel projection -> log with floor ->
-global standardization. All stages are pure functions from a Waveform
-and two frozen configs to plain arrays; the STFT itself is rfft-backed
-and cross-checked against a naive direct-summation transform in the
-tests.
+Chain: raw mono waveform -> Hann-window STFT -> power spectrogram ->
+mel projection -> log with floor -> global standardization. All stages
+are pure functions from a Waveform and two frozen configs to plain
+arrays; the configs carry no defaults of their own, so every setting
+comes from `config` (`config.stft_config`, `config.mel_config`). The
+STFT itself is rfft-backed and cross-checked against a naive
+direct-summation transform in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EmptyInputError, EmptyOutputError, FormatError
+from .errors import ConfigError, DomainError, EmptyInputError, FormatError
 
 LOG_FLOOR = 1e-10
 
@@ -23,7 +24,7 @@ LOG_FLOOR = 1e-10
 @dataclass
 class Waveform:
     samples: np.ndarray
-    sample_rate_hz: int = 16000
+    sample_rate_hz: int = 16000  # the one front-end default outside config; Waveform(samples) is public
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -41,9 +42,9 @@ class Waveform:
 
 @dataclass(frozen=True)
 class StftConfig:
-    window_len: int = 1024
-    hop: int = 533  # floor(16000 / 30): one hop per 30 Hz video frame
-    fft_len: int = 1024
+    window_len: int
+    hop: int
+    fft_len: int
 
     def __post_init__(self):
         if self.window_len < 2:
@@ -56,15 +57,16 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class MelConfig:
-    n_mels: int = 80
-    f_min_hz: float = 0.0
-    f_max_hz: float = 8000.0
+    """Triangular mel bank from 0 Hz up to f_max_hz."""
+
+    n_mels: int
+    f_max_hz: float
 
     def __post_init__(self):
         if self.n_mels < 1:
             raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not (0.0 <= self.f_min_hz < self.f_max_hz):
-            raise ConfigError(f"need 0 <= f_min < f_max, got ({self.f_min_hz}, {self.f_max_hz})")
+        if not 0.0 < self.f_max_hz:
+            raise ConfigError(f"f_max must be > 0, got {self.f_max_hz}")
 
 
 def hann_window(window_len: int) -> np.ndarray:
@@ -76,16 +78,17 @@ def hann_window(window_len: int) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, window_len: int, hop: int) -> np.ndarray:
-    """Full frames [n_frames, window_len]; count = floor((N - L)/H) + 1."""
+    """Full frames [n_frames, window_len]; count = floor((N - L)/H) + 1.
+
+    A read-only strided view of samples, not a copy.
+    """
     n = samples.size
     if n < window_len:
         raise EmptyInputError(f"signal of {n} samples shorter than one {window_len}-sample window")
-    n_frames = (n - window_len) // hop + 1
-    idx = np.arange(window_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return samples[idx]
+    return np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
 
 
-def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
+def stft(w: Waveform, cfg: StftConfig) -> np.ndarray:
     """One-sided unnormalized STFT, complex [fft_len//2+1, n_frames].
 
     Frames past the signal end are never emitted; frames are windowed
@@ -116,7 +119,7 @@ def mel_filterbank(mel_cfg: MelConfig, fft_len: int, sample_rate_hz: int) -> np.
     n_bins = fft_len // 2 + 1
     if mel_cfg.f_max_hz > sample_rate_hz / 2 + 1e-9:
         raise ConfigError(f"f_max {mel_cfg.f_max_hz} above Nyquist {sample_rate_hz / 2}")
-    mel_pts = np.linspace(mel_scale(mel_cfg.f_min_hz), mel_scale(mel_cfg.f_max_hz), mel_cfg.n_mels + 2)
+    mel_pts = np.linspace(0.0, mel_scale(mel_cfg.f_max_hz), mel_cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     bin_freqs = np.arange(n_bins) * (sample_rate_hz / fft_len)
 
@@ -131,7 +134,7 @@ def mel_filterbank(mel_cfg: MelConfig, fft_len: int, sample_rate_hz: int) -> np.
     return bank
 
 
-def log_mel_spectrogram(w: Waveform, stft_cfg: StftConfig = StftConfig(), mel_cfg: MelConfig = MelConfig()) -> np.ndarray:
+def log_mel_spectrogram(w: Waveform, stft_cfg: StftConfig, mel_cfg: MelConfig) -> np.ndarray:
     """Log of the mel-projected power spectrogram, [n_mels, n_frames]."""
     bank = mel_filterbank(mel_cfg, stft_cfg.fft_len, w.sample_rate_hz)
     return np.log(LOG_FLOOR + bank @ (np.abs(stft(w, stft_cfg)) ** 2))
@@ -143,54 +146,6 @@ def standardize(values: np.ndarray) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros_like(values)
     return (values - values.mean()) / sigma
-
-
-def reclip_audio(
-    w: Waveform,
-    energy_threshold: float = 1e-4,
-    min_segment_s: float = 0.0,
-    frame_len: int = 1024,
-    hop: int = 533,
-) -> Waveform:
-    """Drop low-energy frames, keep every sample some surviving frame covers.
-
-    Frames start at multiples of ``hop``; the trailing partial frame is
-    scored on the samples it actually has. Energy is mean-square per
-    frame and the threshold is relative to the loudest frame, so a frame
-    is dropped when energy <= energy_threshold * max_energy. Overlapping
-    frames mean a sample survives if any covering frame does; samples no
-    frame covers (possible only when hop > frame_len) pass through.
-    Surviving runs shorter than ``min_segment_s`` are discarded as well,
-    which prunes isolated clicks.
-    """
-    if energy_threshold < 0:
-        raise ConfigError(f"energy threshold must be >= 0, got {energy_threshold}")
-    if min_segment_s < 0:
-        raise ConfigError(f"min segment length must be >= 0, got {min_segment_s}")
-    x = w.samples
-    n = x.size
-    starts = np.arange(0, n, hop)
-    energies = np.array([np.mean(x[s : s + frame_len] ** 2) for s in starts])
-    cutoff = energy_threshold * energies.max()
-
-    keep = np.zeros(n, dtype=bool)
-    covered = np.zeros(n, dtype=bool)
-    for s, e in zip(starts, energies):
-        covered[s : s + frame_len] = True
-        if e > cutoff:
-            keep[s : s + frame_len] = True
-    keep |= ~covered
-
-    min_run = int(round(min_segment_s * w.sample_rate_hz))
-    if min_run > 1 and keep.any():
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], keep, [False])).astype(np.int8)))
-        for run_start, run_stop in zip(edges[::2], edges[1::2]):
-            if run_stop - run_start < min_run:
-                keep[run_start:run_stop] = False
-
-    if not keep.any():
-        raise EmptyOutputError("reclipping removed the entire signal")
-    return Waveform(samples=x[keep], sample_rate_hz=w.sample_rate_hz)
 
 
 def read_wav(path) -> Waveform:

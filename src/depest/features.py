@@ -109,9 +109,9 @@ class SessionFeatures:
     audio: Waveform
     frames: Keypoints
     sentences: Sentences
-    phq_subscores: tuple = (0,) * 8
-    participant_id: str = ""
-    gender: str = "female"
+    phq_subscores: tuple
+    participant_id: str
+    gender: str
 
     @property
     def duration_s(self) -> float:
@@ -156,11 +156,11 @@ def clip_count(duration_s: float, window_s: float, overlap_s: float) -> int:
 
 def sliding_window_clips(
     session: SessionFeatures,
-    window_s: float = 60.0,
-    overlap_s: float = 10.0,
-    stft_cfg: StftConfig = StftConfig(),
-    mel_cfg: MelConfig = MelConfig(),
-    max_sentences: int = 32,
+    window_s: float,
+    overlap_s: float,
+    stft_cfg: StftConfig,
+    mel_cfg: MelConfig,
+    max_sentences: int,
 ) -> list:
     """Cut a session into overlapped fixed-length multi-modal clips.
 

@@ -511,7 +511,6 @@ class BiLSTM(Module):
         if min(input_size, hidden_size) < 1:
             raise ConfigError("bilstm sizes must be positive")
         rng = rng or np.random.default_rng(0)
-        self.hidden_size = hidden_size
         H = hidden_size
         self.w_f = _uniform_init(rng, (input_size, 4 * H), input_size, dtype)
         self.u_f = _uniform_init(rng, (H, 4 * H), H, dtype)

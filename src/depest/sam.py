@@ -76,7 +76,6 @@ class SamOptimizer:
         self.params = list(params)
         self.config = config
         self.base = Sgd(self.params, lr=config.lr, momentum=config.momentum)
-        self.loss_evals = 0  # incremented per loss/gradient evaluation
 
     def _eval_grads(self, loss_fn) -> tuple[float, list]:
         for p in self.params:
@@ -87,7 +86,6 @@ class SamOptimizer:
         if not np.all(np.isfinite(loss.data)):
             raise NumericError(f"non-finite loss {loss.data}")
         backward(loss)
-        self.loss_evals += 1
         grads = [None if p.grad is None else p.grad.copy() for p in self.params]
         return float(loss.data), grads
 

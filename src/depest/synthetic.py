@@ -139,8 +139,10 @@ def generate_synthetic_corpus(
     """Write sessions + manifest under out_dir; returns the manifest path."""
     if n_participants < 2:
         raise ConfigError("need at least 2 participants to cover both binary classes")
-    if not duration_s > 0:
-        raise ConfigError(f"session duration must be positive, got {duration_s} s")
+    if not 0 < duration_s < np.inf:
+        raise ConfigError(f"session duration must be positive and finite, got {duration_s} s")
+    if not 0.0 <= depressed_fraction <= 1.0:
+        raise ConfigError(f"depressed fraction must lie in [0, 1], got {depressed_fraction}")
     n_dep = int(round(depressed_fraction * n_participants))
     n_dep = min(max(n_dep, 1), n_participants - 1)  # both classes must appear
     dep_flags = _stratified_flags(n_participants, n_dep)

@@ -173,6 +173,32 @@ class TestUsageErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "duration" in err[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["synth-data", "--depressed-fraction", "nan"],
+        ["synth-data", "--depressed-fraction", "1.7"],
+        ["synth-data", "--duration-s", "inf"],
+    ])
+    def test_bad_synth_data_input_returns_1(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out-dir", str(tmp_path / "raw")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "raw").exists()
+
+    @pytest.mark.parametrize("line, flags, key", [
+        ("clip_window_s = nan", [], "clip_window_s"),
+        ("lr = inf", [], "lr"),
+        ("", ["--sam-rho", "nan"], "sam_rho"),
+    ])
+    def test_non_finite_config_value_returns_1(self, tmp_path, capsys, line, flags, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        command = ["train", "--clips-dir", "unused"] if flags else ["preprocess", "--manifest", "unused.csv"]
+        rc = main(command + ["--out-dir", str(tmp_path / "out"), "--config", str(cfg)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
+
     def test_malformed_config_line_returns_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochs\n")

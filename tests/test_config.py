@@ -1,5 +1,8 @@
 """Flat key=value config parsing and canonical text."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from depest.config import (
@@ -12,7 +15,9 @@ from depest.config import (
     sam_config,
     stft_config,
 )
+from depest.dsp import MelConfig, StftConfig, log_mel_spectrogram, stft
 from depest.errors import ConfigError
+from depest.features import sliding_window_clips
 
 
 class TestParse:
@@ -144,3 +149,17 @@ class TestBuilders:
         cfg = parse_config(overrides={"audio_channels": "16,32", "audio_pools": "2"})
         with pytest.raises(ConfigError):
             model_config(cfg)
+
+
+class TestOneHomeOfDefaults:
+    """Front-end settings come from DEFAULTS alone: the configs and functions carry no copy."""
+
+    @pytest.mark.parametrize("cls", [StftConfig, MelConfig])
+    def test_config_fields_have_no_defaults(self, cls):
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING, f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("fn", [stft, log_mel_spectrogram, sliding_window_clips])
+    def test_parameters_have_no_defaults(self, fn):
+        for name, param in inspect.signature(fn).parameters.items():
+            assert param.default is inspect.Parameter.empty, f"{fn.__name__}({name}=...)"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depest.config import mel_config, parse_config, stft_config
 from depest.dsp import Waveform
 from depest.errors import (
     ConfigError,
@@ -178,10 +179,23 @@ def tiny_session(rng, duration_s=130.0, subscores=(1, 0, 2, 0, 1, 0, 0, 3), fram
     )
 
 
+def cut(session):
+    """sliding_window_clips under the default run config."""
+    cfg = parse_config()
+    return sliding_window_clips(
+        session,
+        window_s=cfg["clip_window_s"],
+        overlap_s=cfg["clip_overlap_s"],
+        stft_cfg=stft_config(cfg),
+        mel_cfg=mel_config(cfg),
+        max_sentences=cfg["max_sentences"],
+    )
+
+
 class TestSlidingWindow:
     def test_clip_layout(self, rng):
         session = tiny_session(rng, duration_s=130.0)
-        clips = sliding_window_clips(session)
+        clips = cut(session)
         assert len(clips) == 2
         for k, c in enumerate(clips):
             assert c.clip_index == k
@@ -194,13 +208,13 @@ class TestSlidingWindow:
     def test_video_frames_match_audio_frames(self, rng):
         # 30 Hz video against hop 533 at 16 kHz: counts align exactly at 60 s
         session = tiny_session(rng, duration_s=70.0)
-        (clip,) = sliding_window_clips(session)
+        (clip,) = cut(session)
         assert clip.audio.shape[1] == 1800
         assert clip.visual.shape == (1800, FRAME_ROWS, 3)
 
     def test_sentence_midpoint_assignment(self, rng):
         session = tiny_session(rng, duration_s=120.0)
-        clips = sliding_window_clips(session)
+        clips = cut(session)
         # sentence i spans [5i, 5i+3), midpoint 5i+1.5; clip 0 covers [0,60)
         mid = session.sentences.midpoints
         in_clip0 = (0.0 <= mid) & (mid < 60.0)
@@ -210,7 +224,7 @@ class TestSlidingWindow:
 
     def test_audio_standardized_per_clip(self, rng):
         session = tiny_session(rng, duration_s=120.0)
-        for c in sliding_window_clips(session):
+        for c in cut(session):
             assert abs(c.audio.mean(dtype=np.float64)) < 1e-9
             assert abs(c.audio.std(dtype=np.float64) - 1.0) < 1e-9
 
@@ -218,7 +232,7 @@ class TestSlidingWindow:
         # 29.97 fps puts 1799 and 1798 frames in the two windows; both are
         # sampled onto the 1800 audio frames, nearest frame first
         session = tiny_session(rng, duration_s=130.0, frame_rate=29.97)
-        clips = sliding_window_clips(session)
+        clips = cut(session)
         assert [c.visual.shape for c in clips] == [(1800, FRAME_ROWS, 3)] * 2
         times = session.frames.times
         points = normalize_keypoints(session.frames.points)
@@ -233,22 +247,22 @@ class TestSlidingWindow:
         session = tiny_session(rng, duration_s=130.0)
         keep = session.frames.times < 40.0
         session.frames = Keypoints(times=session.frames.times[keep], points=session.frames.points[keep])
-        clips = sliding_window_clips(session)
+        clips = cut(session)
         assert clips[1].visual.shape == (0, FRAME_ROWS, 3)
         with pytest.raises(DataError):
             batch_inputs(clips[1:], VISUAL_ONLY)
 
     def test_modalities_are_float32(self, rng):
-        for c in sliding_window_clips(tiny_session(rng, duration_s=70.0)):
+        for c in cut(tiny_session(rng, duration_s=70.0)):
             assert (c.audio.dtype, c.visual.dtype, c.text.dtype) == (np.float32,) * 3
 
     def test_short_session_rejected(self, rng):
         with pytest.raises(EmptyOutputError):
-            sliding_window_clips(tiny_session(rng, duration_s=59.0))
+            cut(tiny_session(rng, duration_s=59.0))
 
     def test_overlap_region_shares_visual_content(self, rng):
         session = tiny_session(rng, duration_s=120.0)
-        c0, c1 = sliding_window_clips(session)
+        c0, c1 = cut(session)
         # clip 1 starts at 50s; clip 0 frames from 50s onward reappear
         times = session.frames.times
         n_overlap = int(np.count_nonzero((50.0 <= times) & (times < 60.0)))

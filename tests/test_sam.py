@@ -15,6 +15,17 @@ def quadratic_loss(w):
     return ad.mul(ad.tensor(0.5), ad.sum_(ad.mul(w, w)))
 
 
+def counted(loss_fn):
+    """loss_fn plus a list that grows by one per call."""
+    calls = []
+
+    def fn():
+        calls.append(None)
+        return loss_fn()
+
+    return fn, calls
+
+
 class TestConfig:
     def test_negative_rho_rejected(self):
         with pytest.raises(ConfigError):
@@ -47,9 +58,10 @@ class TestSgdEquivalence:
     def test_rho_zero_single_eval_per_step(self, rng):
         w = ad.tensor(rng.normal(size=(2,)), requires_grad=True)
         sam = SamOptimizer([w], SamConfig(rho=0.0, lr=0.1))
+        loss_fn, calls = counted(lambda: quadratic_loss(w))
         for _ in range(4):
-            sam.step(lambda: quadratic_loss(w))
-        assert sam.loss_evals == 4
+            sam.step(loss_fn)
+        assert len(calls) == 4
 
 
 class TestQuadraticOracle:
@@ -58,17 +70,19 @@ class TestQuadraticOracle:
         # g1=2, eps=0.5, perturbed w=2.5, g2=2.5, new w = 2 - 0.25 = 1.75
         w = ad.tensor(np.array([2.0]), requires_grad=True)
         sam = SamOptimizer([w], SamConfig(rho=0.5, lr=0.1))
-        loss = sam.step(lambda: quadratic_loss(w))
+        loss_fn, calls = counted(lambda: quadratic_loss(w))
+        loss = sam.step(loss_fn)
         assert loss == 2.0  # reported loss is pre-perturbation
         np.testing.assert_allclose(w.data, [1.75], atol=1e-15)
-        assert sam.loss_evals == 2
+        assert len(calls) == 2
 
     def test_two_evals_per_step_with_rho(self, rng):
         w = ad.tensor(rng.normal(size=(3,)), requires_grad=True)
         sam = SamOptimizer([w], SamConfig(rho=0.05, lr=0.01))
+        loss_fn, calls = counted(lambda: quadratic_loss(w))
         for _ in range(5):
-            sam.step(lambda: quadratic_loss(w))
-        assert sam.loss_evals == 10
+            sam.step(loss_fn)
+        assert len(calls) == 10
 
 
 class TestPerturbationGeometry:
@@ -125,9 +139,10 @@ class TestPerturbationGeometry:
     def test_zero_gradient_falls_back_to_plain_step(self):
         w = ad.tensor(np.zeros(3), requires_grad=True)
         sam = SamOptimizer([w], SamConfig(rho=0.5, lr=0.1))
-        sam.step(lambda: quadratic_loss(w))
+        loss_fn, calls = counted(lambda: quadratic_loss(w))
+        sam.step(loss_fn)
         np.testing.assert_array_equal(w.data, np.zeros(3))
-        assert sam.loss_evals == 1  # no second pass without an ascent direction
+        assert len(calls) == 1  # no second pass without an ascent direction
 
 
 class TestGuards:

@@ -6,8 +6,8 @@ build an implicit DAG by recording parent tensors and a backward closure;
 loss and runs each closure exactly once in reverse order.
 
 Only the operations the model and its gradient checks use are
-implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``tanh``,
-``relu``, ``sigmoid``, ``softmax``, the reductions ``sum_``, ``mean``,
+implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``relu``,
+``sigmoid``, ``softmax``, the reductions ``sum_``, ``mean``,
 ``max_reduce`` and ``lower_median``, the shape ops ``reshape``,
 ``transpose``, ``slice_axis`` and ``stack``, and ``affine``.
 Convolution, pooling, batch norm and the LSTM (which carry their own
@@ -176,15 +176,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
         _accum(a, g * mask)
 
     return _node(out_data, (a,), bwd, "clamp_min")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        _accum(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), bwd, "tanh")
 
 
 def relu(a: Tensor) -> Tensor:

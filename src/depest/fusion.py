@@ -159,33 +159,21 @@ class SubAttentionalBank(Module):
 def baseline_fuse(method: str, vectors) -> Tensor:
     """Late-fuse per-modality feature vectors by a fixed rule.
 
-    vectors: list of [d] (or [B,d]) tensors, or a stacked [n,d] /
-    [B,n,d] tensor, n >= 2. method is one of BASELINE_RULES: mult,
-    median, max, sum and mean reduce over the modality axis; concat joins
-    along features. Median is the lower median, deterministic for even
-    counts.
+    vectors: list of n >= 2 equal-shape [d] (or [B,d]) tensors. method is
+    one of BASELINE_RULES: mult, median, max, sum and mean reduce over the
+    modality axis; concat joins along features. Median is the lower
+    median, deterministic for even counts.
     """
     if method not in BASELINE_RULES:
         raise ConfigError(f"unknown fusion method '{method}', expected one of {BASELINE_RULES}")
-
-    if isinstance(vectors, (list, tuple)):
-        vectors = list(vectors)
-        if len(vectors) < 2:
-            raise ShapeError(f"need at least 2 modality vectors, got {len(vectors)}")
-        dims = {tuple(v.data.shape) for v in vectors}
-        if len(dims) != 1:
-            raise ShapeError(f"ragged modality dimensions: {sorted(dims)}")
-        axis = 0 if vectors[0].data.ndim == 1 else 1
-        stacked = ad.stack(vectors, axis=axis)
-    else:
-        stacked = vectors
-        axis = 0 if stacked.data.ndim == 2 else 1
-        if stacked.data.ndim not in (2, 3):
-            raise ShapeError(f"expected [n,d] or [B,n,d], got {stacked.data.shape}")
-        if stacked.data.shape[axis] < 2:
-            raise ShapeError(f"need at least 2 modalities, got {stacked.data.shape[axis]}")
-
-    n = stacked.data.shape[axis]
+    n = len(vectors)
+    if n < 2:
+        raise ShapeError(f"need at least 2 modality vectors, got {n}")
+    dims = {tuple(v.data.shape) for v in vectors}
+    if len(dims) != 1:
+        raise ShapeError(f"ragged modality dimensions: {sorted(dims)}")
+    axis = 0 if vectors[0].data.ndim == 1 else 1
+    stacked = ad.stack(vectors, axis=axis)
     if method == "mult":
         out = ad.slice_axis(stacked, axis, 0, 1)
         for i in range(1, n):

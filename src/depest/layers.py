@@ -1,10 +1,10 @@
 """Neural layers on top of the autodiff engine.
 
-The ops ``conv1d`` and ``conv2d`` (one shared correlation kernel),
-``max_pool1d``, ``batch_norm`` and ``bilstm`` carry hand-derived backward
-closures (their loops would be wasteful as compositions of elementwise
-graph nodes). All are validated by finite-difference checks in the test
-suite.
+The ops ``conv1d`` and ``conv2d`` (one shared correlation kernel:
+one GEMM per tap in 1-D, im2col in 2-D), ``max_pool1d``, ``batch_norm``
+and ``bilstm`` carry hand-derived backward closures (their loops would be
+wasteful as compositions of elementwise graph nodes). All are validated
+by finite-difference checks in the test suite.
 
 ``bilstm`` follows the cuDNN RNN recipe (Appleyard et al. 2016): time-major
 buffers, the input projection of all steps as one GEMM before the loop,
@@ -17,8 +17,7 @@ of the dtype's smallest normal number (flush-to-zero, as GPU float32
 kernels do): no product inside a GEMM is then subnormal, which would be
 many times slower on x86. Once ``dh`` and ``dc`` are all zero every later
 ``dz`` is exactly zero, so the loop stops and its GEMMs cover only the
-steps it reached. ``conv2d`` with a kernel as tall as its input
-correlates along the width only, with the height folded into the channels.
+steps it reached.
 
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 own parameters (Tensors with ``requires_grad=True``) and non-trainable
@@ -44,21 +43,13 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
     """Cross-correlation over the trailing ``len(stride)`` axes.
 
     The shared kernel of :func:`conv1d` and :func:`conv2d`, which validate
-    shapes first. A 2-D kernel as tall as the unpadded input (the visual
-    front-end) folds the height into the channels and correlates along the
-    width only: 3 taps instead of 216 for a [64, 3, 72, 3] kernel. With one
-    correlated axis, each tap's strided window goes to ``np.matmul`` as it
-    lies (``np.einsum`` would copy it). Other 2-D convs (the fusion bank's
-    3x3 ones on small maps) stack the windows into im2col columns
-    [B, C_in*kh*kw, oh*ow] and make each contraction one GEMM. The input
+    shapes first. In 1-D, each tap's strided window goes to ``np.matmul``
+    as it lies (``np.einsum`` would copy it). In 2-D (the fusion bank's
+    3x3 convs on small maps) the windows stack into im2col columns
+    [B, C_in*kh*kw, oh*ow] and each contraction is one GEMM. The input
     gradient is computed only when the input needs one.
     """
     xd, wd = x.data, weight.data
-    fold = len(stride) == 2 and padding[0] == 0 and wd.shape[2] == xd.shape[2]
-    if fold:
-        xd = xd.reshape(xd.shape[0], -1, xd.shape[3])
-        wd = wd.reshape(wd.shape[0], -1, wd.shape[3])
-        stride, padding = stride[1:], padding[1:]
     size = xd.shape[2:]
     kernel = wd.shape[2:]
     out_size = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(size, padding, kernel, stride))
@@ -79,12 +70,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
         out_data = np.matmul(w2, cols).reshape((B, O) + out_size)
     if bias is not None:
         out_data += bias.data.reshape((1, -1) + (1,) * len(size))
-    if fold:
-        out_data = out_data[:, :, None]
 
     def bwd(g):
-        if fold:
-            g = g[:, :, 0]
         if len(stride) == 1:
             dw = np.stack([np.matmul(g, xp[win].transpose(0, 2, 1)).sum(axis=0) for _, win in taps], axis=-1)
         else:
@@ -101,7 +88,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
                 for k, (_, win) in enumerate(taps):
                     dxp[win] += dcols[:, :, k]
             dx = dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp
-            _accum(x, dx.reshape(x.data.shape))
+            _accum(x, dx)
         if bias is not None:
             _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
 

@@ -21,7 +21,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
 from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
-from .layers import BatchNorm, BiLSTM, Conv1d, Conv2d, Linear, Module, max_pool1d
+from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, max_pool1d
 from .phq import N_ITEMS
 
 MODALITIES = ("a", "v", "t")
@@ -40,7 +40,7 @@ class BranchConfig:
     lstm_hidden: int
     out_dim: int
     kernel: int = 3
-    conv2d_height: int = 0  # >0: first stage is 2-D, kernel (height, kernel), collapsing the height axis
+    conv2d_height: int = 0  # >0: rows of a [B, C, H, T] input, folded into C*H conv channels
 
     def __post_init__(self):
         n = len(self.conv_channels)
@@ -93,31 +93,21 @@ class ModalityBranch(Module):
         rng = rng or np.random.default_rng(0)
         self.cfg = cfg
         self.convs, self.bns = [], []
-        prev = cfg.in_channels
-        for i, ch in enumerate(cfg.conv_channels):
-            if i == 0 and cfg.conv2d_height > 0:
-                self.convs.append(
-                    Conv2d(prev, ch, (cfg.conv2d_height, cfg.kernel), stride=(1, cfg.strides[i]), rng=rng, dtype=dtype)
-                )
-            else:
-                self.convs.append(Conv1d(prev, ch, cfg.kernel, stride=cfg.strides[i], rng=rng, dtype=dtype))
+        prev = cfg.in_channels * max(1, cfg.conv2d_height)
+        for ch, stride in zip(cfg.conv_channels, cfg.strides):
+            self.convs.append(Conv1d(prev, ch, cfg.kernel, stride=stride, rng=rng, dtype=dtype))
             self.bns.append(BatchNorm(ch, dtype=dtype))
             prev = ch
         self.lstm = BiLSTM(prev, cfg.lstm_hidden, rng=rng, dtype=dtype)
         self.fc = Linear(2 * cfg.lstm_hidden, cfg.out_dim, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        """[B, C, T] (or [B, C, H, T] for a 2-D first stage) -> [B, out_dim]."""
+        """[B, C, T] or [B, C, H, T] -> [B, out_dim]; H folds into the channels (index c*H + h)."""
+        if x.data.ndim == 4:
+            b, c, h, t = x.data.shape
+            x = ad.reshape(x, (b, c * h, t))
         for conv, bn, pool in zip(self.convs, self.bns, self.cfg.pools):
-            x = conv(x)
-            if x.data.ndim == 4:
-                if x.data.shape[2] != 1:
-                    raise ShapeError(
-                        f"2-D stage must consume the full height, got residual height {x.data.shape[2]}"
-                    )
-                b, c, _, t = x.data.shape
-                x = ad.reshape(x, (b, c, t))
-            x = ad.relu(bn(x))
+            x = ad.relu(bn(conv(x)))
             if pool > 1:
                 x = max_pool1d(x, pool)
         x = ad.transpose(x, (0, 2, 1))  # [B, T, C] for the recurrence
@@ -165,17 +155,14 @@ class MultiModalClassifier(Module):
         d = self.cfg.feature_dim
         if n == 1:
             head_inputs = feats * N_ITEMS
+        elif self.cfg.fusion in BASELINE_RULES:
+            head_inputs = [baseline_fuse(self.cfg.fusion, feats)] * N_ITEMS
         else:
-            stacked = ad.stack(feats, axis=1)  # [B, n, d]
+            ymap = ad.reshape(ad.stack(feats, axis=1), (B, 1, n, d))  # [B, n, d] as a 1-channel map
             if self.cfg.fusion == "subatten":
-                ymap = ad.reshape(stacked, (B, 1, n, d))
                 head_inputs = [ad.reshape(o, (B, n * d)) for o in self.bank(ymap)]
-            elif self.cfg.fusion == "atten":
-                fused = ad.reshape(self.fuser(ad.reshape(stacked, (B, 1, n, d))), (B, n * d))
-                head_inputs = [fused] * N_ITEMS
             else:
-                fused = baseline_fuse(self.cfg.fusion, stacked)
-                head_inputs = [fused] * N_ITEMS
+                head_inputs = [ad.reshape(self.fuser(ymap), (B, n * d))] * N_ITEMS
 
         probs = [ad.softmax(head(x), axis=1) for head, x in zip(self.heads, head_inputs)]
         return ad.stack(probs, axis=1)  # [B, N_ITEMS, n_classes]

@@ -108,8 +108,8 @@ def train(
 ) -> list:
     """Full training run; returns per-epoch stats (last epoch may stop early).
 
-    stop_accuracy halts once clip-level binary accuracy reaches the
-    target. The epoch log (if log_fh given) gets one line per epoch:
+    stop_accuracy (within [0, 1]) halts once clip-level binary accuracy
+    reaches it. The epoch log (if log_fh given) gets one line per epoch:
     epoch, mean loss, clip accuracy, female accuracy, male accuracy.
     """
     clips = list(clips)
@@ -117,6 +117,8 @@ def train(
         raise EmptyInputError("no training clips")
     if epochs < 1 or batch_size < 1:
         raise ConfigError(f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}")
+    if stop_accuracy is not None and not 0.0 <= stop_accuracy <= 1.0:
+        raise ConfigError(f"stop accuracy must be within [0, 1], got {stop_accuracy}")
     n_expanded = musdl_cfg.n_expanded
     targets_all = soft_targets(clips, musdl_cfg)  # [n, n_items, m']
     weights = compute_sampler_weights(clips, sampler_mode, gender_balance)

@@ -22,6 +22,10 @@ def fd_gradients(f, arrays, eps=1e-5):
     return grads
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def rel_err(analytic, numeric):
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)

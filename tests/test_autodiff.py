@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradients, rel_err
+from conftest import fd_gradients, rel_err, sigmoid
 from depest import autodiff as ad
 from depest.errors import GraphError, NumericError
 
@@ -40,10 +40,9 @@ class TestElementwise:
         assert rel_err(at.grad, num[0]) < TOL
         assert rel_err(bt.grad, num[1]) < TOL
 
-    def test_exp_log_tanh_relu_sigmoid(self):
+    def test_log_relu_sigmoid(self):
         check_unary(ad.log, np.log, low=0.2, high=3.0)
-        check_unary(ad.tanh, np.tanh)
-        check_unary(ad.sigmoid, lambda x: 1 / (1 + np.exp(-x)))
+        check_unary(ad.sigmoid, sigmoid)
         # relu kink avoided by keeping values away from 0
         check_unary(ad.relu, lambda x: np.maximum(x, 0.0), low=0.1, high=2.0)
         check_unary(ad.relu, lambda x: np.maximum(x, 0.0), low=-2.0, high=-0.1)
@@ -138,8 +137,8 @@ class TestReductionsAndShape:
         xt = ad.tensor(x.copy(), requires_grad=True)
         wt = ad.tensor(w.copy(), requires_grad=True)
         bt = ad.tensor(b.copy(), requires_grad=True)
-        ad.backward(ad.sum_(ad.tanh(ad.affine(xt, wt, bt))))
-        num = fd_gradients(lambda a, ww, bb: np.tanh(a @ ww.T + bb).sum(), [x, w, b])
+        ad.backward(ad.sum_(ad.sigmoid(ad.affine(xt, wt, bt))))
+        num = fd_gradients(lambda a, ww, bb: sigmoid(a @ ww.T + bb).sum(), [x, w, b])
         assert rel_err(xt.grad, num[0]) < TOL
         assert rel_err(wt.grad, num[1]) < TOL
         assert rel_err(bt.grad, num[2]) < TOL

@@ -199,6 +199,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-0.2"])
+    def test_stop_accuracy_outside_unit_interval_returns_1(self, pipeline, tmp_path, capsys, value):
+        rc = main(["train", "--clips-dir", str(pipeline["clips"]), "--out-dir", str(tmp_path / "run"),
+                   "--config", str(pipeline["cfg"]), "--stop-accuracy", value])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "stop accuracy" in err[0]
+        assert (tmp_path / "run" / "epoch_log.txt").read_text() == ""
+
     def test_malformed_config_line_returns_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochs\n")

@@ -255,10 +255,11 @@ class TestBaselines:
 
     def test_batched_inputs(self, rng):
         stacked = rng.normal(size=(4, 3, 6))  # [B, n, d]
-        out = baseline_fuse("mean", ad.tensor(stacked))
+        vecs = [ad.tensor(stacked[:, i]) for i in range(3)]
+        out = baseline_fuse("mean", vecs)
         np.testing.assert_allclose(out.data, stacked.mean(axis=1), atol=1e-12)
-        out = baseline_fuse("concat", ad.tensor(stacked))
-        assert out.data.shape == (4, 18)
+        out = baseline_fuse("concat", vecs)
+        np.testing.assert_array_equal(out.data, stacked.reshape(4, 18))
 
     def test_gradients_flow(self, rng):
         for method in ("mult", "concat", "median", "max", "sum", "mean"):

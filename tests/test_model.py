@@ -82,6 +82,14 @@ class TestBranch:
         out = branch(ad.tensor(rng.normal(size=(2, 3, 72, 6))))
         assert out.data.shape == (2, 6)
 
+    def test_visual_rows_fold_into_conv1d_channels(self, rng):
+        # [B, 3, 72, T] is read as [B, 216, T], channel c*72 + h
+        model = MultiModalClassifier(small_config("av"), rng=rng, dtype=np.float64)
+        assert dict(model.named_parameters())["branch_v.convs.0.weight"].data.shape == (4, 216, 3)
+        x = rng.normal(size=(2, 3, 72, 6))
+        folded = model.branch_v(ad.tensor(x.reshape(2, 216, 6))).data
+        np.testing.assert_array_equal(model.branch_v(ad.tensor(x)).data, folded)
+
     def test_partial_height_collapse_rejected(self, rng):
         branch = ModalityBranch(SMALL_VISUAL, rng=rng, dtype=np.float64)
         with pytest.raises(ShapeError):
@@ -230,7 +238,7 @@ class TestClipPlumbing:
         assert batch["visual"].data.shape == (3, 3, 72, 6)
 
     def test_batch_inputs_are_c_contiguous(self, rng):
-        # the full-height visual conv folds [B,3,72,T] into [B,216,T] as a view
+        # the visual branch folds [B,3,72,T] into [B,216,T] as a view
         clips = [tiny_clip(rng, (0,) * 8, clip_index=k) for k in range(3)]
         batch = batch_inputs(clips, small_config("avt"))
         for key, t in batch.items():

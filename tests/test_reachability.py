@@ -2,13 +2,17 @@
 
 Parses ``src/depest/*.py`` and ``scripts/*.py`` with ``ast`` and fails when
 a public top-level function, or a public method of a top-level class, is
-named nowhere in those files outside its own definition. Code that only
+used nowhere in those files outside its own definition. Code that only
 tests reach is dead weight in the product.
 
-The check matches names, not bindings: any ``Name`` or attribute access
-with the same spelling counts as a use, so ``np.tanh`` counts as a use of
-``autodiff.tanh``. It can miss dead code that shares a name with
-something live; it does not report live code as dead.
+Top-level functions are matched by binding. A function counts as used
+through a bare name in its own module, a ``from .mod import name`` (or
+``from depest.mod import name``) import, or ``alias.name`` where the
+alias is bound to its module by ``from . import mod as alias`` (or
+``from depest import mod``). So ``np.tanh`` is not a use of a
+``tanh`` defined in the package. Methods are matched by name: any
+attribute access with the same spelling counts, so a method can hide
+behind a live namesake, but live code is never reported as dead.
 """
 
 import ast
@@ -32,6 +36,34 @@ def _definitions(tree):
                     yield item.name, f"{node.name}.{item.name}"
 
 
+def _package_module(node):
+    """The package module an ``ImportFrom`` reads from: '' for the package itself, None if outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and (node.module + ".").startswith("depest."):
+        return node.module[len("depest") + 1:]
+    return None
+
+
+def _function_uses(tree, module):
+    """(module, name) pairs that this file binds: its own bare names, package imports and ``alias.name``."""
+    uses, aliases = set(), {}
+    for node in ast.walk(tree):
+        source = _package_module(node) if isinstance(node, ast.ImportFrom) else None
+        if source is not None:
+            for alias in node.names:
+                if source:
+                    uses.add((source, alias.name))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            uses.add((aliases[node.value.id], node.attr))
+    return uses
+
+
 def _used_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -41,10 +73,15 @@ def _used_names(tree):
 
 
 def test_every_public_function_is_named_in_product_code():
-    defined, used = [], set()
+    defined, used, function_uses = [], set(), set()
     for path in PRODUCT_FILES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined += [(name, qual, path.name) for name, qual in _definitions(tree) if not name.startswith("_")]
+        defined += [(path.stem, name, qual) for name, qual in _definitions(tree) if not name.startswith("_")]
         used.update(_used_names(tree))
-    unreached = sorted(f"{file}: {qual}" for name, qual, file in defined if name not in used and qual not in ALLOWED)
-    assert not unreached, "defined but named nowhere in src/ or scripts/:\n" + "\n".join(unreached)
+        function_uses |= _function_uses(tree, path.stem)
+    unreached = sorted(
+        f"{module}.py: {qual}"
+        for module, name, qual in defined
+        if qual not in ALLOWED and ((module, name) not in function_uses if name == qual else name not in used)
+    )
+    assert not unreached, "defined but used nowhere in src/ or scripts/:\n" + "\n".join(unreached)

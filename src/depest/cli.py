@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .data import preprocess_session, read_clips, read_manifest, write_clips
+from .data import map_sessions, preprocess_session, read_clips, read_manifest, write_clips
 from .errors import ConfigError, DepestError
 from .model import FUSION_MODES, MODALITY_SETS, MultiModalClassifier
 from .synthetic import generate_synthetic_corpus
@@ -116,14 +117,14 @@ def cmd_synth_data(args) -> int:
     return EXIT_OK
 
 
+def _preprocess_entry(entry, *, cfg: dict, out_dir) -> int:
+    return len(write_clips(out_dir, preprocess_session(entry, cfg)))
+
+
 def cmd_preprocess(args) -> int:
     cfg = _load_cfg(args)
     entries = read_manifest(args.manifest)
-    total = 0
-    for entry in entries:
-        clips = preprocess_session(entry, cfg)
-        write_clips(args.out_dir, clips)
-        total += len(clips)
+    total = sum(map_sessions(partial(_preprocess_entry, cfg=cfg, out_dir=args.out_dir), entries))
     print(f"wrote {total} clip bundles from {len(entries)} participants to {args.out_dir}")
     return EXIT_OK
 

@@ -4,12 +4,14 @@ A manifest is a small CSV naming each participant's label row and the
 three modality files. Loading a session pulls the WAV, keypoint text and
 embedding text into a SessionFeatures; preprocessing cuts it into
 overlapped clips and writes each clip as a bundle directory of tensor
-files plus a small metadata text file.
+files plus a small metadata text file. Sessions are independent, so
+``map_sessions`` runs them on every available CPU.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,6 +118,48 @@ def preprocess_session(entry: ManifestEntry, cfg: dict) -> list:
         mel_cfg=mel_config(cfg),
         max_sentences=cfg["max_sentences"],
     )
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_sessions(fn, items) -> list:
+    """[fn(item) for item in items], one process per available CPU.
+
+    The calling process runs every ``workers``-th item itself and forked
+    workers run the rest; results come back in item order. On the first
+    error (a worker's is seen when the caller finishes its current item),
+    items not yet started are cancelled and the error is raised. fn and
+    each item and result must pickle.
+    """
+    items = list(items)
+    workers = min(len(items), _available_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    # imported here, so train and eval, which start no pool, do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # named, not defaulted: Python 3.14 defaults to forkserver, whose workers re-import numpy and depest
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(fn, item) for i, item in enumerate(items) if i % workers}
+        results = [None] * len(items)
+        try:
+            for i in range(0, len(items), workers):
+                failed = next((f for f in futures.values() if f.done() and f.exception()), None)
+                if failed is not None:
+                    failed.result()  # raises the worker's error
+                results[i] = fn(items[i])
+            for i, f in futures.items():
+                results[i] = f.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
 
 
 # -- clip bundles ------------------------------------------------------

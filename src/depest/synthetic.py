@@ -6,17 +6,19 @@ binary classes and both genders always present), audio built from a
 tone mixture whose per-tone amplitude encodes one item score, facial
 keypoints oscillating with amplitude tied to the total score, and
 sentence embeddings displaced along fixed class directions. Everything
-derives from the seed, so the same call writes byte-identical corpora.
+derives from the seed, so the same call writes byte-identical corpora
+for any worker count.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from pathlib import Path
 
 import numpy as np
 
-from .data import ManifestEntry, write_manifest
+from .data import ManifestEntry, map_sessions, write_manifest
 from .dsp import Waveform, write_wav
 from .errors import ConfigError
 from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, write_embeddings, write_keypoints
@@ -127,6 +129,31 @@ def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int
     return Sentences(starts=starts, stops=starts + SENTENCE_EVERY_S * 0.8, vectors=mean + 0.3 * rng.standard_normal((n, EMBED_DIM)))
 
 
+def _write_session(j: int, *, out_dir: Path, seed: int, dep_flags: list, duration_s: float, sample_rate: int,
+                   frame_rate: float) -> ManifestEntry:
+    """Participant j's three modality files; its manifest row."""
+    pid = f"P{j:03d}"
+    rng = np.random.default_rng([seed, 7919, j])
+    subs = _sample_subscores(rng, dep_flags[j])
+    total = sum(subs)
+
+    pdir = out_dir / pid
+    pdir.mkdir(exist_ok=True)
+    write_wav(pdir / "audio.wav", synth_audio(rng, subs, duration_s, sample_rate))
+    write_keypoints(pdir / "keypoints.txt", synth_keypoints(rng, total, duration_s, frame_rate))
+    write_embeddings(pdir / "embeddings.txt", synth_embeddings(rng, dep_flags[j], total, duration_s))
+
+    # paths are relative to the manifest, which read_manifest resolves
+    return ManifestEntry(
+        participant_id=pid,
+        gender="female" if j % 2 == 0 else "male",
+        phq_subscores=subs,
+        audio_path=Path(pid) / "audio.wav",
+        keypoints_path=Path(pid) / "keypoints.txt",
+        embeddings_path=Path(pid) / "embeddings.txt",
+    )
+
+
 def generate_synthetic_corpus(
     out_dir,
     n_participants: int = 8,
@@ -145,36 +172,13 @@ def generate_synthetic_corpus(
         raise ConfigError(f"depressed fraction must lie in [0, 1], got {depressed_fraction}")
     n_dep = int(round(depressed_fraction * n_participants))
     n_dep = min(max(n_dep, 1), n_participants - 1)  # both classes must appear
-    dep_flags = _stratified_flags(n_participants, n_dep)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for j in range(n_participants):
-        pid = f"P{j:03d}"
-        gender = "female" if j % 2 == 0 else "male"
-        rng = np.random.default_rng([seed, 7919, j])
-        subs = _sample_subscores(rng, dep_flags[j])
-        total = sum(subs)
-
-        pdir = out_dir / pid
-        pdir.mkdir(exist_ok=True)
-        write_wav(pdir / "audio.wav", synth_audio(rng, subs, duration_s, sample_rate))
-        write_keypoints(pdir / "keypoints.txt", synth_keypoints(rng, total, duration_s, frame_rate))
-        write_embeddings(pdir / "embeddings.txt", synth_embeddings(rng, dep_flags[j], total, duration_s))
-
-        entries.append(
-            ManifestEntry(
-                participant_id=pid,
-                gender=gender,
-                phq_subscores=subs,
-                audio_path=Path(pid) / "audio.wav",
-                keypoints_path=Path(pid) / "keypoints.txt",
-                embeddings_path=Path(pid) / "embeddings.txt",
-            )
-        )
-
+    write = partial(
+        _write_session, out_dir=out_dir, seed=seed, dep_flags=_stratified_flags(n_participants, n_dep),
+        duration_s=duration_s, sample_rate=sample_rate, frame_rate=frame_rate,
+    )
     manifest = out_dir / "manifest.csv"
-    # entry paths are relative to the manifest, which read_manifest resolves
-    write_manifest(manifest, entries)
+    write_manifest(manifest, map_sessions(write, range(n_participants)))
     return manifest

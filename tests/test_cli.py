@@ -12,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from depest import errors
+from depest import cli, data, errors
 from depest.cli import main
 from depest.tensorio import load_checkpoint, save_checkpoint
 
@@ -244,6 +244,32 @@ class TestDataErrors:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(wav) in err[0]
+
+    @pytest.mark.parametrize("pid", ["P000", "P001"], ids=["caller-session", "worker-session"])
+    def test_corrupt_keypoints_returns_2(self, pipeline, tmp_path, capsys, monkeypatch, pid):
+        monkeypatch.setattr(data, "_available_cpus", lambda: 2)  # P000 in this process, P001 in a worker
+        raw = tmp_path / "raw"
+        shutil.copytree(pipeline["raw"], raw)
+        kp = raw / pid / "keypoints.txt"
+        lines = kp.read_text().splitlines(keepends=True)
+        lines[5] = "corrupt line\n"
+        kp.write_text("".join(lines))
+        rc = main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {kp}:6:")
+
+    def test_config_error_in_worker_returns_1(self, pipeline, tmp_path, capsys, monkeypatch):
+        def fail_p001(entry, cfg):
+            if entry.participant_id == "P001":
+                raise errors.ConfigError("bad setting for P001")
+            return data.preprocess_session(entry, cfg)
+
+        monkeypatch.setattr(data, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "preprocess_session", fail_p001)  # the forked worker inherits the patch
+        rc = main(["preprocess", "--manifest", str(pipeline["raw"] / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == ["error: bad setting for P001"]
 
     def test_non_integer_subscore_in_manifest_returns_2(self, pipeline, tmp_path, capsys):
         lines = (pipeline["raw"] / "manifest.csv").read_text().splitlines()

@@ -1,14 +1,22 @@
 """Manifests, session loading, and on-disk clip bundles."""
 
+import concurrent.futures
 import filecmp
+import hashlib
+import os
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import tiny_clip
+from depest import data
+from depest.cli import main
 from depest.data import (
     ManifestEntry,
+    map_sessions,
     preprocess_session,
     read_clip_bundle,
     read_clips,
@@ -18,7 +26,7 @@ from depest.data import (
     write_manifest,
 )
 from depest.config import parse_config
-from depest.errors import DataError, FormatError
+from depest.errors import ConfigError, DataError, FormatError
 from depest.synthetic import generate_synthetic_corpus
 
 
@@ -189,3 +197,65 @@ class TestPreprocess:
         assert files
         for rel in files:
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(str(p.relative_to(root)).encode())
+            h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+def with_pid(item):
+    return item, os.getpid()
+
+
+def mark_or_fail(item, *, bad, marks):
+    if item == bad:
+        raise ConfigError(f"session {item} failed")
+    time.sleep(0.2)
+    (marks / str(item)).touch()
+    return item
+
+
+class TestMapSessions:
+    def test_pool_writes_the_in_process_trees(self, tmp_path, monkeypatch):
+        # an odd session count, so the caller's share (P000, P002) and the worker's (P001) differ
+        digests = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(data, "_available_cpus", lambda n=cpus: n)
+            raw, clips = tmp_path / f"cpus{cpus}" / "raw", tmp_path / f"cpus{cpus}" / "clips"
+            assert main(["synth-data", "--out-dir", str(raw), "--participants", "3", "--duration-s", "70", "--seed", "6"]) == 0
+            assert main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(clips)]) == 0
+            digests[cpus] = tree_digest(raw), tree_digest(clips)
+        assert len(list((tmp_path / "cpus2" / "clips").iterdir())) == 3
+        assert digests[2] == digests[1]
+
+    @pytest.mark.parametrize("cpus, n_items, pools", [(1, 4, []), (4, 1, []), (3, 2, [1]), (2, 5, [1]), (4, 7, [3])])
+    def test_one_process_per_extra_cpu_and_caller_takes_its_share(self, monkeypatch, cpus, n_items, pools):
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(data, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        out = map_sessions(with_pid, range(n_items))
+        assert started == pools
+        assert [item for item, _ in out] == list(range(n_items))
+        workers = min(cpus, n_items)
+        assert [item for item, pid in out if pid == os.getpid()] == list(range(0, n_items, workers))
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["caller-fails", "worker-fails"])
+    def test_first_error_cancels_sessions_not_started(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(data, "_available_cpus", lambda: 2)
+        with pytest.raises(ConfigError, match=f"session {bad} failed") as info:
+            map_sessions(partial(mark_or_fail, bad=bad, marks=tmp_path), range(20))
+        assert info.value.exit_code == 1
+        # run to the end, 10 sessions would leave a mark; after the error only
+        # those already running or queued for the worker may
+        assert len(list(tmp_path.iterdir())) <= 5

@@ -131,10 +131,12 @@ def map_sessions(fn, items) -> list:
     """[fn(item) for item in items], one process per available CPU.
 
     The calling process runs every ``workers``-th item itself and forked
-    workers run the rest; results come back in item order. On the first
-    error (a worker's is seen when the caller finishes its current item),
-    items not yet started are cancelled and the error is raised. fn and
-    each item and result must pickle.
+    workers run the rest; results come back in item order. A worker gets
+    its next item only when it finishes one, so nothing waits in the
+    pool's queue: on the first error no further item starts, and the
+    error is raised once the items still running end (a worker's error
+    is seen when the caller finishes its current item). fn and each item
+    and result must pickle.
     """
     items = list(items)
     workers = min(len(items), _available_cpus())
@@ -142,21 +144,47 @@ def map_sessions(fn, items) -> list:
         return [fn(item) for item in items]
     # imported here, so train and eval, which start no pool, do not load them
     import multiprocessing
+    import queue
+    import threading
     from concurrent.futures import ProcessPoolExecutor
 
+    theirs = iter([i for i in range(len(items)) if i % workers])
+    left = len(items) - len(range(0, len(items), workers))  # worker results not yet collected
+    finished = queue.SimpleQueue()  # (index, future) of each worker item as it ends
+    lock = threading.Lock()
+    stop = False
+
+    def submit_next(done=None):
+        # called again from the pool's thread each time a worker item ends
+        nonlocal stop
+        with lock:
+            stop = stop or (done is not None and done.exception() is not None)
+            i = None if stop else next(theirs, None)
+            if i is None:
+                return
+            future = pool.submit(fn, items[i])
+        future.add_done_callback(lambda f: (finished.put((i, f)), submit_next(f)))
+
+    def collect(block):
+        nonlocal left
+        while left and (block or not finished.empty()):
+            i, future = finished.get()
+            results[i] = future.result()  # raises the worker's error
+            left -= 1
+
+    results = [None] * len(items)
     # named, not defaulted: Python 3.14 defaults to forkserver, whose workers re-import numpy and depest
     with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(fn, item) for i, item in enumerate(items) if i % workers}
-        results = [None] * len(items)
         try:
+            for _ in range(workers - 1):
+                submit_next()
             for i in range(0, len(items), workers):
-                failed = next((f for f in futures.values() if f.done() and f.exception()), None)
-                if failed is not None:
-                    failed.result()  # raises the worker's error
+                collect(block=False)
                 results[i] = fn(items[i])
-            for i, f in futures.items():
-                results[i] = f.result()
+            collect(block=True)
         except BaseException:
+            with lock:
+                stop = True
             pool.shutdown(cancel_futures=True)
             raise
     return results

@@ -8,10 +8,22 @@ shape [1, n_modalities, feature_dim], and either an 8-head attentional
 fusion bank or one of the simple late-fusion rules feeds 8 independent
 softmax classifiers, one per questionnaire item, over the expanded
 32-point score grid.
+
+The backbones share nothing until the fusion stage, so a forward pass
+runs them on up to one lane per available CPU: the calling thread runs
+one lane and a thread pool that lives for that call alone runs the
+rest, so no thread outlives a pass into the fork ``data.map_sessions``
+makes. Lanes are used only when numpy's BLAS runs one thread and the
+batch has at least ``_MIN_LANE_BATCH`` clips, so that numpy releases
+the GIL in its GEMMs and large loops for most of a pass; otherwise, and
+with one modality or one CPU, the branches run one after another. The
+output is bit-identical either way. Backward stays serial.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,12 @@ from .phq import N_ITEMS
 MODALITIES = ("a", "v", "t")
 MODALITY_SETS = ("a", "v", "t", "av", "avt")
 FUSION_MODES = BASELINE_RULES + ("atten", "subatten")
+_M_ARENA_MAX = -8  # glibc mallopt parameter
+# Below this batch the branches' per-step BiLSTM GEMMs are too small to
+# release the GIL for long, and two lanes ran slower than one (default
+# model at 1 BLAS thread on 2 x86-64 CPUs: forward 1.0-1.5x the serial
+# time at B=1-4, 0.65-0.95x at B=8-16).
+_MIN_LANE_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -144,11 +162,10 @@ class MultiModalClassifier(Module):
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
         """Batched modality tensors -> [B, N_ITEMS, n_classes] distributions."""
         given = {"a": audio, "v": visual, "t": text}
-        feats = []
         for letter in self.cfg.active:
             if given[letter] is None:
                 raise DataError(f"modality '{self.cfg.modality}' needs the '{letter}' input")
-            feats.append(getattr(self, f"branch_{letter}")(given[letter]))
+        feats = _run_branches([(getattr(self, f"branch_{m}"), given[m]) for m in self.cfg.active])
 
         B = feats[0].data.shape[0]
         n = len(feats)
@@ -166,6 +183,69 @@ class MultiModalClassifier(Module):
 
         probs = [ad.softmax(head(x), axis=1) for head, x in zip(self.heads, head_inputs)]
         return ad.stack(probs, axis=1)  # [B, N_ITEMS, n_classes]
+
+
+def _run_branches(calls) -> list:
+    """[branch(x) for branch, x in calls]; lane k runs calls k::lanes, the caller lane 0."""
+    lanes = _branch_lanes(len(calls), calls[0][1].data.shape[0])
+    if lanes == 1:
+        return [branch(x) for branch, x in calls]
+    # imported here, so ingest, which runs no model, does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    _one_malloc_arena()
+    feats = [None] * len(calls)
+
+    def run_lane(k):
+        for i in range(k, len(calls), lanes):
+            branch, x = calls[i]
+            feats[i] = branch(x)
+
+    # leaving the block joins the pool's threads, also when a lane raises
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        others = [pool.submit(run_lane, k) for k in range(1, lanes)]
+        run_lane(0)
+        for f in others:
+            f.result()
+    return feats
+
+
+def _branch_lanes(n_branches: int, batch: int) -> int:
+    """min(n_branches, available CPUs) at one BLAS thread and a batch of _MIN_LANE_BATCH or more; else 1."""
+    from . import data  # data imports config, which imports this module
+
+    if n_branches < 2 or batch < _MIN_LANE_BATCH or _blas_threads() != 1:
+        return 1
+    return min(n_branches, data._available_cpus())
+
+
+def _blas_threads() -> int:
+    """Threads numpy's bundled OpenBLAS runs a GEMM on; 0 when that cannot be read."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        # dlsym on numpy's own extension also searches the OpenBLAS it links
+        get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return 0
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Make every thread allocate from glibc's main malloc arena, for the whole process.
+
+    Without it each worker thread's arena keeps its own freed heap, and
+    peak RSS grows by tens of MB at the default model size. A no-op where
+    the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _clip_arrays(clip: ClipSample, cfg: ModelConfig) -> dict:

@@ -1,10 +1,19 @@
-"""Full classifier: branches, fusion wiring, heads, state round trip."""
+"""Full classifier: branches, fusion wiring, heads, state round trip, branch lanes."""
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fd_gradients, rel_err, tiny_clip
 from depest import autodiff as ad
+from depest import data, model as model_mod
+from depest.cli import main
 from depest.errors import ConfigError, DataError, ShapeError
 from depest.model import (
     BranchConfig,
@@ -13,6 +22,8 @@ from depest.model import (
     MultiModalClassifier,
     batch_inputs,
 )
+from depest.musdl import MusdlConfig
+from depest.training import evaluate_clips
 
 SMALL_AUDIO = BranchConfig(in_channels=8, conv_channels=(4,), pools=(2,), strides=(1,), lstm_hidden=3, out_dim=6)
 SMALL_VISUAL = BranchConfig(
@@ -206,6 +217,131 @@ class TestForward:
         num_a, num_bias = fd_gradients(f, [a, fc_bias])
         assert rel_err(at.grad, num_a) < 1e-3
         assert rel_err(grad_bias, num_bias) < 1e-3
+
+
+def force_lanes(monkeypatch, cpus, blas_threads=1):
+    monkeypatch.setattr(data, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(model_mod, "_blas_threads", lambda: blas_threads)
+
+
+def record_pools(monkeypatch):
+    """Each branch pool started, with its worker count and whether it was shut down with wait."""
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers, self.joined = max_workers, False
+            pools.append(self)
+
+        def shutdown(self, wait=True, **kwargs):
+            super().shutdown(wait, **kwargs)
+            self.joined = self.joined or wait
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return pools
+
+
+class TestBranchLanes:
+    @pytest.mark.parametrize("modality, fusion", [("avt", "subatten"), ("av", "max")])
+    def test_lanes_match_one_bit_for_bit(self, monkeypatch, modality, fusion):
+        # 3 CPUs give one lane per branch (3 threads, more than a 2-CPU machine
+        # has cores); a short switch interval makes the threads interleave often
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (3, 2, 1):
+                force_lanes(monkeypatch, cpus)
+                model = MultiModalClassifier(small_config(modality, fusion), rng=np.random.default_rng(4))
+                out = model(**small_inputs(np.random.default_rng(5), B=8, modality=modality))
+                ad.backward(ad.sum_(ad.mul(out, out)))
+                grads = {name: p.grad for name, p in model.named_parameters()}
+                runs.append((out.data, grads, dict(model.named_buffers())))
+        finally:
+            sys.setswitchinterval(interval)
+        out1, grads1, bufs1 = runs[-1]
+        assert len(bufs1) > 0
+        for out, grads, bufs in runs[:-1]:
+            assert np.array_equal(out, out1)
+            assert grads.keys() == grads1.keys()
+            assert all(np.array_equal(grads[k], grads1[k]) for k in grads1)
+            assert bufs.keys() == bufs1.keys()
+            assert all(np.array_equal(bufs[k], bufs1[k]) for k in bufs1)
+
+    @pytest.mark.parametrize(
+        "modality, batch, cpus, blas_threads, pools",
+        [
+            ("avt", 8, 2, 1, [1]), ("avt", 8, 4, 1, [2]), ("av", 8, 2, 1, [1]), ("a", 8, 2, 1, []),
+            ("avt", 7, 2, 1, []), ("avt", 8, 1, 1, []), ("avt", 8, 2, 2, []), ("avt", 8, 2, 0, []),
+        ],
+    )
+    def test_one_thread_per_extra_lane_at_one_blas_thread_and_batch_8(
+        self, monkeypatch, modality, batch, cpus, blas_threads, pools
+    ):
+        force_lanes(monkeypatch, cpus, blas_threads)
+        started = record_pools(monkeypatch)
+        model = MultiModalClassifier(small_config(modality), rng=np.random.default_rng(4))
+        model(**small_inputs(np.random.default_rng(5), B=batch, modality=modality))
+        assert [p.workers for p in started] == pools
+
+    def test_caller_runs_lane_zero(self, monkeypatch):
+        # 3 branches on 2 lanes: audio and text on the calling thread, visual on the worker
+        force_lanes(monkeypatch, 2)
+        model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+        ran_on = {}
+        for m in "avt":
+            branch = getattr(model, f"branch_{m}")
+
+            def forward(x, m=m, inner=branch.forward):
+                ran_on[m] = threading.get_ident()
+                return inner(x)
+
+            branch.forward = forward
+        model(**small_inputs(np.random.default_rng(5), B=8, modality="avt"))
+        assert ran_on["a"] == ran_on["t"] == threading.get_ident() != ran_on["v"]
+
+    def test_blas_thread_count_is_read(self):
+        if model_mod._blas_threads() == 0:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        probe = "from depest.model import _blas_threads; print(_blas_threads())"
+        for threads in ("1", "2"):
+            src = str(Path(model_mod.__file__).parents[1])
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == threads
+
+    def test_no_thread_outlives_a_pass(self, monkeypatch, rng):
+        force_lanes(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+        before = threading.active_count()
+        model = MultiModalClassifier(small_config("avt"), rng=rng)
+        model(**small_inputs(rng, B=8, modality="avt"))
+        assert threading.active_count() == before
+        clips = [tiny_clip(rng, (1, 2, 0, 3, 1, 0, 2, 1), clip_index=k) for k in range(9)]
+        evaluate_clips(model, clips, MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0), batch_size=8)
+        assert threading.active_count() == before
+        # the forward and the eval batch of 8 (its batch of 1 runs serially), each joined before returning
+        assert [(p.workers, p.joined) for p in started] == [(1, True), (1, True)]
+
+    def test_cli_train_then_preprocess_in_one_process(self, monkeypatch, tmp_path):
+        # preprocess forks its session workers after train ran threaded passes
+        force_lanes(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "feature_dim = 8\nlstm_hidden = 4\naudio_channels = 8\naudio_strides = 4\naudio_pools = 2\n"
+            "visual_channels = 8\nvisual_strides = 4\nvisual_pools = 2\ntext_channels = 8\nbatch_size = 8\n"
+        )
+        raw, clips = tmp_path / "raw", tmp_path / "clips"
+        assert main(["synth-data", "--out-dir", str(raw), "--participants", "8", "--duration-s", "70"]) == 0
+        prep = ["preprocess", "--manifest", str(raw / "manifest.csv"), "--config", str(cfg)]
+        assert main(prep + ["--out-dir", str(clips)]) == 0
+        before = threading.active_count()
+        assert main(["train", "--clips-dir", str(clips), "--out-dir", str(tmp_path / "run"),
+                     "--config", str(cfg), "--epochs", "1"]) == 0
+        assert started and all(p.joined for p in started) and threading.active_count() == before
+        assert main(prep + ["--out-dir", str(tmp_path / "again")]) == 0
 
 
 class TestClipPlumbing:

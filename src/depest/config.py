@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .features import EMBED_DIM, FRAME_ROWS
 from .model import BranchConfig, ModelConfig
 from .musdl import MusdlConfig
+from .phq import ITEM_MAX
 from .sam import SamConfig
 from .dsp import MelConfig, StftConfig
 
@@ -47,7 +48,6 @@ DEFAULTS = {
     "text_strides": "1",
     "text_kernel": 3,
     # soft labels
-    "musdl_classes": 4,
     "musdl_expanded": 32,
     "musdl_sigma": 5.0,
     # training
@@ -132,11 +132,7 @@ def mel_config(cfg: dict) -> MelConfig:
 
 
 def musdl_config(cfg: dict) -> MusdlConfig:
-    return MusdlConfig(
-        n_classes=cfg["musdl_classes"],
-        n_expanded=cfg["musdl_expanded"],
-        sigma=cfg["musdl_sigma"],
-    )
+    return MusdlConfig(n_classes=ITEM_MAX + 1, n_expanded=cfg["musdl_expanded"], sigma=cfg["musdl_sigma"])
 
 
 def sam_config(cfg: dict) -> SamConfig:

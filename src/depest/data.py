@@ -4,14 +4,18 @@ A manifest is a small CSV naming each participant's label row and the
 three modality files. Loading a session pulls the WAV, keypoint text and
 embedding text into a SessionFeatures; preprocessing cuts it into
 overlapped clips and writes each clip as a bundle directory of tensor
-files plus a small metadata text file. Sessions are independent, so
-``map_sessions`` runs them on every available CPU.
+files plus a small metadata text file. ``map_lanes`` is the one scheduler
+that spreads independent items over every available CPU: ``map_sessions``
+runs sessions on it in forked processes, and the model runs its branch
+forwards on it in threads.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import queue
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,35 +131,29 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_sessions(fn, items) -> list:
-    """[fn(item) for item in items], one process per available CPU.
+def map_lanes(fn, items, make_pool) -> list:
+    """[fn(item) for item in items] on one lane per available CPU.
 
-    The calling process runs every ``workers``-th item itself and forked
-    workers run the rest; results come back in item order. A worker gets
-    its next item only when it finishes one, so nothing waits in the
-    pool's queue: on the first error no further item starts, and the
-    error is raised once the items still running end (a worker's error
-    is seen when the caller finishes its current item). fn and each item
-    and result must pickle.
+    The caller runs items ``0::lanes`` itself and ``make_pool(lanes - 1)``
+    runs the rest; results come back in item order. A pool lane gets its
+    next item only when it finishes one, so nothing waits in the pool's
+    queue: on the first error no further item starts, and the error is
+    raised once the items still running end (a pool lane's error is seen
+    when the caller finishes its current item). The pool is joined
+    before this returns, also on error.
     """
     items = list(items)
-    workers = min(len(items), _available_cpus())
-    if workers <= 1 or not hasattr(os, "fork"):
+    lanes = min(len(items), _available_cpus())
+    if lanes <= 1:
         return [fn(item) for item in items]
-    # imported here, so train and eval, which start no pool, do not load them
-    import multiprocessing
-    import queue
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    theirs = iter([i for i in range(len(items)) if i % workers])
-    left = len(items) - len(range(0, len(items), workers))  # worker results not yet collected
-    finished = queue.SimpleQueue()  # (index, future) of each worker item as it ends
+    theirs = iter([i for i in range(len(items)) if i % lanes])
+    left = len(items) - len(range(0, len(items), lanes))  # pool results not yet collected
+    finished = queue.SimpleQueue()  # (index, future) of each pool item as it ends
     lock = threading.Lock()
     stop = False
 
     def submit_next(done=None):
-        # called again from the pool's thread each time a worker item ends
+        # called again from the pool's side each time a pool item ends
         nonlocal stop
         with lock:
             stop = stop or (done is not None and done.exception() is not None)
@@ -169,16 +167,15 @@ def map_sessions(fn, items) -> list:
         nonlocal left
         while left and (block or not finished.empty()):
             i, future = finished.get()
-            results[i] = future.result()  # raises the worker's error
+            results[i] = future.result()  # raises the pool lane's error
             left -= 1
 
     results = [None] * len(items)
-    # named, not defaulted: Python 3.14 defaults to forkserver, whose workers re-import numpy and depest
-    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+    with make_pool(lanes - 1) as pool:  # leaving the block joins the pool
         try:
-            for _ in range(workers - 1):
+            for _ in range(lanes - 1):
                 submit_next()
-            for i in range(0, len(items), workers):
+            for i in range(0, len(items), lanes):
                 collect(block=False)
                 results[i] = fn(items[i])
             collect(block=True)
@@ -188,6 +185,18 @@ def map_sessions(fn, items) -> list:
             pool.shutdown(cancel_futures=True)
             raise
     return results
+
+
+def map_sessions(fn, items) -> list:
+    """``map_lanes`` on forked worker processes; serial where there is no fork. fn and each item and result must pickle."""
+    if not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # named, not defaulted: Python 3.14 defaults to forkserver, whose workers re-import numpy and depest
+    fork = multiprocessing.get_context("fork")
+    return map_lanes(fn, items, lambda workers: ProcessPoolExecutor(workers, mp_context=fork))
 
 
 # -- clip bundles ------------------------------------------------------

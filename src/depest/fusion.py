@@ -25,7 +25,9 @@ BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
 
 
 def _gather(params, shape) -> Tensor:
-    """Same-shape per-head parameters stacked head-major into ``shape``; backward hands each its slice."""
+    """Same-shape per-head parameters stacked head-major into ``shape``; backward hands each its slice; one is not copied."""
+    if len(params) == 1:
+        return params[0] if params[0].data.shape == tuple(shape) else ad.reshape(params[0], shape)
     out_data = np.stack([p.data for p in params]).reshape(shape)
 
     def bwd(g):

@@ -10,14 +10,14 @@ softmax classifiers, one per questionnaire item, over the expanded
 32-point score grid.
 
 The backbones share nothing until the fusion stage, so a forward pass
-runs them on up to one lane per available CPU: the calling thread runs
-one lane and a thread pool that lives for that call alone runs the
-rest, so no thread outlives a pass into the fork ``data.map_sessions``
-makes. Lanes are used only when numpy's BLAS runs one thread and the
-batch has at least ``_MIN_LANE_BATCH`` clips, so that numpy releases
-the GIL in its GEMMs and large loops for most of a pass; otherwise, and
-with one modality or one CPU, the branches run one after another. The
-output is bit-identical either way. Backward stays serial.
+runs them on ``data.map_lanes``, the one lane scheduler, which also runs
+``data.map_sessions``: the calling thread runs one lane and a thread pool
+that lives for that call alone runs the rest, so no thread outlives a
+pass into the fork ``map_sessions`` makes. Lanes are used only when
+numpy's BLAS runs one thread and the batch has at least
+``_MIN_LANE_BATCH`` clips, so that numpy releases the GIL in its GEMMs
+and large loops for most of a pass; otherwise the branches run one after
+another. The output is bit-identical either way. Backward stays serial.
 """
 
 from __future__ import annotations
@@ -186,37 +186,16 @@ class MultiModalClassifier(Module):
 
 
 def _run_branches(calls) -> list:
-    """[branch(x) for branch, x in calls]; lane k runs calls k::lanes, the caller lane 0."""
-    lanes = _branch_lanes(len(calls), calls[0][1].data.shape[0])
-    if lanes == 1:
+    """[branch(x) for branch, x in calls], on ``data.map_lanes``' lanes at one BLAS thread and a batch of _MIN_LANE_BATCH or more."""
+    if calls[0][1].data.shape[0] < _MIN_LANE_BATCH or _blas_threads() != 1:
         return [branch(x) for branch, x in calls]
-    # imported here, so ingest, which runs no model, does not load it
+    # imported here: ingest runs no model, and data imports config, which imports this module
     from concurrent.futures import ThreadPoolExecutor
 
+    from . import data
+
     _one_malloc_arena()
-    feats = [None] * len(calls)
-
-    def run_lane(k):
-        for i in range(k, len(calls), lanes):
-            branch, x = calls[i]
-            feats[i] = branch(x)
-
-    # leaving the block joins the pool's threads, also when a lane raises
-    with ThreadPoolExecutor(lanes - 1) as pool:
-        others = [pool.submit(run_lane, k) for k in range(1, lanes)]
-        run_lane(0)
-        for f in others:
-            f.result()
-    return feats
-
-
-def _branch_lanes(n_branches: int, batch: int) -> int:
-    """min(n_branches, available CPUs) at one BLAS thread and a batch of _MIN_LANE_BATCH or more; else 1."""
-    from . import data  # data imports config, which imports this module
-
-    if n_branches < 2 or batch < _MIN_LANE_BATCH or _blas_threads() != 1:
-        return 1
-    return min(n_branches, data._available_cpus())
+    return data.map_lanes(lambda call: call[0](call[1]), calls, ThreadPoolExecutor)
 
 
 def _blas_threads() -> int:

@@ -86,8 +86,8 @@ class SamOptimizer:
         if not np.all(np.isfinite(loss.data)):
             raise NumericError(f"non-finite loss {loss.data}")
         backward(loss)
-        grads = [None if p.grad is None else p.grad.copy() for p in self.params]
-        return float(loss.data), grads
+        # references, not copies: the next pass starts from p.grad = None and the update replaces p.data
+        return float(loss.data), [p.grad for p in self.params]
 
     @staticmethod
     def _global_norm(grads) -> float:
@@ -112,7 +112,7 @@ class SamOptimizer:
             return loss_value
 
         scale = self.config.rho / norm
-        snapshot = [p.data.copy() for p in self.params]
+        snapshot = [p.data for p in self.params]  # the perturbation below replaces p.data, never writes it
         for p, g in zip(self.params, g1):
             if g is not None:
                 p.data = p.data + scale * g.astype(p.data.dtype)

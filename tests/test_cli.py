@@ -167,6 +167,16 @@ class TestUsageErrors:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", ["musdl_classes = 8", "musdl_classes = 5\nmusdl_expanded = 40"])
+    def test_musdl_class_count_key_returns_1_before_training(self, pipeline, tmp_path, capsys, lines):
+        # the class count is the item score range; any other value failed only at the first epoch's eval
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pipeline["cfg"].read_text() + lines + "\n")
+        rc = main(["train", "--clips-dir", str(pipeline["clips"]), "--out-dir", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 1
+        assert "unknown config key 'musdl_classes'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_non_positive_duration_returns_1(self, tmp_path, capsys):
         rc = main(["synth-data", "--out-dir", str(tmp_path / "raw"), "--duration-s", "-5"])
         assert rc == 1

@@ -4,6 +4,7 @@ import concurrent.futures
 import filecmp
 import hashlib
 import os
+import sys
 import time
 from functools import partial
 from pathlib import Path
@@ -220,6 +221,10 @@ def mark_or_fail(item, *, bad, marks):
     return item
 
 
+def map_on_threads(fn, items):
+    return data.map_lanes(fn, items, concurrent.futures.ThreadPoolExecutor)
+
+
 class TestMapSessions:
     def test_pool_writes_the_in_process_trees(self, tmp_path, monkeypatch):
         # an odd session count, so the caller's share (P000, P002) and the worker's (P001) differ
@@ -250,11 +255,29 @@ class TestMapSessions:
         workers = min(cpus, n_items)
         assert [item for item, pid in out if pid == os.getpid()] == list(range(0, n_items, workers))
 
-    @pytest.mark.parametrize("bad", [0, 1], ids=["caller-fails", "worker-fails"])
-    def test_first_error_cancels_sessions_not_started(self, tmp_path, monkeypatch, bad):
+    def test_thread_lanes_run_each_item_once_in_order(self, monkeypatch):
+        # more lanes than a 2-CPU machine has cores and a short switch
+        # interval, so the pool's callbacks and the caller interleave often
+        monkeypatch.setattr(data, "_available_cpus", lambda: 4)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = map_on_threads(lambda i: calls.append(i) or i * i, range(300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(300)]
+        assert sorted(calls) == list(range(300))
+
+    @pytest.mark.parametrize(
+        "bad, run",
+        [(0, map_sessions), (1, map_sessions), (0, map_on_threads), (1, map_on_threads)],
+        ids=["caller-fails", "worker-fails", "thread-caller-fails", "thread-worker-fails"],
+    )
+    def test_first_error_cancels_sessions_not_started(self, tmp_path, monkeypatch, bad, run):
         monkeypatch.setattr(data, "_available_cpus", lambda: 2)
         with pytest.raises(ConfigError, match=f"session {bad} failed") as info:
-            map_sessions(partial(mark_or_fail, bad=bad, marks=tmp_path), range(20))
+            run(partial(mark_or_fail, bad=bad, marks=tmp_path), range(20))
         assert info.value.exit_code == 1
         # run to the end, 19 sessions would leave a mark; after the error no
         # session starts, so only the one running on the other lane may

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import fd_gradients, rel_err, tiny_clip
 from depest import autodiff as ad
 from depest import data, model as model_mod
 from depest.cli import main
-from depest.errors import ConfigError, DataError, ShapeError
+from depest.errors import ConfigError, DataError, NumericError, ShapeError
 from depest.model import (
     BranchConfig,
     ModalityBranch,
@@ -163,15 +164,13 @@ class TestForward:
         # the bank runs its 8 heads as one batched pass: 138 graph nodes in
         # this forward, where 8 one-channel head graphs made it 375
         model = MultiModalClassifier(small_config("avt", "subatten"), rng=rng, dtype=np.float64)
-        out = model(**small_inputs(rng, B=2, modality="avt"))
-        seen, todo, nodes = set(), [out], 0
-        while todo:
-            t = todo.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                todo.extend(t._parents)
-                nodes += bool(t._op)  # leaves have no op
-        assert nodes <= 150
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 150
+
+    def test_atten_graph_size(self, rng):
+        # a lone block gathers no copies of its parameters: 95 graph nodes in
+        # this forward, where one gather node per parameter made it 123
+        model = MultiModalClassifier(small_config("avt", "atten"), rng=rng, dtype=np.float64)
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 100
 
     def test_head_gradient_isolation(self, rng):
         # a loss reading only item 0 sends zero gradient to other heads
@@ -217,6 +216,18 @@ class TestForward:
         num_a, num_bias = fd_gradients(f, [a, fc_bias])
         assert rel_err(at.grad, num_a) < 1e-3
         assert rel_err(grad_bias, num_bias) < 1e-3
+
+
+def graph_nodes(out):
+    """Op nodes in the graph that produced out (leaves have no op)."""
+    seen, todo, nodes = set(), [out], 0
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            todo.extend(t._parents)
+            nodes += bool(t._op)
+    return nodes
 
 
 def force_lanes(monkeypatch, cpus, blas_threads=1):
@@ -323,6 +334,38 @@ class TestBranchLanes:
         assert threading.active_count() == before
         # the forward and the eval batch of 8 (its batch of 1 runs serially), each joined before returning
         assert [(p.workers, p.joined) for p in started] == [(1, True), (1, True)]
+
+    def test_worker_branch_error_reaches_the_caller_and_stops_the_pass(self, monkeypatch):
+        # 3 branches on 2 lanes: visual raises on the worker while audio runs
+        # on the caller, and text, the caller's next branch, never starts
+        force_lanes(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+        model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+        audio_started, failed, ran = threading.Event(), threading.Event(), []
+
+        def visual(x):
+            audio_started.wait(5)
+            failed.set()
+            raise NumericError("visual branch failed")
+
+        def audio(x, inner=model.branch_a.forward):
+            audio_started.set()
+            failed.wait(5)
+            time.sleep(0.1)  # time for the error to reach the scheduler
+            ran.append("a")
+            return inner(x)
+
+        def text(x, inner=model.branch_t.forward):
+            ran.append("t")
+            return inner(x)
+
+        model.branch_a.forward, model.branch_v.forward, model.branch_t.forward = audio, visual, text
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="visual branch failed"):
+            model(**small_inputs(np.random.default_rng(5), B=8, modality="avt"))
+        assert ran == ["a"]
+        assert threading.active_count() == before
+        assert [(p.workers, p.joined) for p in started] == [(1, True)]
 
     def test_cli_train_then_preprocess_in_one_process(self, monkeypatch, tmp_path):
         # preprocess forks its session workers after train ran threaded passes

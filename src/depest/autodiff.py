@@ -237,14 +237,11 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _node(out_data, (a,), bwd, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= a.data.shape[ax]
+def mean(a: Tensor, axis, keepdims=False) -> Tensor:
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    n = 1
+    for ax in axes:
+        n *= a.data.shape[ax]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -326,19 +323,15 @@ def stack(tensors, axis: int = 0) -> Tensor:
 # -- linear algebra ----------------------------------------------------
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w.T (+ b). x: [B, in], w: [out, in], b: [out]."""
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """y = x @ w.T + b. x: [B, in], w: [out, in], b: [out]."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"affine shapes incompatible: x {x.data.shape}, w {w.data.shape}")
-    out_data = x.data @ w.data.T
-    if b is not None:
-        out_data = out_data + b.data
+    out_data = x.data @ w.data.T + b.data
 
     def bwd(g):
         _accum(x, g @ w.data)
         _accum(w, g.T @ x.data)
-        if b is not None:
-            _accum(b, g.sum(axis=0))
+        _accum(b, g.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out_data, parents, bwd, "affine")
+    return _node(out_data, (x, w, b), bwd, "affine")

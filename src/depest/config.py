@@ -38,15 +38,12 @@ DEFAULTS = {
     "audio_channels": "32,64",
     "audio_pools": "2,2",
     "audio_strides": "1,1",
-    "audio_kernel": 3,
     "visual_channels": "64",
     "visual_pools": "2",
     "visual_strides": "1",
-    "visual_kernel": 3,
     "text_channels": "64",
     "text_pools": "2",
     "text_strides": "1",
-    "text_kernel": 3,
     # soft labels
     "musdl_expanded": 32,
     "musdl_sigma": 5.0,
@@ -146,7 +143,6 @@ def model_config(cfg: dict) -> ModelConfig:
         return BranchConfig(
             in_channels=in_channels,
             conv_channels=_int_tuple(f"{name}_channels", cfg[f"{name}_channels"]),
-            kernel=cfg[f"{name}_kernel"],
             pools=_int_tuple(f"{name}_pools", cfg[f"{name}_pools"]),
             strides=_int_tuple(f"{name}_strides", cfg[f"{name}_strides"]),
             lstm_hidden=cfg["lstm_hidden"],

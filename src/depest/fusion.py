@@ -53,7 +53,7 @@ def _norm_heads(x: Tensor, bns) -> Tensor:
     """The heads' one-channel batch norms as one over the head axis, on each head's running statistics."""
     stats = [np.concatenate([getattr(bn, name) for bn in bns]) for name in ("running_mean", "running_var")]
     gamma, beta = (_gather([getattr(bn, name) for bn in bns], (len(bns),)) for name in ("gamma", "beta"))
-    out = batch_norm(x, gamma, beta, *stats, bns[0].training, bns[0].momentum, bns[0].eps)
+    out = batch_norm(x, gamma, beta, *stats, bns[0].training)
     for bn, mu, var in zip(bns, *stats):
         bn.running_mean[...], bn.running_var[...] = mu, var
     return out
@@ -61,8 +61,6 @@ def _norm_heads(x: Tensor, bns) -> Tensor:
 
 def _attend_heads(units, x: Tensor) -> Tensor:
     """Attention weights of each of ``units`` on its channel of x [B, heads, H, W]."""
-    if x.data.ndim != 4 or x.data.shape[1] != len(units):
-        raise ShapeError(f"channel attention expects [B,{len(units)},H,W], got {x.data.shape}")
 
     def path(t, name):
         pw1, bn1, pw2, bn2 = ([getattr(u, f"{name}_{role}") for u in units] for role in ("pw1", "bn1", "pw2", "bn2"))
@@ -91,7 +89,9 @@ class ChannelAttention(Module):
 
     Each path is pointwise-conv -> BN -> ReLU -> pointwise-conv -> BN on
     the single channel of the fused map; the global path first
-    average-pools over the spatial grid and is broadcast back.
+    average-pools over the spatial grid and is broadcast back. The unit
+    holds parameters only: ``_attend_heads`` runs a list of units as one
+    pass.
     """
 
     def __init__(self, rng=None, dtype=np.float32):
@@ -105,9 +105,6 @@ class ChannelAttention(Module):
         self.global_bn1 = BatchNorm(1, dtype=dtype)
         self.global_pw2 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
         self.global_bn2 = BatchNorm(1, dtype=dtype)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return _attend_heads([self], x)
 
 
 class AttentionalFusion(Module):
@@ -174,13 +171,13 @@ def baseline_fuse(method: str, vectors) -> Tensor:
     dims = {tuple(v.data.shape) for v in vectors}
     if len(dims) != 1:
         raise ShapeError(f"ragged modality dimensions: {sorted(dims)}")
+    if method == "mult":
+        out = vectors[0]
+        for v in vectors[1:]:
+            out = ad.mul(out, v)
+        return out
     axis = 0 if vectors[0].data.ndim == 1 else 1
     stacked = ad.stack(vectors, axis=axis)
-    if method == "mult":
-        out = ad.slice_axis(stacked, axis, 0, 1)
-        for i in range(1, n):
-            out = ad.mul(out, ad.slice_axis(stacked, axis, i, i + 1))
-        return _drop_axis(out, axis)
     if method == "concat":
         shape = list(stacked.data.shape)
         flat = shape[:axis] + [shape[axis] * shape[axis + 1]]
@@ -192,9 +189,3 @@ def baseline_fuse(method: str, vectors) -> Tensor:
     if method == "sum":
         return ad.sum_(stacked, axis=axis)
     return ad.mean(stacked, axis=axis)
-
-
-def _drop_axis(t: Tensor, axis: int) -> Tensor:
-    shape = list(t.data.shape)
-    shape.pop(axis)
-    return ad.reshape(t, tuple(shape))

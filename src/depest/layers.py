@@ -36,10 +36,13 @@ from . import autodiff as ad
 from .autodiff import Tensor, _accum, _node
 from .errors import ConfigError, ShapeError
 
+_BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
+_BN_EPS = 1e-5  # added to the variance before its square root
+
 # -- functional ops ----------------------------------------------------
 
 
-def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding: tuple, op: str) -> Tensor:
+def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: tuple, padding: tuple, op: str) -> Tensor:
     """Cross-correlation over the trailing ``len(stride)`` axes.
 
     The shared kernel of :func:`conv1d` and :func:`conv2d`, which validate
@@ -68,8 +71,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
         cols = np.stack([xp[win] for _, win in taps], axis=2).reshape(B, I * len(taps), -1)
         w2 = wd.reshape(O, -1)  # [O, I*kh*kw], offsets in the order of the columns
         out_data = np.matmul(w2, cols).reshape((B, O) + out_size)
-    if bias is not None:
-        out_data += bias.data.reshape((1, -1) + (1,) * len(size))
+    out_data += bias.data.reshape((1, -1) + (1,) * len(size))
 
     def bwd(g):
         if len(stride) == 1:
@@ -89,17 +91,15 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: tuple, padding
                     dxp[win] += dcols[:, :, k]
             dx = dxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(padding, size))] if any(padding) else dxp
             _accum(x, dx)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+        _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out_data, parents, bwd, op)
+    return _node(out_data, (x, weight, bias), bwd, op)
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation along the last axis.
 
-    x: [B, C_in, T]; weight: [C_out, C_in, k].
+    x: [B, C_in, T]; weight: [C_out, C_in, k]; bias: [C_out].
     Output length: (T + 2*padding - k) // stride + 1.
     """
     if x.data.ndim != 3 or weight.data.ndim != 3:
@@ -116,11 +116,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
 def conv2d(
     x: Tensor,
     weight: Tensor,
-    bias: Tensor | None = None,
+    bias: Tensor,
     stride: tuple[int, int] = (1, 1),
     padding: tuple[int, int] = (0, 0),
 ) -> Tensor:
-    """2-D cross-correlation. x: [B, C_in, H, W]; weight: [C_out, C_in, kh, kw]."""
+    """2-D cross-correlation. x: [B, C_in, H, W]; weight: [C_out, C_in, kh, kw]; bias: [C_out]."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,C,H,W] input and [O,I,kh,kw] weight, got {x.data.shape}, {weight.data.shape}")
     _, ci, H, W = x.data.shape
@@ -165,8 +165,6 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel normalization; channel axis is 1.
 
@@ -185,15 +183,15 @@ def batch_norm(
     if training:
         mu = x.data.mean(axis=reduce_axes)
         var = x.data.var(axis=reduce_axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * var
     else:
         mu = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
     out_data = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
@@ -455,28 +453,17 @@ class Conv2d(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, num_features, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, num_features, dtype=np.float32):
         super().__init__()
         if num_features < 1:
             raise ConfigError("batch norm needs at least one feature")
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float64))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float64))
 
     def forward(self, x: Tensor) -> Tensor:
-        return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training)
 
 
 class Linear(Module):

@@ -39,6 +39,7 @@ from .phq import N_ITEMS
 MODALITIES = ("a", "v", "t")
 MODALITY_SETS = ("a", "v", "t", "av", "avt")
 FUSION_MODES = BASELINE_RULES + ("atten", "subatten")
+CONV_KERNEL = 3  # taps of every branch conv
 _M_ARENA_MAX = -8  # glibc mallopt parameter
 # Below this batch the branches' per-step BiLSTM GEMMs are too small to
 # release the GIL for long, and two lanes ran slower than one (default
@@ -57,7 +58,6 @@ class BranchConfig:
     strides: tuple
     lstm_hidden: int
     out_dim: int
-    kernel: int = 3
     conv2d_height: int = 0  # >0: rows of a [B, C, H, T] input, folded into C*H conv channels
 
     def __post_init__(self):
@@ -68,7 +68,7 @@ class BranchConfig:
             raise ConfigError(f"pools/strides must match {n} conv stages")
         if min(self.conv_channels) < 1 or min(self.pools) < 1 or min(self.strides) < 1:
             raise ConfigError("conv sizes, pools and strides must be positive")
-        if self.in_channels < 1 or self.kernel < 1 or self.lstm_hidden < 1 or self.out_dim < 1:
+        if self.in_channels < 1 or self.lstm_hidden < 1 or self.out_dim < 1:
             raise ConfigError("branch dimensions must be positive")
 
 
@@ -113,7 +113,7 @@ class ModalityBranch(Module):
         self.convs, self.bns = [], []
         prev = cfg.in_channels * max(1, cfg.conv2d_height)
         for ch, stride in zip(cfg.conv_channels, cfg.strides):
-            self.convs.append(Conv1d(prev, ch, cfg.kernel, stride=stride, rng=rng, dtype=dtype))
+            self.convs.append(Conv1d(prev, ch, CONV_KERNEL, stride=stride, rng=rng, dtype=dtype))
             self.bns.append(BatchNorm(ch, dtype=dtype))
             prev = ch
         self.lstm = BiLSTM(prev, cfg.lstm_hidden, rng=rng, dtype=dtype)

@@ -107,7 +107,7 @@ def aggregate_participant(participant_id: str, gender: str, clip_records) -> Par
     )
 
 
-def compute_metrics(pred_binary, true_binary, pred_scores=None, true_scores=None) -> MetricReport:
+def compute_metrics(pred_binary, true_binary, pred_scores, true_scores) -> MetricReport:
     """Binary classification metrics plus MAE/RMSE over scores.
 
     Positive class is depressed (binary 1). Degenerate denominators
@@ -143,14 +143,12 @@ def compute_metrics(pred_binary, true_binary, pred_scores=None, true_scores=None
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
 
-    mae = rmse = 0.0
-    if pred_scores is not None and true_scores is not None:
-        ps = np.asarray(pred_scores, dtype=np.float64)
-        ts = np.asarray(true_scores, dtype=np.float64)
-        if ps.shape != ts.shape:
-            raise ShapeError(f"score vectors must match, got {ps.shape} vs {ts.shape}")
-        mae = float(np.mean(np.abs(ps - ts)))
-        rmse = float(np.sqrt(np.mean((ps - ts) ** 2)))
+    ps = np.asarray(pred_scores, dtype=np.float64)
+    ts = np.asarray(true_scores, dtype=np.float64)
+    if ps.shape != ts.shape:
+        raise ShapeError(f"score vectors must match, got {ps.shape} vs {ts.shape}")
+    mae = float(np.mean(np.abs(ps - ts)))
+    rmse = float(np.sqrt(np.mean((ps - ts) ** 2)))
 
     return MetricReport(
         accuracy=accuracy,

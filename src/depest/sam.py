@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,7 @@ class SamOptimizer:
         loss = loss_fn()
         if not isinstance(loss, Tensor):
             raise ConfigError("loss closure must return a scalar graph tensor")
-        if not np.all(np.isfinite(loss.data)):
-            raise NumericError(f"non-finite loss {loss.data}")
-        backward(loss)
+        backward(loss)  # raises NumericError on a non-finite loss
         # references, not copies: the next pass starts from p.grad = None and the update replaces p.data
         return float(loss.data), [p.grad for p in self.params]
 
@@ -101,13 +99,9 @@ class SamOptimizer:
         """Run one SAM update; returns the unperturbed loss value."""
         loss_value, g1 = self._eval_grads(loss_fn)
 
-        if self.config.rho == 0.0:
-            self.base.apply_gradients(g1)
-            return loss_value
-
-        norm = self._global_norm(g1)
+        norm = self._global_norm(g1) if self.config.rho > 0.0 else 0.0
         if norm == 0.0:
-            # ascent direction undefined; plain step with the first gradient
+            # rho = 0, or the ascent direction is undefined: a plain step with the first gradient
             self.base.apply_gradients(g1)
             return loss_value
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULTS
 from .data import ManifestEntry, map_sessions, write_manifest
 from .dsp import Waveform, write_wav
 from .errors import ConfigError
@@ -30,6 +31,7 @@ TONE_BASE_AMP = 0.02
 TONE_SCORE_AMP = 0.02
 NOISE_AMP = 0.005
 SENTENCE_EVERY_S = 5.0
+FRAME_RATE_HZ = 30.0
 
 
 def _fixed_geometry():
@@ -129,8 +131,7 @@ def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int
     return Sentences(starts=starts, stops=starts + SENTENCE_EVERY_S * 0.8, vectors=mean + 0.3 * rng.standard_normal((n, EMBED_DIM)))
 
 
-def _write_session(j: int, *, out_dir: Path, seed: int, dep_flags: list, duration_s: float, sample_rate: int,
-                   frame_rate: float) -> ManifestEntry:
+def _write_session(j: int, *, out_dir: Path, seed: int, dep_flags: list, duration_s: float) -> ManifestEntry:
     """Participant j's three modality files; its manifest row."""
     pid = f"P{j:03d}"
     rng = np.random.default_rng([seed, 7919, j])
@@ -139,8 +140,8 @@ def _write_session(j: int, *, out_dir: Path, seed: int, dep_flags: list, duratio
 
     pdir = out_dir / pid
     pdir.mkdir(exist_ok=True)
-    write_wav(pdir / "audio.wav", synth_audio(rng, subs, duration_s, sample_rate))
-    write_keypoints(pdir / "keypoints.txt", synth_keypoints(rng, total, duration_s, frame_rate))
+    write_wav(pdir / "audio.wav", synth_audio(rng, subs, duration_s, DEFAULTS["sample_rate"]))
+    write_keypoints(pdir / "keypoints.txt", synth_keypoints(rng, total, duration_s, FRAME_RATE_HZ))
     write_embeddings(pdir / "embeddings.txt", synth_embeddings(rng, dep_flags[j], total, duration_s))
 
     # paths are relative to the manifest, which read_manifest resolves
@@ -160,8 +161,6 @@ def generate_synthetic_corpus(
     seed: int = 0,
     duration_s: float = 120.0,
     depressed_fraction: float = 0.5,
-    sample_rate: int = 16000,
-    frame_rate: float = 30.0,
 ) -> Path:
     """Write sessions + manifest under out_dir; returns the manifest path."""
     if n_participants < 2:
@@ -175,10 +174,8 @@ def generate_synthetic_corpus(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write = partial(
-        _write_session, out_dir=out_dir, seed=seed, dep_flags=_stratified_flags(n_participants, n_dep),
-        duration_s=duration_s, sample_rate=sample_rate, frame_rate=frame_rate,
-    )
+    write = partial(_write_session, out_dir=out_dir, seed=seed, duration_s=duration_s,
+                    dep_flags=_stratified_flags(n_participants, n_dep))
     manifest = out_dir / "manifest.csv"
     write_manifest(manifest, map_sessions(write, range(n_participants)))
     return manifest

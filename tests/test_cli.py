@@ -177,6 +177,15 @@ class TestUsageErrors:
         assert "unknown config key 'musdl_classes'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_conv_kernel_key_returns_1_before_training(self, pipeline, tmp_path, capsys):
+        # every branch conv has 3 taps; the per-branch kernel keys are gone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pipeline["cfg"].read_text() + "audio_kernel = 3\n")
+        rc = main(["train", "--clips-dir", str(pipeline["clips"]), "--out-dir", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 1
+        assert "unknown config key 'audio_kernel'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_non_positive_duration_returns_1(self, tmp_path, capsys):
         rc = main(["synth-data", "--out-dir", str(tmp_path / "raw"), "--duration-s", "-5"])
         assert rc == 1

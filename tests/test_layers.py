@@ -7,6 +7,7 @@ import pytest
 
 from conftest import fd_gradients, rel_err, sigmoid
 from depest import autodiff as ad
+from depest import layers
 from depest.errors import ShapeError
 from depest.layers import (
     BatchNorm,
@@ -81,9 +82,10 @@ class TestConv1d:
         # each tap's strided window goes to BLAS as it is, not as a copy
         x = ad.tensor(rng.normal(size=(4, 216, 600)).astype(np.float32))
         w = ad.tensor(rng.normal(size=(64, 216, 3)).astype(np.float32), requires_grad=True)
+        b = ad.tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
         tracemalloc.start()
         try:
-            out = conv1d(x, w, stride=stride)
+            out = conv1d(x, w, b, stride=stride)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -95,7 +97,8 @@ class TestConv1d:
         # window is 13x the size of g at stride 1
         x = ad.tensor(rng.normal(size=(4, 216, 600)).astype(np.float32))  # needs no gradient
         w = ad.tensor(rng.normal(size=(16, 216, 3)).astype(np.float32), requires_grad=True)
-        out = conv1d(x, w, stride=stride)
+        b = ad.tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+        out = conv1d(x, w, b, stride=stride)
         g = np.ones_like(out.data)
         tracemalloc.start()
         try:
@@ -107,14 +110,14 @@ class TestConv1d:
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):
-            conv1d(ad.tensor(np.zeros((1, 2, 2))), ad.tensor(np.zeros((1, 2, 3))))
+            conv1d(ad.tensor(np.zeros((1, 2, 2))), ad.tensor(np.zeros((1, 2, 3))), ad.tensor(np.zeros(1)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv1d(ad.tensor(np.zeros((1, 2, 8))), ad.tensor(np.zeros((1, 3, 3))))
+            conv1d(ad.tensor(np.zeros((1, 2, 8))), ad.tensor(np.zeros((1, 3, 3))), ad.tensor(np.zeros(1)))
         # a [C, T] input without the batch axis is refused, even with matching channels
         with pytest.raises(ShapeError):
-            conv1d(ad.tensor(np.zeros((2, 8))), ad.tensor(np.zeros((1, 2, 3))))
+            conv1d(ad.tensor(np.zeros((2, 8))), ad.tensor(np.zeros((1, 2, 3))), ad.tensor(np.zeros(1)))
 
 
 class TestConv2d:
@@ -162,7 +165,8 @@ class TestConv2d:
         # model inputs are data: their gradient is never formed
         x = ad.tensor(rng.normal(size=(2, 3, 5, 9)))
         w = ad.tensor(rng.normal(size=(4, 3) + kernel), requires_grad=True)
-        ad.backward(ad.sum_(conv2d(x, w, stride=(1, 2), padding=padding)))
+        b = ad.tensor(np.zeros(4), requires_grad=True)
+        ad.backward(ad.sum_(conv2d(x, w, b, stride=(1, 2), padding=padding)))
         assert x.grad is None
         assert w.grad is not None
 
@@ -219,7 +223,7 @@ class TestBatchNorm:
         bn.eval()
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 2))
         out = bn(ad.tensor(x))
-        expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+        expect = (x - bn.running_mean) / np.sqrt(bn.running_var + layers._BN_EPS)
         np.testing.assert_allclose(out.data, expect, atol=1e-10)
 
     def test_training_grads_match_fd(self, rng):

@@ -172,6 +172,13 @@ class TestForward:
         model = MultiModalClassifier(small_config("avt", "atten"), rng=rng, dtype=np.float64)
         assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 100
 
+    def test_mult_graph_size(self, rng):
+        # the branch vectors multiply in order, one mul node each after the
+        # first: 39 graph nodes in this forward, where stacking the vectors
+        # and slicing them back out made it 44
+        model = MultiModalClassifier(small_config("avt", "mult"), rng=rng, dtype=np.float64)
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 39
+
     def test_head_gradient_isolation(self, rng):
         # a loss reading only item 0 sends zero gradient to other heads
         model = MultiModalClassifier(small_config("av", "concat"), rng=rng, dtype=np.float64)

@@ -129,7 +129,7 @@ class TestAggregation:
 class TestMetrics:
     def test_hand_worked_example(self):
         # pred 1,1,0,0,1  true 1,0,0,1,1: tp=2 fp=1 fn=1 tn=1
-        rep = compute_metrics([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+        rep = compute_metrics([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [12, 12, 4, 4, 12], [12, 4, 4, 12, 12])
         np.testing.assert_allclose(rep.accuracy, 3 / 5)
         np.testing.assert_allclose(rep.precision, 2 / 3)
         np.testing.assert_allclose(rep.recall, 2 / 3)
@@ -155,13 +155,13 @@ class TestMetrics:
             assert rep.rmse >= rep.mae - 1e-12
 
     def test_no_positive_predictions_flagged(self):
-        rep = compute_metrics([0, 0, 0], [1, 0, 1])
+        rep = compute_metrics([0, 0, 0], [1, 0, 1], [4, 4, 4], [12, 4, 12])
         assert rep.precision == 0.0
         assert "precision" in rep.zero_division_flags
         assert "f1" in rep.zero_division_flags
 
     def test_no_positive_truths_flagged(self):
-        rep = compute_metrics([0, 0], [0, 0])
+        rep = compute_metrics([0, 0], [0, 0], [4, 4], [4, 4])
         assert "recall" in rep.zero_division_flags
         assert rep.accuracy == 1.0
 
@@ -174,11 +174,11 @@ class TestMetrics:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            compute_metrics([1, 0], [1, 0, 1])
+            compute_metrics([1, 0], [1, 0, 1], [12, 4], [12, 4, 12])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            compute_metrics([], [])
+            compute_metrics([], [], [], [])
 
     def test_report_lines_format(self):
         rep = compute_metrics([1, 0], [1, 1], [12.0, 4.0], [14.0, 12.0])

@@ -139,16 +139,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bwd, "sub")
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """a * b; b may also be a plain number or array (``mean`` scales by one)."""
-    if not isinstance(b, Tensor):
-        b_arr = np.asarray(b, dtype=a.data.dtype)
-        out_data = a.data * b_arr
-
-        def bwd(g):
-            _accum(a, _unbroadcast(g * b_arr, a.data.shape))
-
-        return _node(out_data, (a,), bwd, "mul")
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
@@ -168,9 +159,9 @@ def log(a: Tensor) -> Tensor:
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor) elementwise; gradient passes only where a > floor."""
+    """max(a, floor) elementwise, in a's dtype; gradient passes only where a > floor."""
     mask = a.data > floor
-    out_data = np.where(mask, a.data, floor)
+    out_data = np.where(mask, a.data, a.data.dtype.type(floor))
 
     def bwd(g):
         _accum(a, g * mask)
@@ -179,13 +170,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0).astype(a.data.dtype)
-
-    def bwd(g):
-        _accum(a, g * mask)
-
-    return _node(out_data, (a,), bwd, "relu")
+    return clamp_min(a, 0.0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -226,13 +211,9 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _node(out_data, (a,), bwd, "sum")
 
@@ -242,7 +223,7 @@ def mean(a: Tensor, axis, keepdims=False) -> Tensor:
     n = 1
     for ax in axes:
         n *= a.data.shape[ax]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(np.asarray(1.0 / n, dtype=a.data.dtype)))
 
 
 def _select(a: Tensor, idx: np.ndarray, axis: int, op: str) -> Tensor:

@@ -58,8 +58,6 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=int)
     tr.add_argument("--modality", choices=MODALITY_SETS)
     tr.add_argument("--fusion", choices=FUSION_MODES)
-    tr.add_argument("--sam-rho", type=float)
-    tr.add_argument("--no-gb", action="store_true", help="disable gender balancing in the sampler")
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--stop-accuracy", type=float)
 
@@ -81,13 +79,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> dict:
-    overrides = {}
-    for attr, key in (("seed", "seed"), ("modality", "modality"), ("fusion", "fusion"), ("sam_rho", "sam_rho"), ("epochs", "epochs")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "no_gb", False):
-        overrides["gender_balance"] = 0
+    keys = ("seed", "modality", "fusion", "epochs")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return cfgmod.parse_config(getattr(args, "config", None), overrides)
 
 

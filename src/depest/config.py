@@ -96,6 +96,8 @@ def parse_config(path=None, overrides: dict = None) -> dict:
     for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"config key '{key}' must be finite, got {value}")
+        if key in ("seed", "max_sentences") and value < 0:
+            raise ConfigError(f"config key '{key}' must be non-negative, got {value}")
     return cfg
 
 

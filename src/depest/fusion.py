@@ -94,9 +94,8 @@ class ChannelAttention(Module):
     pass.
     """
 
-    def __init__(self, rng=None, dtype=np.float32):
+    def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.local_pw1 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
         self.local_bn1 = BatchNorm(1, dtype=dtype)
         self.local_pw2 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
@@ -120,9 +119,8 @@ class AttentionalFusion(Module):
     (plain arrays) so callers can audit the convex-combination identity.
     """
 
-    def __init__(self, rng=None, dtype=np.float32):
+    def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.conv_first = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
         self.conv_refine = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
         self.att_mid = ChannelAttention(rng=rng, dtype=dtype)
@@ -144,9 +142,8 @@ class AttentionalFusion(Module):
 class SubAttentionalBank(Module):
     """Independent fusion heads, one per questionnaire item, run as one batched pass."""
 
-    def __init__(self, rng=None, dtype=np.float32):
+    def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.heads = [AttentionalFusion(rng=rng, dtype=dtype) for _ in range(N_ITEMS)]
 
     def forward(self, y: Tensor) -> list:

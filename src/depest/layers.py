@@ -43,19 +43,27 @@ _BN_EPS = 1e-5  # added to the variance before its square root
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: tuple, padding: tuple, op: str) -> Tensor:
-    """Cross-correlation over the trailing ``len(stride)`` axes.
+    """Cross-correlation over the trailing ``len(stride)`` axes; the one kernel and shape check of every conv.
 
-    The shared kernel of :func:`conv1d` and :func:`conv2d`, which validate
-    shapes first. In 1-D, each tap's strided window goes to ``np.matmul``
-    as it lies (``np.einsum`` would copy it). In 2-D (the fusion bank's
-    3x3 convs on small maps) the windows stack into im2col columns
-    [B, C_in*kh*kw, oh*ow] and each contraction is one GEMM. The input
-    gradient is computed only when the input needs one.
+    x: [B, C_in, *size]; weight: [C_out, C_in, *kernel]; bias: [C_out];
+    errors name ``op``. In 1-D, each tap's strided window goes to
+    ``np.matmul`` as it lies (``np.einsum`` would copy it). In 2-D (the
+    fusion bank's 3x3 convs on small maps) the windows stack into im2col
+    columns [B, C_in*kh*kw, oh*ow] and each contraction is one GEMM. The
+    input gradient is computed only when the input needs one.
     """
     xd, wd = x.data, weight.data
+    rank = 2 + len(stride)
+    if xd.ndim != rank or wd.ndim != rank:
+        raise ShapeError(f"{op} expects rank-{rank} input [B,C,...] and weight [O,I,...], got {xd.shape}, {wd.shape}")
+    if xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"{op} channel mismatch: input {xd.shape[1]}, weight {wd.shape[1]}")
     size = xd.shape[2:]
     kernel = wd.shape[2:]
-    out_size = tuple((n + 2 * p - k) // s + 1 for n, p, k, s in zip(size, padding, kernel, stride))
+    padded = tuple(n + 2 * p for n, p in zip(size, padding))
+    if any(n < k for n, k in zip(padded, kernel)):
+        raise ShapeError(f"{op} kernel {kernel} larger than padded input {padded}")
+    out_size = tuple((n - k) // s + 1 for n, k, s in zip(padded, kernel, stride))
     xp = np.pad(xd, ((0, 0), (0, 0)) + tuple((p, p) for p in padding)) if any(padding) else xd
     # per kernel offset: its weight slice [O, I] and its input window
     taps = [
@@ -97,19 +105,10 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: tuple, padding: tuple
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation along the last axis.
+    """Cross-correlation along the last axis. x: [B, C_in, T]; weight: [C_out, C_in, k]; bias: [C_out].
 
-    x: [B, C_in, T]; weight: [C_out, C_in, k]; bias: [C_out].
     Output length: (T + 2*padding - k) // stride + 1.
     """
-    if x.data.ndim != 3 or weight.data.ndim != 3:
-        raise ShapeError(f"conv1d expects [B,C,T] input and [O,I,k] weight, got {x.data.shape}, {weight.data.shape}")
-    _, ci, T = x.data.shape
-    _, ci_w, k = weight.data.shape
-    if ci != ci_w:
-        raise ShapeError(f"conv1d channel mismatch: input {ci}, weight {ci_w}")
-    if T + 2 * padding < k:
-        raise ShapeError(f"conv1d input length {T} (+2*{padding} pad) shorter than kernel {k}")
     return _conv(x, weight, bias, (stride,), (padding,), "conv1d")
 
 
@@ -121,17 +120,7 @@ def conv2d(
     padding: tuple[int, int] = (0, 0),
 ) -> Tensor:
     """2-D cross-correlation. x: [B, C_in, H, W]; weight: [C_out, C_in, kh, kw]; bias: [C_out]."""
-    if x.data.ndim != 4 or weight.data.ndim != 4:
-        raise ShapeError(f"conv2d expects [B,C,H,W] input and [O,I,kh,kw] weight, got {x.data.shape}, {weight.data.shape}")
-    _, ci, H, W = x.data.shape
-    _, ci_w, kh, kw = weight.data.shape
-    sh, sw = stride
-    ph, pw = padding
-    if ci != ci_w:
-        raise ShapeError(f"conv2d channel mismatch: input {ci}, weight {ci_w}")
-    if H + 2 * ph < kh or W + 2 * pw < kw:
-        raise ShapeError(f"conv2d kernel ({kh},{kw}) larger than padded input ({H + 2 * ph},{W + 2 * pw})")
-    return _conv(x, weight, bias, (sh, sw), (ph, pw), "conv2d")
+    return _conv(x, weight, bias, tuple(stride), tuple(padding), "conv2d")
 
 
 def max_pool1d(x: Tensor, pool: int) -> Tensor:
@@ -419,34 +408,31 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
-class Conv1d(Module):
-    def __init__(self, in_channels, out_channels, kernel_size=3, stride=1, padding=0, rng=None, dtype=np.float32):
+class _Conv(Module):
+    """Weight [out, in, *kernel] then bias [out], both uniform in +-1/sqrt(in * prod(kernel))."""
+
+    def __init__(self, in_channels, out_channels, kernel: tuple, stride: tuple, padding: tuple, *, rng, dtype):
         super().__init__()
-        if min(in_channels, out_channels, kernel_size) < 1:
-            raise ConfigError("conv1d sizes must be positive")
-        rng = rng or np.random.default_rng(0)
+        if min(in_channels, out_channels, *kernel) < 1:
+            raise ConfigError(f"{type(self).__name__.lower()} sizes must be positive")
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel_size
-        self.weight = _uniform_init(rng, (out_channels, in_channels, kernel_size), fan_in, dtype)
+        fan_in = in_channels * int(np.prod(kernel))
+        self.weight = _uniform_init(rng, (out_channels, in_channels) + kernel, fan_in, dtype)
         self.bias = _uniform_init(rng, (out_channels,), fan_in, dtype)
+
+
+class Conv1d(_Conv):
+    def __init__(self, in_channels, out_channels, kernel_size=3, stride=1, padding=0, *, rng, dtype=np.float32):
+        super().__init__(in_channels, out_channels, (kernel_size,), stride, padding, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
-class Conv2d(Module):
-    def __init__(self, in_channels, out_channels, kernel_size, stride=(1, 1), padding=(0, 0), rng=None, dtype=np.float32):
-        super().__init__()
-        kh, kw = kernel_size
-        if min(in_channels, out_channels, kh, kw) < 1:
-            raise ConfigError("conv2d sizes must be positive")
-        rng = rng or np.random.default_rng(0)
-        self.stride = tuple(stride)
-        self.padding = tuple(padding)
-        fan_in = in_channels * kh * kw
-        self.weight = _uniform_init(rng, (out_channels, in_channels, kh, kw), fan_in, dtype)
-        self.bias = _uniform_init(rng, (out_channels,), fan_in, dtype)
+class Conv2d(_Conv):
+    def __init__(self, in_channels, out_channels, kernel_size, stride=(1, 1), padding=(0, 0), *, rng, dtype=np.float32):
+        super().__init__(in_channels, out_channels, tuple(kernel_size), tuple(stride), tuple(padding), rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -467,11 +453,10 @@ class BatchNorm(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
+    def __init__(self, in_features, out_features, *, rng, dtype=np.float32):
         super().__init__()
         if min(in_features, out_features) < 1:
             raise ConfigError("linear sizes must be positive")
-        rng = rng or np.random.default_rng(0)
         self.weight = _uniform_init(rng, (out_features, in_features), in_features, dtype)
         self.bias = _uniform_init(rng, (out_features,), in_features, dtype)
 
@@ -480,11 +465,10 @@ class Linear(Module):
 
 
 class BiLSTM(Module):
-    def __init__(self, input_size, hidden_size, rng=None, dtype=np.float32):
+    def __init__(self, input_size, hidden_size, *, rng, dtype=np.float32):
         super().__init__()
         if min(input_size, hidden_size) < 1:
             raise ConfigError("bilstm sizes must be positive")
-        rng = rng or np.random.default_rng(0)
         H = hidden_size
         self.w_f = _uniform_init(rng, (input_size, 4 * H), input_size, dtype)
         self.u_f = _uniform_init(rng, (H, 4 * H), H, dtype)

@@ -106,9 +106,8 @@ class ModelConfig:
 
 
 class ModalityBranch(Module):
-    def __init__(self, cfg: BranchConfig, rng=None, dtype=np.float32):
+    def __init__(self, cfg: BranchConfig, *, rng, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.cfg = cfg
         self.convs, self.bns = [], []
         prev = cfg.in_channels * max(1, cfg.conv2d_height)
@@ -135,9 +134,8 @@ class ModalityBranch(Module):
 class MultiModalClassifier(Module):
     """Backbones -> stacked feature map -> fusion -> 8 item classifiers."""
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, *, rng, dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.cfg = cfg
         branch_cfgs = {"a": cfg.audio, "v": cfg.visual, "t": cfg.text}
         for letter in cfg.active:

@@ -165,6 +165,8 @@ def generate_synthetic_corpus(
     """Write sessions + manifest under out_dir; returns the manifest path."""
     if n_participants < 2:
         raise ConfigError("need at least 2 participants to cover both binary classes")
+    if seed < 0:
+        raise ConfigError(f"corpus seed must be non-negative, got {seed}")
     if not 0 < duration_s < np.inf:
         raise ConfigError(f"session duration must be positive and finite, got {duration_s} s")
     if not 0.0 <= depressed_fraction <= 1.0:

@@ -52,6 +52,10 @@ class TestElementwise:
         xt = ad.tensor(x.copy(), requires_grad=True)
         ad.backward(ad.sum_(ad.clamp_min(xt, 1.0)))
         np.testing.assert_allclose(xt.grad, [0.0, 0.0, 1.0])
+        # relu is clamp_min at 0, and neither widens float32
+        x32 = ad.tensor(x.astype(np.float32))
+        for out in (ad.clamp_min(x32, 1.0), ad.relu(x32)):
+            assert out.data.dtype == np.float32 and out._op == "clamp_min"
 
     def test_sigmoid_extreme_inputs_finite(self):
         x = ad.tensor(np.array([-800.0, 800.0]))

@@ -196,6 +196,7 @@ class TestUsageErrors:
         ["synth-data", "--depressed-fraction", "nan"],
         ["synth-data", "--depressed-fraction", "1.7"],
         ["synth-data", "--duration-s", "inf"],
+        ["synth-data", "--seed", "-1"],
     ])
     def test_bad_synth_data_input_returns_1(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out-dir", str(tmp_path / "raw")])
@@ -207,7 +208,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("line, flags, key", [
         ("clip_window_s = nan", [], "clip_window_s"),
         ("lr = inf", [], "lr"),
-        ("", ["--sam-rho", "nan"], "sam_rho"),
+        ("sam_rho = nan", [], "sam_rho"),
     ])
     def test_non_finite_config_value_returns_1(self, tmp_path, capsys, line, flags, key):
         cfg = tmp_path / "run.cfg"
@@ -217,6 +218,14 @@ class TestUsageErrors:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
+
+    @pytest.mark.parametrize("line, flags, key", [
+        ("seed = -1", [], "seed"),
+        ("max_sentences = -1", [], "max_sentences"),
+        ("", ["--seed", "-3"], "seed"),
+    ])
+    def test_negative_config_value_returns_1(self, tmp_path, capsys, line, flags, key):
+        self.test_non_finite_config_value_returns_1(tmp_path, capsys, line, flags, key)
 
     @pytest.mark.parametrize("value", ["nan", "1.5", "-0.2"])
     def test_stop_accuracy_outside_unit_interval_returns_1(self, pipeline, tmp_path, capsys, value):

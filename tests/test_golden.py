@@ -2,10 +2,12 @@
 
 One subprocess, BLAS at one thread, runs synth-data (8 participants of
 70 s, one clip each), preprocess, train (tiny model, batch 8, 2 epochs),
-eval and aggregate. With 8 sessions and a batch of 8 on two or more
-CPUs, both kinds of lane run: forked processes for the sessions and
-threads for the branch forwards. The sha256 digests of the raw/ and
-clips/ trees and of every run file must equal the recorded ones.
+eval and aggregate, then one more train per other fusion rule and one
+audio-only train, each into its own run_<name>/. With 8 sessions and a
+batch of 8 on two or more CPUs, both kinds of lane run: forked processes
+for the sessions and threads for the branch forwards. The sha256 digests
+of the raw/ and clips/ trees and of every run file must equal the
+recorded ones.
 
 The digests hold for one numpy and one BLAS build (checkpoints differ in
 the last bits across BLAS kernels), so golden.txt records both and the
@@ -58,6 +60,9 @@ steps = [
     ["eval", "--clips-dir", f"{root}/clips", "--checkpoint", f"{root}/run/model.ckpt", "--out-dir", f"{root}/run"],
     ["aggregate", "--clips-dir", f"{root}/clips", "--checkpoint", f"{root}/run/model.ckpt", "--out-dir", f"{root}/run"],
 ]
+# every other fusion rule, and the audio-only model, each trained into run_<name>/
+for flag, name in [("--fusion", r) for r in ("mult", "concat", "median", "max", "sum", "mean", "atten")] + [("--modality", "a")]:
+    steps.append(["train", "--clips-dir", f"{root}/clips", "--out-dir", f"{root}/run_{name}", "--config", cfg, flag, name])
 for argv in steps:
     rc = main(argv)
     if rc:
@@ -95,8 +100,9 @@ def _run_pipeline(root: Path) -> dict:
     env = {**os.environ, **threads, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, "-c", PIPELINE, str(root)], env=env, check=True, capture_output=True, text=True)
     record = {"numpy": np.__version__, "blas": _blas(), "raw": _tree_digest(root / "raw"), "clips": _tree_digest(root / "clips")}
-    for p in sorted((root / "run").iterdir()):
-        record[f"run/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
+    for run in sorted(root.glob("run*")):
+        for p in sorted(run.iterdir()):
+            record[f"{run.name}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
     return record
 
 

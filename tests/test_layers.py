@@ -108,16 +108,21 @@ class TestConv1d:
             tracemalloc.stop()
         assert peak <= 3 * g.nbytes
 
-    def test_kernel_longer_than_input_rejected(self):
-        with pytest.raises(ShapeError):
-            conv1d(ad.tensor(np.zeros((1, 2, 2))), ad.tensor(np.zeros((1, 2, 3))), ad.tensor(np.zeros(1)))
+    # the shape checks are shared by both ranks; each error names its op
+    @pytest.mark.parametrize("op, rank", [(conv1d, 1), (conv2d, 2)], ids=["conv1d", "conv2d"])
+    def test_kernel_longer_than_input_rejected(self, op, rank):
+        # only the first spatial axis is shorter than the kernel
+        x = np.zeros((1, 2, 2) + (8,) * (rank - 1))
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(ad.tensor(x), ad.tensor(np.zeros((1, 2) + (3,) * rank)), ad.tensor(np.zeros(1)))
 
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            conv1d(ad.tensor(np.zeros((1, 2, 8))), ad.tensor(np.zeros((1, 3, 3))), ad.tensor(np.zeros(1)))
-        # a [C, T] input without the batch axis is refused, even with matching channels
-        with pytest.raises(ShapeError):
-            conv1d(ad.tensor(np.zeros((2, 8))), ad.tensor(np.zeros((1, 2, 3))), ad.tensor(np.zeros(1)))
+    @pytest.mark.parametrize("op, rank", [(conv1d, 1), (conv2d, 2)], ids=["conv1d", "conv2d"])
+    def test_channel_mismatch_rejected(self, op, rank):
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(ad.tensor(np.zeros((1, 2) + (8,) * rank)), ad.tensor(np.zeros((1, 3) + (3,) * rank)), ad.tensor(np.zeros(1)))
+        # an input without the batch axis is refused, even with matching channels
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(ad.tensor(np.zeros((2,) + (8,) * rank)), ad.tensor(np.zeros((1, 2) + (3,) * rank)), ad.tensor(np.zeros(1)))
 
 
 class TestConv2d:

@@ -147,7 +147,7 @@ def normalize_keypoints(points) -> np.ndarray:
 def clip_count(duration_s: float, window_s: float, overlap_s: float) -> int:
     """max(0, floor((D - window)/stride) + 1) with stride = window - overlap."""
     stride = window_s - overlap_s
-    if window_s <= 0 or stride <= 0:
+    if window_s <= 0 or overlap_s < 0 or stride <= 0:
         raise ConfigError(f"need 0 <= overlap < window, got window={window_s}, overlap={overlap_s}")
     if duration_s < window_s - 1e-9:
         return 0

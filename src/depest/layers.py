@@ -7,17 +7,19 @@ wasteful as compositions of elementwise graph nodes). All are validated
 by finite-difference checks in the test suite.
 
 ``bilstm`` follows the cuDNN RNN recipe (Appleyard et al. 2016): time-major
-buffers, the input projection of all steps as one GEMM before the loop,
-and in backward a loop of elementwise work and ``dz @ U^T`` whose stacked
-``dz`` feeds one GEMM each for the weight, recurrent and input gradients.
-It returns only the [B, 2H] summary the model reads, so each direction's
-backward starts from one gradient at its last step, which then decays.
-Backward flushes ``dz``, ``dh`` and ``dc`` to zero below the square root
-of the dtype's smallest normal number (flush-to-zero, as GPU float32
-kernels do): no product inside a GEMM is then subnormal, which would be
-many times slower on x86. Once ``dh`` and ``dc`` are all zero every later
-``dz`` is exactly zero, so the loop stops and its GEMMs cover only the
-steps it reached.
+buffers, each direction's input projection of all steps as one GEMM
+before the loop, and its two independent directions stepped together in
+one loop, forward and backward, so each step is one set of numpy calls
+and one batched recurrent GEMM for both. In backward each direction's
+stored ``dz`` then feeds one GEMM each for its weight, recurrent and input
+gradients. It returns only the [B, 2H] summary the model reads, so each
+direction's backward starts from one gradient at its last step, which
+then decays. Backward flushes ``dz``, ``dh`` and ``dc`` to zero below the
+square root of the dtype's smallest normal number (flush-to-zero, as GPU
+float32 kernels do): no product inside a GEMM is then subnormal, which
+would be many times slower on x86. Once a direction's ``dh`` and ``dc``
+are all zero its every later ``dz`` is exactly zero, so its GEMMs cover
+only the steps it reached, and the loop stops when both have stopped.
 
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 own parameters (Tensors with ``requires_grad=True``) and non-trainable
@@ -220,6 +222,12 @@ def bilstm(
     input, forget, candidate, output. Returns [B, 2H]: the forward state
     after the last step joined to the backward state after step 0 (the
     last step that direction sees).
+
+    Loop step s runs the forward direction at time s and the backward one
+    at time T - 1 - s, on arrays stacked [direction, B, .]; the backward
+    pass runs the steps in reverse. A direction's reach, the steps it ran
+    before its ``dh`` and ``dc`` were all zero, is counted per direction,
+    and each direction's gradient GEMMs run over its own reach in time order.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"bilstm expects [B,T,D] input, got {x.data.shape}")
@@ -246,71 +254,71 @@ def bilstm(
     scale[2 * H : 3 * H] = 1.0
     shift = 1.0 - scale
 
-    def run_dir(w, u, b, reverse):
-        # hs/cs hold the states in time order, padded by the zero initial
-        # state: slot t is step t's input state going forward, slot t + 1 going back
-        gates = (xt @ w.data + b.data).reshape(T, B, 4 * H)
-        hs = np.zeros((T + 1, B, H), dtype=dtype)
-        cs = np.zeros((T + 1, B, H), dtype=dtype)
-        hc = np.empty((T, B, H), dtype=dtype)
-        for t in range(T - 1, -1, -1) if reverse else range(T):
-            prev, nxt = (t + 1, t) if reverse else (t, t + 1)
-            z = gates[t]
-            z += hs[prev] @ u.data
-            z *= scale
-            np.tanh(z, out=z)
-            z *= scale
-            z += shift
-            cs[nxt] = z[:, H : 2 * H] * cs[prev] + z[:, :H] * z[:, 2 * H : 3 * H]
-            np.tanh(cs[nxt], out=hc[t])
-            np.multiply(z[:, 3 * H :], hc[t], out=hs[nxt])
-        return gates, hs, cs, hc
-
-    cache_f = run_dir(w_f, u_f, b_f, reverse=False)
-    cache_b = run_dir(w_b, u_b, b_b, reverse=True)
-    out_data = np.concatenate([cache_f[1][T], cache_b[1][0]], axis=1)
+    # gates[d, s] is direction d's input at step s (going back: the time-reversed
+    # rows); hs/cs slot s is step s's input state, slot 0 the zero initial state
+    xr = np.ascontiguousarray(x.data[:, ::-1].transpose(1, 0, 2)).reshape(T * B, D)
+    gates = np.empty((2, T, B, 4 * H), dtype=dtype)
+    for d, (rows, w, b) in enumerate(((xt, w_f, b_f), (xr, w_b, b_b))):
+        np.matmul(rows, w.data, out=gates[d].reshape(T * B, 4 * H))
+        gates[d] += b.data
+    u = np.stack([u_f.data, u_b.data])  # [2, H, 4H]
+    hs = np.zeros((T + 1, 2, B, H), dtype=dtype)
+    cs = np.zeros((T + 1, 2, B, H), dtype=dtype)
+    hc = np.empty((T, 2, B, H), dtype=dtype)
+    for s in range(T):
+        z = np.matmul(hs[s], u)
+        z += gates[:, s]
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        gates[:, s] = z  # the activated gates, kept for backward
+        np.multiply(z[..., H : 2 * H], cs[s], out=cs[s + 1])
+        cs[s + 1] += z[..., :H] * z[..., 2 * H : 3 * H]
+        np.tanh(cs[s + 1], out=hc[s])
+        np.multiply(z[..., 3 * H :], hc[s], out=hs[s + 1])
+    out_data = np.concatenate([hs[T, 0], hs[T, 1]], axis=1)
 
     floor = np.sqrt(np.finfo(dtype).tiny)  # the product of two values above it is normal
 
-    def run_dir_bwd(w, u, b, cache, dh, dx, reverse):
-        gates, hs, cs, hc = cache
-        i_s, f_s, g_s, o_s = (gates[:, :, k * H : (k + 1) * H] for k in range(4))
-        c_prev = cs[1:] if reverse else cs[:-1]
-        u_t = np.ascontiguousarray(u.data.T)  # a transposed view makes the GEMM twice as slow
-        dzs = np.empty((T, B, 4 * H), dtype=dtype)
-        _flush(dh, floor)
-        dc = np.zeros((B, H), dtype=dtype)
-        n = 0  # steps run
-        for t in range(T) if reverse else range(T - 1, -1, -1):
-            # with dh and dc all zero, every dz from here on is exactly zero
-            if not (dh.any() or dc.any()):
-                break
-            i_g, f_g, g_g, o_g = i_s[t], f_s[t], g_s[t], o_s[t]
-            dc += dh * o_g * (1.0 - hc[t] * hc[t])
-            dz = dzs[t]
-            dz[:, :H] = dc * g_g * i_g * (1.0 - i_g)
-            dz[:, H : 2 * H] = dc * c_prev[t] * f_g * (1.0 - f_g)
-            dz[:, 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
-            dz[:, 3 * H :] = dh * hc[t] * o_g * (1.0 - o_g)
-            _flush(dz, floor)
-            dh = dz @ u_t
-            dc *= f_g
-            _flush(dh, floor)
-            _flush(dc, floor)
-            n += 1
-        live = slice(0, n) if reverse else slice(T - n, T)  # the steps the loop ran, in time order
-        dz2 = dzs[live].reshape(n * B, 4 * H)
-        rows = slice(live.start * B, live.stop * B)
-        h_prev = (hs[1:] if reverse else hs[:-1])[live].reshape(n * B, H)
-        _accum(w, xt[rows].T @ dz2)
-        _accum(u, h_prev.T @ dz2)
-        _accum(b, dz2.sum(axis=0))
-        dx[rows] += dz2 @ w.data.T
-
     def bwd(g):
+        i_s, f_s, g_s, o_s = (gates[..., k * H : (k + 1) * H] for k in range(4))
+        u_t = np.ascontiguousarray(u.transpose(0, 2, 1))  # a transposed view makes the GEMM twice as slow
+        dzs = np.empty((2, T, B, 4 * H), dtype=dtype)  # in time order per direction
+        dz = np.empty((2, B, 4 * H), dtype=dtype)
+        dhc = np.zeros((2, 2, B, H), dtype=dtype)  # dh then dc, each [direction, B, H]
+        dh, dc = dhc
+        dh[0], dh[1] = g[:, :H], g[:, H:]
+        _flush(dhc, floor)
+        reach = [0, 0]  # steps each direction ran
+        for s in range(T - 1, -1, -1):
+            live = dhc.any(axis=(0, 2, 3)).tolist()  # a direction whose dh and dc are all zero stays so
+            if not any(live):
+                break
+            reach[0] += live[0]
+            reach[1] += live[1]
+            i_g, f_g, g_g, o_g = i_s[:, s], f_s[:, s], g_s[:, s], o_s[:, s]
+            dc += dh * o_g * (1.0 - hc[s] * hc[s])
+            dz[..., :H] = dc * g_g * i_g * (1.0 - i_g)
+            dz[..., H : 2 * H] = dc * cs[s] * f_g * (1.0 - f_g)
+            dz[..., 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
+            dz[..., 3 * H :] = dh * hc[s] * o_g * (1.0 - o_g)
+            _flush(dz, floor)
+            dzs[0, s], dzs[1, T - 1 - s] = dz
+            np.matmul(dz, u_t, out=dh)
+            dc *= f_g
+            _flush(dhc, floor)
         dx = np.zeros((T * B, D), dtype=dtype)
-        run_dir_bwd(w_f, u_f, b_f, cache_f, g[:, :H].copy(), dx, reverse=False)
-        run_dir_bwd(w_b, u_b, b_b, cache_b, g[:, H:].copy(), dx, reverse=True)
+        for d, (w, u_d, b) in enumerate(((w_f, u_f, b_f), (w_b, u_b, b_b))):
+            n = reach[d]  # its steps in time order: the last n going forward, the first n going back
+            steps = slice(0, n) if d else slice(T - n, T)
+            dz2 = dzs[d, steps].reshape(n * B, 4 * H)
+            h_prev = np.ascontiguousarray(hs[T - n : T, d][:: -1 if d else 1]).reshape(n * B, H)
+            rows = slice(steps.start * B, steps.stop * B)
+            _accum(w, xt[rows].T @ dz2)
+            _accum(u_d, h_prev.T @ dz2)
+            _accum(b, dz2.sum(axis=0))
+            dx[rows] += dz2 @ w.data.T
         # two nearly cancelling directions can sum to a subnormal
         _flush(dx, np.finfo(dtype).tiny)
         _accum(x, dx.reshape(T, B, D).transpose(1, 0, 2))

@@ -43,8 +43,9 @@ CONV_KERNEL = 3  # taps of every branch conv
 _M_ARENA_MAX = -8  # glibc mallopt parameter
 # Below this batch the branches' per-step BiLSTM GEMMs are too small to
 # release the GIL for long, and two lanes ran slower than one (default
-# model at 1 BLAS thread on 2 x86-64 CPUs: forward 1.0-1.5x the serial
-# time at B=1-4, 0.65-0.95x at B=8-16).
+# model at 1 BLAS thread on 2 x86-64 CPUs, in-process and alternating:
+# forward 1.2-1.5x the serial time at B=1-2, 0.96-1.08x at B=4, 0.68-0.81x
+# at B=8-16).
 _MIN_LANE_BATCH = 8
 
 

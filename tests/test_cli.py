@@ -236,6 +236,15 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error:") and "stop accuracy" in err[0]
         assert (tmp_path / "run" / "epoch_log.txt").read_text() == ""
 
+    def test_negative_clip_overlap_returns_1(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(pipeline["cfg"].read_text() + "clip_overlap_s = -10\n")
+        rc = main(["preprocess", "--manifest", str(pipeline["raw"] / "manifest.csv"),
+                   "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "0 <= overlap < window" in err[0]
+
     def test_malformed_config_line_returns_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("epochs\n")

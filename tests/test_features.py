@@ -150,6 +150,11 @@ class TestClipCount:
         with pytest.raises(ConfigError):
             clip_count(100.0, 60.0, 60.0)
 
+    def test_negative_overlap_rejected(self):
+        # a negative overlap would leave a gap between clips
+        with pytest.raises(ConfigError, match="0 <= overlap < window"):
+            clip_count(130.0, 60.0, -10.0)
+
     @given(
         st.floats(min_value=0.0, max_value=1000.0),
         st.floats(min_value=1.0, max_value=100.0),

@@ -444,6 +444,78 @@ class TestBiLSTM:
         assert np.all(np.isfinite(dx)) and np.any(dx != 0)
         assert not np.any((dx != 0) & (np.abs(dx) < np.finfo(np.float32).tiny))
 
+    @pytest.mark.parametrize("replaced", ["forward", "backward"])
+    def test_directions_independent_bit_for_bit(self, rng, replaced):
+        # both directions step in one loop; neither may see the other's weights
+        # or reach (the replaced direction's larger weights carry its gradient
+        # through all 600 steps, the kept one's stops after about 200)
+        B, T, H = 2, 600, 16
+        arrays = lstm_arrays(rng, B=B, T=T, D=8, H=H, dtype=np.float32)
+        g = rng.normal(size=(B, 2 * H)).astype(np.float32)
+        other = list(arrays)
+        swapped = range(1, 4) if replaced == "forward" else range(4, 7)
+        for i in swapped:
+            other[i] = (rng.normal(size=arrays[i].shape) * 2.0).astype(np.float32)
+        out, grads = run_bilstm(arrays, g)
+        out2, grads2 = run_bilstm(other, g)
+        kept = slice(H, None) if replaced == "forward" else slice(None, H)
+        assert np.array_equal(out[:, kept], out2[:, kept])
+        for i in range(4, 7) if replaced == "forward" else range(1, 4):
+            assert np.array_equal(grads[i], grads2[i])
+
+    @pytest.mark.parametrize("dead", [0, 1])
+    def test_zero_upstream_on_one_direction_gives_it_zero_gradients(self, rng, dead):
+        B, H = 2, 4
+        arrays = lstm_arrays(rng, B=B, T=9, D=3, H=H, dtype=np.float32)
+        g = rng.normal(size=(B, 2 * H)).astype(np.float32)
+        g[:, dead * H : (dead + 1) * H] = 0.0
+        _, grads = run_bilstm(arrays, g)
+        _, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
+        own = range(1, 4) if dead == 0 else range(4, 7)
+        for i in range(1, 7):
+            assert grads[i].shape == arrays[i].shape
+            if i in own:
+                assert not np.any(grads[i])
+            else:
+                assert np.any(grads[i]) and rel_err(grads[i], ref_grads[i]) <= 1e-5
+        assert rel_err(grads[0], ref_grads[0]) <= 1e-5
+
+    def test_directions_stop_at_different_steps(self, rng):
+        # the forward direction's gradient starts 1e-12 smaller, reaches the
+        # flush floor first, and stops long before the backward one
+        B, T, H = 2, 600, 16
+        arrays = lstm_arrays(rng, B=B, T=T, D=8, H=H, dtype=np.float32)
+        g = rng.normal(size=(B, 2 * H)).astype(np.float32)
+        g[:, :H] *= np.float32(1e-12)
+        out, grads = run_bilstm(arrays, g)
+        ref_states, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
+        assert rel_err(out, summary_of(ref_states)) <= 1e-5
+        for got, want in zip(grads, ref_grads):
+            assert rel_err(got, want) <= 1e-5
+        # dx is nonzero where a direction reached: the last steps going
+        # forward, the first going back, with a gap between them
+        reached = np.any(grads[0], axis=(0, 2))
+        n_back, n_fwd = np.argmin(reached), np.argmin(reached[::-1])
+        assert not reached.all() and 0 < n_fwd < n_back
+        # each direction runs as far as it would alone: its gradients are
+        # those of a run where the other direction's upstream gradient is zero
+        for half, own in ((slice(H, None), range(1, 4)), (slice(None, H), range(4, 7))):
+            g_alone = g.copy()
+            g_alone[:, half] = 0.0
+            _, alone = run_bilstm(arrays, g_alone)
+            for i in own:
+                assert np.array_equal(grads[i], alone[i])
+
+    @pytest.mark.parametrize("B,T", [(3, 1), (1, 6), (1, 1)])
+    def test_single_step_and_single_clip(self, rng, B, T):
+        arrays = lstm_arrays(rng, B=B, T=T, D=3, H=4, dtype=np.float64)
+        g = rng.normal(size=(B, 8))
+        out, grads = run_bilstm(arrays, g)
+        ref_states, ref_grads = reference_bilstm(*arrays, g)
+        np.testing.assert_allclose(out, summary_of(ref_states), rtol=0, atol=1e-12)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_forget_gate_bias_init(self, rng):
         lstm = BiLSTM(4, 3, rng=rng)
         np.testing.assert_allclose(lstm.b_f.data[3:6], np.ones(3))

@@ -39,12 +39,13 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="depest", description="Multi-modal depression estimation pipeline.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sd = sub.add_parser("synth-data", help="generate a synthetic corpus")
+    # a flag not given is left out, so generate_synthetic_corpus's own default applies
+    sd = sub.add_parser("synth-data", help="generate a synthetic corpus", argument_default=argparse.SUPPRESS)
     sd.add_argument("--out-dir", required=True)
-    sd.add_argument("--seed", type=int, default=0)
-    sd.add_argument("--participants", type=int, default=8)
-    sd.add_argument("--duration-s", type=float, default=120.0)
-    sd.add_argument("--depressed-fraction", type=float, default=0.5)
+    sd.add_argument("--seed", type=int)
+    sd.add_argument("--participants", type=int, dest="n_participants")
+    sd.add_argument("--duration-s", type=float)
+    sd.add_argument("--depressed-fraction", type=float)
 
     pp = sub.add_parser("preprocess", help="manifest -> clip bundles")
     pp.add_argument("--manifest", required=True)
@@ -99,13 +100,7 @@ def _restore_model(args) -> tuple:
 
 
 def cmd_synth_data(args) -> int:
-    manifest = generate_synthetic_corpus(
-        args.out_dir,
-        n_participants=args.participants,
-        seed=args.seed,
-        duration_s=args.duration_s,
-        depressed_fraction=args.depressed_fraction,
-    )
+    manifest = generate_synthetic_corpus(**{key: value for key, value in vars(args).items() if key != "command"})
     print(f"wrote corpus manifest: {manifest}")
     return EXIT_OK
 

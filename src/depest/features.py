@@ -8,7 +8,7 @@ vectors. Sentence embeddings are `Sentences(starts [S], stops [S],
 vectors [S, 512])`. The clipper slices a session into fixed-length
 overlapped windows with boolean masks on frame times and sentence
 midpoints, and bundles per-clip audio/visual/text tensors with the
-session labels.
+session labels, which ``phq.check_label`` checks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dsp import MelConfig, StftConfig, Waveform, log_mel_spectrogram, standardize
 from .errors import ConfigError, DataError, EmptyInputError, EmptyOutputError, FormatError
-from .phq import ITEM_MAX, N_ITEMS
+from .phq import check_label
 
 N_LANDMARKS = 68
 N_GAZE = 4
@@ -79,7 +79,7 @@ class ClipSample:
     """One fixed-length window of a session, all modalities aligned.
 
     The three modality arrays are float32, the dtype of the bundle files
-    and of the model, cast once here.
+    and of the model, cast once here; the labels pass ``phq.check_label``.
     """
 
     audio: np.ndarray  # [n_mels, frames], standardized log-mel
@@ -95,11 +95,7 @@ class ClipSample:
         self.audio, self.visual, self.text = (
             np.asarray(a, dtype=np.float32) for a in (self.audio, self.visual, self.text)
         )
-        self.phq_subscores = tuple(int(s) for s in self.phq_subscores)
-        if len(self.phq_subscores) != N_ITEMS:
-            raise DataError(f"expected {N_ITEMS} item subscores, got {len(self.phq_subscores)}")
-        if any(s < 0 or s > ITEM_MAX for s in self.phq_subscores):
-            raise DataError(f"subscores must lie in [0,{ITEM_MAX}], got {self.phq_subscores}")
+        self.phq_subscores = check_label(self.phq_subscores, self.gender)
 
 
 @dataclass

@@ -214,9 +214,10 @@ def _blas_threads() -> int:
 def _one_malloc_arena() -> None:
     """Make every thread allocate from glibc's main malloc arena, for the whole process.
 
-    Without it each worker thread's arena keeps its own freed heap, and
-    peak RSS grows by tens of MB at the default model size. A no-op where
-    the C library has no mallopt.
+    Without it each worker thread's arena keeps its own freed heap:
+    train_small's peak RSS measured 261 MB instead of 252 MB (about
+    +10 MB), and the default model's about 5 MB more. A no-op where the
+    C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -33,8 +33,6 @@ class MusdlConfig:
             raise ConfigError("all size fields must be positive")
         if self.n_expanded % self.n_classes != 0:
             raise ConfigError(f"expanded grid {self.n_expanded} must be a multiple of {self.n_classes}")
-        if self.n_expanded < self.n_classes:
-            raise ConfigError("expanded grid cannot be smaller than the class count")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
 

@@ -1,11 +1,12 @@
-"""PHQ-8 scoring, participant-level aggregation, and evaluation metrics.
+"""PHQ-8 labels, scoring, participant-level aggregation, and evaluation metrics.
 
-A record of 8 item subscores (each 0..3) sums to a total score in 0..24,
-with the depressed/not-depressed binary cut at score >= 10 and a
-five-band severity tag. Clip-level records recombine into a participant
-result by averaging scores and taking a strict-majority vote on the
-binary. Metrics cover binary classification (positive class =
-depressed) and score regression, with an optional gender-split report.
+The one home of the label rule: 8 whole item subscores (each 0..3) and
+a gender in GENDERS. The subscores sum to a total score in 0..24, with
+the depressed/not-depressed binary cut at score >= 10 and a five-band
+severity tag. Clip-level records recombine into a participant result by
+averaging scores and taking a strict-majority vote on the binary.
+Metrics cover binary classification (positive class = depressed) and
+score regression, with an optional gender-split report.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ShapeError
+from .errors import DataError, DomainError, EmptyInputError, ShapeError
 
 N_ITEMS = 8
 ITEM_MAX = 3
 BINARY_CUTOFF = 10
+GENDERS = ("female", "male")
 
 SEVERITY_BANDS = (
     (0, 4, "not significant"),
@@ -77,14 +79,28 @@ def severity_band(score: int) -> str:
     raise DomainError(f"score {score} outside [0,24]")
 
 
+def item_scores(subscores) -> tuple:
+    """The N_ITEMS item subscores as ints in 0..ITEM_MAX, or DataError naming them; 1.5 is rejected, not truncated."""
+    given = tuple(subscores)
+    try:
+        subs = tuple(int(s) for s in given)
+    except (TypeError, ValueError, OverflowError):
+        subs = None
+    if subs != given or len(subs) != N_ITEMS or any(s < 0 or s > ITEM_MAX for s in subs):
+        raise DataError(f"need {N_ITEMS} whole item subscores in [0,{ITEM_MAX}], got ({', '.join(map(str, given))})")
+    return subs
+
+
+def check_label(subscores, gender: str) -> tuple:
+    """A sample's item subscores, as item_scores gives them, once its gender is one of GENDERS."""
+    if gender not in GENDERS:
+        raise DataError(f"gender must be one of {', '.join(GENDERS)}, got '{gender}'")
+    return item_scores(subscores)
+
+
 def derive_phq(subscores) -> PhqRecord:
     """8 item subscores -> total score, binary cut at 10, severity tag."""
-    subs = tuple(int(s) for s in subscores)
-    if len(subs) != N_ITEMS:
-        raise DomainError(f"expected {N_ITEMS} subscores, got {len(subs)}")
-    if any(s < 0 or s > ITEM_MAX for s in subs):
-        raise DomainError(f"subscores must lie in [0,{ITEM_MAX}], got {subs}")
-    score = sum(subs)
+    score = sum(item_scores(subscores))
     return PhqRecord(
         score=score,
         binary=int(score >= BINARY_CUTOFF),
@@ -173,7 +189,7 @@ class GenderSplitReport:
 
     def lines(self) -> list:
         out = ["[overall]"] + self.overall.lines()
-        for tag, rep in (("female", self.female), ("male", self.male)):
+        for tag, rep in zip(GENDERS, (self.female, self.male)):
             out.append(f"[{tag}]")
             out.extend(rep.lines() if rep is not None else ["absent"])
         out.append("[gap]")
@@ -206,22 +222,7 @@ def gender_split_report(results, pred_by_id) -> GenderSplitReport:
         ts = [r.score for r in group]
         return compute_metrics(pb, tb, ps, ts)
 
-    overall = metrics_for(results)
-    female = metrics_for([r for r in results if r.gender == "female"])
-    male = metrics_for([r for r in results if r.gender == "male"])
-
-    if female is not None and male is not None:
-        acc_gap = abs(female.accuracy - male.accuracy)
-        f1_gap = abs(female.f1 - male.f1)
-        mae_gap = abs(female.mae - male.mae)
-    else:
-        acc_gap = f1_gap = mae_gap = None
-
-    return GenderSplitReport(
-        overall=overall,
-        female=female,
-        male=male,
-        accuracy_gap=acc_gap,
-        f1_gap=f1_gap,
-        mae_gap=mae_gap,
-    )
+    female, male = (metrics_for([r for r in results if r.gender == g]) for g in GENDERS)
+    both = female is not None and male is not None
+    gaps = [abs(getattr(female, key) - getattr(male, key)) if both else None for key in ("accuracy", "f1", "mae")]
+    return GenderSplitReport(metrics_for(results), female, male, *gaps)

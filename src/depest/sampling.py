@@ -15,16 +15,14 @@ from collections import Counter
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError
-from .phq import BINARY_CUTOFF
+from .phq import derive_phq
 
 SAMPLER_MODES = ("score", "binary")
 
 
-def _clip_class(clip, mode: str):
-    total = sum(clip.phq_subscores)
-    if mode == "score":
-        return total
-    return int(total >= BINARY_CUTOFF)
+def _clip_class(clip, mode: str) -> int:
+    record = derive_phq(clip.phq_subscores)
+    return record.score if mode == "score" else record.binary
 
 
 def compute_sampler_weights(clips, mode: str = "score", gender_balance: bool = False) -> np.ndarray:

@@ -23,7 +23,7 @@ from .data import ManifestEntry, map_sessions, write_manifest
 from .dsp import Waveform, write_wav
 from .errors import ConfigError
 from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, write_embeddings, write_keypoints
-from .phq import BINARY_CUTOFF, ITEM_MAX, N_ITEMS
+from .phq import BINARY_CUTOFF, GENDERS, ITEM_MAX, N_ITEMS
 
 TONE_BASE_HZ = 250
 TONE_STEP_HZ = 170
@@ -147,7 +147,7 @@ def _write_session(j: int, *, out_dir: Path, seed: int, dep_flags: list, duratio
     # paths are relative to the manifest, which read_manifest resolves
     return ManifestEntry(
         participant_id=pid,
-        gender="female" if j % 2 == 0 else "male",
+        gender=GENDERS[j % 2],
         phq_subscores=subs,
         audio_path=Path(pid) / "audio.wav",
         keypoints_path=Path(pid) / "keypoints.txt",

@@ -7,6 +7,7 @@ contract: 1 for usage and config problems, 2 for data and format
 problems, 0 on success.
 """
 
+import filecmp
 import shutil
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from depest import cli, data, errors
 from depest.cli import main
+from depest.synthetic import generate_synthetic_corpus
 from depest.tensorio import load_checkpoint, save_checkpoint
 
 # small model, short run; keys mirror the config-file syntax users write
@@ -77,6 +79,16 @@ def pipeline(tmp_path_factory):
 
 
 class TestHappyPath:
+    def test_synth_data_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        assert main(["synth-data", "--out-dir", str(tmp_path / "cli")]) == 0
+        generate_synthetic_corpus(tmp_path / "lib")
+        files = sorted(p.relative_to(tmp_path / "lib") for p in (tmp_path / "lib").rglob("*") if p.is_file())
+        assert sorted(p.relative_to(tmp_path / "cli") for p in (tmp_path / "cli").rglob("*") if p.is_file()) == files
+        assert len(files) == 1 + 3 * 8  # the manifest, three files for each of 8 participants
+        for rel in files:
+            assert filecmp.cmp(tmp_path / "cli" / rel, tmp_path / "lib" / rel, shallow=False), rel
+        capsys.readouterr()
+
     def test_synth_data_wrote_manifest(self, pipeline):
         assert (pipeline["raw"] / "manifest.csv").exists()
 
@@ -326,6 +338,18 @@ class TestDataErrors:
         rc = main(["train", "--clips-dir", str(clips), "--out-dir", str(tmp_path / "run"), "--config", str(pipeline["cfg"])])
         assert rc == 2
         assert f"{meta}:" in capsys.readouterr().err
+
+    def test_gender_outside_genders_in_bundle_returns_2(self, pipeline, tmp_path, capsys):
+        clips = tmp_path / "clips"
+        shutil.copytree(pipeline["clips"], clips)
+        meta = next(m for m in sorted(clips.glob("*/meta.txt")) if "gender female\n" in m.read_text())
+        meta.write_text(meta.read_text().replace("gender female\n", "gender Female\n"))
+        rc = main(["aggregate", "--clips-dir", str(clips), "--checkpoint", str(pipeline["run"] / "model.ckpt")])
+        assert rc == 2
+        out = capsys.readouterr()
+        err = out.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {meta}:") and "'Female'" in err[0]
+        assert out.out == ""  # no report was printed
 
     def test_missing_clips_dir_returns_2(self, pipeline, tmp_path, capsys):
         rc = main(

@@ -4,6 +4,7 @@ import concurrent.futures
 import filecmp
 import hashlib
 import os
+import re
 import sys
 import time
 from functools import partial
@@ -105,6 +106,16 @@ class TestManifest:
         with pytest.raises(DataError):
             entry(subs=(4, 0, 0, 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("score", ["4", "1.5", "nan"])
+    def test_bad_label_in_manifest_names_the_line(self, tmp_path, score):
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, [entry("P000"), entry("P001")])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("P001,female,1,", f"P001,female,{score},")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: need 8 whole item subscores")):
+            read_manifest(path)
+
 
 class TestClipBundles:
     def test_round_trip(self, tmp_path, rng):
@@ -141,6 +152,26 @@ class TestClipBundles:
         meta.write_text(meta.read_text().replace("clip_index 0", "clip_index zero"))
         with pytest.raises(FormatError, match="meta.txt"):
             read_clip_bundle(tmp_path / "b")
+
+    def test_gender_outside_genders_in_meta_rejected(self, tmp_path, rng):
+        dirs = write_clips(tmp_path, [tiny_clip(rng, (0,) * 8, clip_index=k) for k in range(2)])
+        meta = dirs[1] / "meta.txt"
+        meta.write_text(meta.read_text().replace("gender female\n", "gender Female\n"))
+        with pytest.raises(DataError, match=re.escape(f"{meta}: gender must be one of female, male, got 'Female'")):
+            read_clips(tmp_path)
+
+    def test_half_score_in_meta_rejected_not_truncated(self, tmp_path, rng):
+        write_clip_bundle(tmp_path / "b", tiny_clip(rng, (0,) * 8))
+        meta = tmp_path / "b" / "meta.txt"
+        meta.write_text(meta.read_text().replace("subscores 0 0", "subscores 0 1.5"))
+        with pytest.raises(DataError, match=re.escape(f"{meta}: need 8 whole item subscores")):
+            read_clip_bundle(tmp_path / "b")
+
+    def test_whole_scores_written_as_reals_in_meta_are_read(self, tmp_path, rng):
+        write_clip_bundle(tmp_path / "b", tiny_clip(rng, (1, 0, 2, 0, 1, 0, 0, 3)))
+        meta = tmp_path / "b" / "meta.txt"
+        meta.write_text(meta.read_text().replace("subscores 1 0 2", "subscores 1.0 0 2e0"))
+        assert read_clip_bundle(tmp_path / "b").phq_subscores == (1, 0, 2, 0, 1, 0, 0, 3)
 
     def test_read_clips_gives_float32(self, tmp_path, rng):
         write_clips(tmp_path, [tiny_clip(rng, (0,) * 8)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradients, rel_err
 from depest import autodiff as ad
-from depest.errors import DomainError, ShapeError
+from depest.errors import ConfigError, DomainError, ShapeError
 from depest.musdl import (
     KL_EPS,
     MusdlConfig,
@@ -17,6 +17,17 @@ from depest.musdl import (
 )
 
 CFG = MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0)  # the config.DEFAULTS values
+
+
+@pytest.mark.parametrize("n_classes, n_expanded, match", [
+    (4, 2, "multiple"),  # a grid smaller than the class count is no multiple of it
+    (4, 30, "multiple"),
+    (0, 32, "positive"),
+    (4, 0, "positive"),
+])
+def test_bad_grid_sizes_rejected(n_classes, n_expanded, match):
+    with pytest.raises(ConfigError, match=match):
+        MusdlConfig(n_classes=n_classes, n_expanded=n_expanded, sigma=5.0)
 
 
 def kl_value(target, pred) -> float:

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depest.errors import DomainError, EmptyInputError, ShapeError
+from pathlib import Path
+
+from conftest import tiny_clip
+from depest.data import ManifestEntry
+from depest.errors import DataError, DomainError, EmptyInputError, ShapeError
 from depest.phq import (
     BINARY_CUTOFF,
+    GENDERS,
     PhqRecord,
     aggregate_participant,
     compute_metrics,
     derive_phq,
     gender_split_report,
+    item_scores,
     severity_band,
 )
 
@@ -60,13 +66,13 @@ class TestDerive:
         assert BINARY_CUTOFF == 10
 
     def test_wrong_count_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             derive_phq((1, 2, 3))
 
     def test_out_of_range_item_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             derive_phq((0, 0, 0, 0, 4, 0, 0, 0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError):
             derive_phq((0, 0, 0, 0, -1, 0, 0, 0))
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=8, max_size=8))
@@ -82,6 +88,43 @@ class TestDerive:
                 bumped = list(subs)
                 bumped[i] += 1
                 assert derive_phq(bumped).score == r.score + 1
+
+
+def _manifest_entry(subs):
+    return ManifestEntry("P000", "female", subs, Path("a.wav"), Path("k.txt"), Path("e.txt"))
+
+
+def _clip(subs):
+    return tiny_clip(np.random.default_rng(0), subs)
+
+
+BAD_SCORES = {
+    "half": (0, 0, 1.5, 0, 0, 0, 0, 0),
+    "ninth-score": (0,) * 9,
+    "four": (0, 0, 0, 0, 0, 4, 0, 0),
+}
+
+
+class TestLabelRule:
+    """phq alone decides what a valid label is; every holder of labels asks it."""
+
+    @pytest.mark.parametrize("subs", BAD_SCORES.values(), ids=BAD_SCORES.keys())
+    @pytest.mark.parametrize("holder", [derive_phq, _manifest_entry, _clip], ids=["derive_phq", "manifest", "clip"])
+    def test_bad_item_scores_rejected_with_data_error(self, holder, subs):
+        with pytest.raises(DataError, match="whole item subscores") as info:
+            holder(subs)
+        assert ", ".join(map(str, subs)) in str(info.value)  # the message names the values
+
+    def test_whole_values_become_python_ints(self):
+        subs = item_scores(np.array([3.0, 0, 1, 2, 0, 0, 0, 1]))
+        assert subs == (3, 0, 1, 2, 0, 0, 0, 1)
+        assert all(type(s) is int for s in subs)
+
+    @pytest.mark.parametrize("gender", ["Female", "other", ""])
+    def test_clip_gender_outside_genders_rejected(self, gender):
+        assert gender not in GENDERS
+        with pytest.raises(DataError, match="gender"):
+            tiny_clip(np.random.default_rng(0), (0,) * 8, gender=gender)
 
 
 def rec(score):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import tiny_clip
-from depest.errors import ConfigError, EmptyInputError
+from depest.errors import ConfigError, DataError, EmptyInputError
+from depest.phq import derive_phq
 from depest.sampling import (
     compute_sampler_weights,
     draw_indices,
@@ -40,6 +41,21 @@ class TestSamplerWeights:
         clips = clips_with_totals(rng, [4, 9, 9, 15])
         w = compute_sampler_weights(clips, mode="binary")
         np.testing.assert_allclose(w, [1 / 3, 1 / 3, 1 / 3, 1.0])
+
+    def test_binary_classes_are_derive_phq_binaries(self, rng):
+        # every total from 0 to 24, so a cut anywhere else would move a clip and its weight
+        clips = clips_with_totals(rng, [score for score in range(25) for _ in range(score % 4 + 1)])
+        binaries = [derive_phq(c.phq_subscores).binary for c in clips]
+        counts = {b: binaries.count(b) for b in (0, 1)}
+        w = compute_sampler_weights(clips, mode="binary")
+        np.testing.assert_array_equal(w, [1.0 / counts[b] for b in binaries])
+
+    def test_labels_changed_after_the_clip_was_built_are_checked(self, rng):
+        # summed these read 10 (depressed), truncated item by item 9: two rules that disagreed
+        clips = clips_with_totals(rng, [0, 12])
+        clips[1].phq_subscores = (3, 3, 3, 0.5, 0.5, 0, 0, 0)
+        with pytest.raises(DataError):
+            compute_sampler_weights(clips, mode="binary")
 
     def test_gender_multiplier(self, rng):
         clips = clips_with_totals(

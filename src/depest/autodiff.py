@@ -3,7 +3,8 @@
 A ``Tensor`` wraps a numpy array plus an optional gradient. Operations
 build an implicit DAG by recording parent tensors and a backward closure;
 ``backward(loss)`` topologically sorts the graph reachable from a scalar
-loss and runs each closure exactly once in reverse order.
+loss, runs each closure exactly once in reverse order and releases each
+interior node as soon as its closure has run; only leaves keep gradients.
 
 Only the operations the model and its gradient checks use are
 implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``relu``,
@@ -82,9 +83,11 @@ def _node(data, parents, backward, op) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss.
 
-    Visits every reachable node exactly once in reverse topological order.
-    A second call on the same loss raises: the graph's gradients would be
-    double-counted, so a fresh forward pass is required first.
+    Visits every reachable node exactly once in reverse topological order;
+    once its closure has run, an interior node drops its closure, gradient
+    and parents, so the activations they hold are freed during the pass.
+    A second call on the same loss raises: the graph is spent, so a fresh
+    forward pass is required first.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -110,9 +113,12 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node._backward, node.grad, node._parents = None, None, ()
     loss._done = True
 
 

@@ -12,12 +12,15 @@ before the loop, and its two independent directions stepped together in
 one loop, forward and backward, so each step is one set of numpy calls
 and one batched recurrent GEMM for both. In backward each direction's
 stored ``dz`` then feeds one GEMM each for its weight, recurrent and input
-gradients. It returns only the [B, 2H] summary the model reads, so each
-direction's backward starts from one gradient at its last step, which
-then decays. Backward flushes ``dz``, ``dh`` and ``dc`` to zero below the
-square root of the dtype's smallest normal number (flush-to-zero, as GPU
-float32 kernels do): no product inside a GEMM is then subnormal, which
-would be many times slower on x86. Once a direction's ``dh`` and ``dc``
+gradients. Forward keeps only the activated gates and the cell states;
+backward rebuilds h and tanh(c) from them, with the forward's own calls,
+for just the steps it reaches (recompute over storage, Chen et al. 2016).
+It returns only the [B, 2H] summary the model reads, so each direction's
+backward starts from one gradient at its last step, which then decays.
+Backward flushes ``dz``, ``dh`` and ``dc`` to zero below the square root
+of the dtype's smallest normal number (flush-to-zero, as GPU float32
+kernels do): no product inside a GEMM is then subnormal, which would be
+many times slower on x86. Once a direction's ``dh`` and ``dc``
 are all zero its every later ``dz`` is exactly zero, so its GEMMs cover
 only the steps it reached, and the loop stops when both have stopped.
 
@@ -225,9 +228,12 @@ def bilstm(
 
     Loop step s runs the forward direction at time s and the backward one
     at time T - 1 - s, on arrays stacked [direction, B, .]; the backward
-    pass runs the steps in reverse. A direction's reach, the steps it ran
-    before its ``dh`` and ``dc`` were all zero, is counted per direction,
-    and each direction's gradient GEMMs run over its own reach in time order.
+    pass runs the steps in reverse. Forward caches only the activated gates
+    [2, T, B, 4H] and the cell states [T + 1, 2, B, H]; each backward step
+    rebuilds tanh(c) and its input h = o * tanh(c), bit for bit. A
+    direction's reach, the steps it ran before its ``dh`` and ``dc`` were
+    all zero, is counted per direction, and each direction's gradient GEMMs
+    run over its own reach in time order.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"bilstm expects [B,T,D] input, got {x.data.shape}")
@@ -255,18 +261,18 @@ def bilstm(
     shift = 1.0 - scale
 
     # gates[d, s] is direction d's input at step s (going back: the time-reversed
-    # rows); hs/cs slot s is step s's input state, slot 0 the zero initial state
+    # rows); cs slot s is step s's input cell state, slot 0 the zero initial state
     xr = np.ascontiguousarray(x.data[:, ::-1].transpose(1, 0, 2)).reshape(T * B, D)
     gates = np.empty((2, T, B, 4 * H), dtype=dtype)
     for d, (rows, w, b) in enumerate(((xt, w_f, b_f), (xr, w_b, b_b))):
         np.matmul(rows, w.data, out=gates[d].reshape(T * B, 4 * H))
         gates[d] += b.data
     u = np.stack([u_f.data, u_b.data])  # [2, H, 4H]
-    hs = np.zeros((T + 1, 2, B, H), dtype=dtype)
+    h = np.zeros((2, B, H), dtype=dtype)
+    hc = np.empty((2, B, H), dtype=dtype)
     cs = np.zeros((T + 1, 2, B, H), dtype=dtype)
-    hc = np.empty((T, 2, B, H), dtype=dtype)
     for s in range(T):
-        z = np.matmul(hs[s], u)
+        z = np.matmul(h, u)
         z += gates[:, s]
         z *= scale
         np.tanh(z, out=z)
@@ -275,9 +281,9 @@ def bilstm(
         gates[:, s] = z  # the activated gates, kept for backward
         np.multiply(z[..., H : 2 * H], cs[s], out=cs[s + 1])
         cs[s + 1] += z[..., :H] * z[..., 2 * H : 3 * H]
-        np.tanh(cs[s + 1], out=hc[s])
-        np.multiply(z[..., 3 * H :], hc[s], out=hs[s + 1])
-    out_data = np.concatenate([hs[T, 0], hs[T, 1]], axis=1)
+        np.tanh(cs[s + 1], out=hc)
+        np.multiply(z[..., 3 * H :], hc, out=h)
+    out_data = np.concatenate([h[0], h[1]], axis=1)
 
     floor = np.sqrt(np.finfo(dtype).tiny)  # the product of two values above it is normal
 
@@ -285,12 +291,14 @@ def bilstm(
         i_s, f_s, g_s, o_s = (gates[..., k * H : (k + 1) * H] for k in range(4))
         u_t = np.ascontiguousarray(u.transpose(0, 2, 1))  # a transposed view makes the GEMM twice as slow
         dzs = np.empty((2, T, B, 4 * H), dtype=dtype)  # in time order per direction
+        hs = np.empty((T, 2, B, H), dtype=dtype)  # hs[s]: step s's input state, rebuilt where reached
         dz = np.empty((2, B, 4 * H), dtype=dtype)
         dhc = np.zeros((2, 2, B, H), dtype=dtype)  # dh then dc, each [direction, B, H]
         dh, dc = dhc
         dh[0], dh[1] = g[:, :H], g[:, H:]
         _flush(dhc, floor)
         reach = [0, 0]  # steps each direction ran
+        tc = np.tanh(cs[T])
         for s in range(T - 1, -1, -1):
             live = dhc.any(axis=(0, 2, 3)).tolist()  # a direction whose dh and dc are all zero stays so
             if not any(live):
@@ -298,11 +306,16 @@ def bilstm(
             reach[0] += live[0]
             reach[1] += live[1]
             i_g, f_g, g_g, o_g = i_s[:, s], f_s[:, s], g_s[:, s], o_s[:, s]
-            dc += dh * o_g * (1.0 - hc[s] * hc[s])
+            # the forward's calls on the same slices rebuild its bits: hc is
+            # tanh(c) after step s, and o of step s - 1 times tanh(c) before
+            # it is step s's input h (at s = 0, o * tanh(0) is the zero state)
+            hc, tc = tc, np.tanh(cs[s])
+            np.multiply(o_s[:, s - 1], tc, out=hs[s])
+            dc += dh * o_g * (1.0 - hc * hc)
             dz[..., :H] = dc * g_g * i_g * (1.0 - i_g)
             dz[..., H : 2 * H] = dc * cs[s] * f_g * (1.0 - f_g)
             dz[..., 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
-            dz[..., 3 * H :] = dh * hc[s] * o_g * (1.0 - o_g)
+            dz[..., 3 * H :] = dh * hc * o_g * (1.0 - o_g)
             _flush(dz, floor)
             dzs[0, s], dzs[1, T - 1 - s] = dz
             np.matmul(dz, u_t, out=dh)

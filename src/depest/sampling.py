@@ -50,7 +50,7 @@ def draw_indices(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.nd
     return rng.choice(p.size, size=n, replace=True, p=p / p.sum())
 
 
-def dynamic_class_weights(batch_subscores, n_classes: int = 4) -> np.ndarray:
+def dynamic_class_weights(batch_subscores, n_classes: int) -> np.ndarray:
     """[B, 8] ground-truth item scores -> [8, n_classes] loss weights.
 
     Weight of class c at item k is 1/max(1, count of c among the batch's

@@ -2,8 +2,10 @@
 
 Every differentiable op is compared against central finite differences
 in float64; graph mechanics (topological order, double-backward guard,
-scalar-only backward) are exercised directly.
+scalar-only backward, releasing spent nodes) are exercised directly.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +184,39 @@ class TestGraphMechanics:
         ad.backward(ad.sum_(ad.mul(x, y)))
         assert x.grad is None
         np.testing.assert_allclose(y.grad, np.ones(3))
+
+    def test_backward_releases_interior_nodes(self):
+        x = ad.tensor(np.arange(3.0), requires_grad=True)
+        w = ad.tensor(np.ones(3), requires_grad=True)
+        h = ad.mul(x, w)
+        y = ad.sigmoid(h)
+        loss = ad.sum_(y)
+        ad.backward(loss)
+        for node in (h, y, loss):
+            assert node._backward is None and node._parents == () and node.grad is None
+        np.testing.assert_allclose(x.grad, sigmoid(np.arange(3.0)) * (1.0 - sigmoid(np.arange(3.0))))
+        np.testing.assert_allclose(w.grad, x.data * x.grad)
+
+    def test_interior_activation_freed_before_the_pass_ends(self):
+        # the large node's array is gone by the time the closure next to the
+        # inputs runs, not only when backward returns
+        x = ad.tensor(np.array([2.0]), requires_grad=True)
+        near = ad.mul(x, x)
+        big = ad.mul(near, ad.tensor(np.ones(1 << 16)))
+        alive = weakref.ref(big.data)
+        loss = ad.sum_(big)
+        del big
+        seen = []
+        run = near._backward
+
+        def probe(g):
+            seen.append(alive() is not None)
+            run(g)
+
+        near._backward = probe
+        ad.backward(loss)
+        assert seen == [False]
+        np.testing.assert_allclose(x.grad, [4.0 * (1 << 16)])
 
     def test_deep_chain_iterative_topo(self):
         # long chains would blow the recursion limit with a recursive sort

@@ -506,6 +506,34 @@ class TestBiLSTM:
             for i in own:
                 assert np.array_equal(grads[i], alone[i])
 
+    @pytest.mark.parametrize("g_scale,full_reach", [(1.0, True), (1e-12, False)])
+    def test_forward_caches_only_gates_and_cell_states(self, rng, g_scale, full_reach):
+        # h and tanh(c) are not kept per step: backward rebuilds them for the
+        # steps it reaches, and must match the reference also when it stops early
+        B, T, D, H = 4, 200, 8, 32
+        arrays = lstm_arrays(rng, B=B, T=T, D=D, H=H, dtype=np.float32, scale=0.2)
+        tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            out = bilstm(*tensors)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        item = np.dtype(np.float32).itemsize
+        gates, cs = 2 * T * B * 4 * H * item, (T + 1) * 2 * B * H * item
+        # slack: the time-major copy of x and the stacked recurrent weights
+        # that the gradient GEMMs read, the output, and 16 kB of small objects
+        slack = (T * B * D + 2 * H * 4 * H + B * 2 * H) * item + 16384
+        assert held <= gates + cs + slack
+        g = (rng.normal(size=(B, 2 * H)) * g_scale).astype(np.float32)
+        ad.backward(ad.sum_(ad.mul(out, ad.tensor(g))))
+        grads = [t.grad for t in tensors]
+        assert np.all(np.any(grads[0], axis=(0, 2))) == full_reach
+        ref_states, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
+        assert rel_err(out.data, summary_of(ref_states)) <= 1e-5
+        for got, want in zip(grads, ref_grads):
+            assert rel_err(got, want) <= 1e-5
+
     @pytest.mark.parametrize("B,T", [(3, 1), (1, 6), (1, 1)])
     def test_single_step_and_single_clip(self, rng, B, T):
         arrays = lstm_arrays(rng, B=B, T=T, D=3, H=4, dtype=np.float64)

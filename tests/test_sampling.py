@@ -5,13 +5,15 @@ import pytest
 
 from conftest import tiny_clip
 from depest.errors import ConfigError, DataError, EmptyInputError
-from depest.phq import derive_phq
+from depest.phq import ITEM_MAX, derive_phq
 from depest.sampling import (
     compute_sampler_weights,
     draw_indices,
     dynamic_class_weights,
     row_weights_for_batch,
 )
+
+N_CLASSES = ITEM_MAX + 1  # item scores 0..ITEM_MAX
 
 
 def clips_with_totals(rng, totals, genders=None):
@@ -118,23 +120,23 @@ class TestDynamicWeights:
             [0, 3, 0, 0, 0, 0, 0, 0],
             [1, 3, 0, 0, 0, 0, 0, 0],
         ])
-        w = dynamic_class_weights(batch)
+        w = dynamic_class_weights(batch, N_CLASSES)
         np.testing.assert_allclose(w[0], [0.5, 1.0, 1.0, 1.0])
         np.testing.assert_allclose(w[1], [1.0, 1.0, 1.0, 1.0 / 3.0])
         np.testing.assert_allclose(w[2], [1.0 / 3.0, 1.0, 1.0, 1.0])
 
     def test_balanced_batch_uniform_weights(self):
         batch = np.array([[c] * 8 for c in (0, 1, 2, 3)])
-        w = dynamic_class_weights(batch)
+        w = dynamic_class_weights(batch, N_CLASSES)
         np.testing.assert_allclose(w, 1.0)
 
     def test_shape(self, rng):
         batch = rng.integers(0, 4, size=(16, 8))
-        assert dynamic_class_weights(batch).shape == (8, 4)
+        assert dynamic_class_weights(batch, N_CLASSES).shape == (8, 4)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            dynamic_class_weights(np.zeros((0, 8)))
+            dynamic_class_weights(np.zeros((0, 8)), N_CLASSES)
 
 
 class TestRowWeights:
@@ -143,7 +145,7 @@ class TestRowWeights:
             [0, 1, 0, 0, 0, 0, 0, 0],
             [1, 1, 0, 0, 0, 0, 0, 0],
         ])
-        cw = dynamic_class_weights(batch)
+        cw = dynamic_class_weights(batch, N_CLASSES)
         rows = row_weights_for_batch(batch, cw)
         assert rows.shape == (16,)
         # first 8 entries belong to sample 0, items 0..7 in order
@@ -153,12 +155,12 @@ class TestRowWeights:
 
     def test_balanced_batch_gives_unit_rows(self):
         batch = np.array([[c] * 8 for c in (0, 1, 2, 3)])
-        rows = row_weights_for_batch(batch, dynamic_class_weights(batch))
+        rows = row_weights_for_batch(batch, dynamic_class_weights(batch, N_CLASSES))
         np.testing.assert_allclose(rows, 1.0)
 
     def test_rare_class_upweighted(self):
         batch = np.array([[0] * 8] * 7 + [[3] * 8])
-        rows = row_weights_for_batch(batch, dynamic_class_weights(batch))
+        rows = row_weights_for_batch(batch, dynamic_class_weights(batch, N_CLASSES))
         # the single score-3 sample gets weight 1, the crowd 1/7 each
         np.testing.assert_allclose(rows[-8:], 1.0)
         np.testing.assert_allclose(rows[:-8], 1.0 / 7.0)

@@ -80,6 +80,10 @@ class ClipSample:
 
     The three modality arrays are float32, the dtype of the bundle files
     and of the model, cast once here; the labels pass ``phq.check_label``.
+    Each is held in the model's input layout: ``audio`` is C-contiguous,
+    and ``visual`` and ``text`` are ``.T`` views of C-contiguous
+    ``[3, 72, n_frames]`` and ``[512, max_sentences]`` buffers, so
+    ``visual.T`` and ``text.T`` are free C-contiguous views.
     """
 
     audio: np.ndarray  # [n_mels, frames], standardized log-mel
@@ -92,8 +96,9 @@ class ClipSample:
     start_s: float = 0.0
 
     def __post_init__(self):
-        self.audio, self.visual, self.text = (
-            np.asarray(a, dtype=np.float32) for a in (self.audio, self.visual, self.text)
+        self.audio = np.ascontiguousarray(self.audio, dtype=np.float32)
+        self.visual, self.text = (
+            np.ascontiguousarray(np.asarray(a).T, dtype=np.float32).T for a in (self.visual, self.text)
         )
         self.phq_subscores = check_label(self.phq_subscores, self.gender)
 

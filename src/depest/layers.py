@@ -130,23 +130,30 @@ def conv2d(
 
 def max_pool1d(x: Tensor, pool: int) -> Tensor:
     """Non-overlapping window maxima along the last axis (stride = pool). x: [B, C, T]."""
-    if pool < 1:
-        raise ConfigError(f"pool size must be >= 1, got {pool}")
+    if not 1 <= pool <= np.iinfo(np.int8).max:  # the window index is int8
+        raise ConfigError(f"pool size must be in 1..127, got {pool}")
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool1d expects [B,C,T] input, got {x.data.shape}")
     B, C, T = x.data.shape
     if T < pool:
         raise ShapeError(f"max_pool1d input length {T} shorter than pool {pool}")
     t_out = T // pool
-    xr = x.data[:, :, : t_out * pool].reshape(B, C, t_out, pool)
-    idx = xr.argmax(axis=-1)
-    out_data = np.take_along_axis(xr, idx[..., None], axis=-1).squeeze(-1)
+    end = t_out * pool
+    # a strict > keeps the first of tied windows, as argmax does; np.maximum
+    # returns its second argument on a tie, so out keeps that window's bits
+    # (-0.0 against 0.0). A masked write of idx would cost as much as argmax.
+    out_data = x.data[..., 0:end:pool].copy()
+    idx = np.zeros(out_data.shape, dtype=np.int8)
+    for k in range(1, pool):
+        window = x.data[..., k:end:pool]
+        larger = window > out_data
+        np.maximum(window, out_data, out=out_data)
+        idx *= ~larger
+        idx += larger.view(np.int8) * k
 
     def bwd(g):
-        dxr = np.zeros_like(xr)
-        np.put_along_axis(dxr, idx[..., None], g[..., None], axis=-1)
-        dx = np.zeros_like(x.data)
-        dx[:, :, : t_out * pool] = dxr.reshape(B, C, t_out * pool)
+        dx = np.zeros(x.data.shape, dtype=x.data.dtype)
+        np.put_along_axis(dx[..., :end].reshape(B, C, t_out, pool), idx[..., None], g[..., None], axis=-1)
         _accum(x, dx)
 
     return _node(out_data, (x,), bwd, "max_pool1d")

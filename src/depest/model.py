@@ -235,7 +235,7 @@ def _clip_arrays(clip: ClipSample, cfg: ModelConfig) -> dict:
     if "v" in cfg.modality:
         if clip.visual.shape[0] == 0:
             raise DataError(f"clip {clip.clip_index} of {clip.participant_id} has no visual frames")
-        out["visual"] = np.transpose(clip.visual, (2, 1, 0))  # [T,72,3] -> [3,72,T]
+        out["visual"] = clip.visual.T  # [3, 72, T]
     if "t" in cfg.modality:
         out["text"] = clip.text.T  # [512, S]
     return out
@@ -247,14 +247,14 @@ def batch_inputs(clips, cfg: ModelConfig) -> dict:
         raise DataError("empty clip batch")
     singles = [_clip_arrays(c, cfg) for c in clips]
     out = {}
-    for key in singles[0]:
-        shapes = {s[key].shape for s in singles}
-        if len(shapes) != 1:
-            raise ShapeError(f"ragged '{key}' shapes in batch: {sorted(shapes)}")
-        # one array written clip by clip: np.stack would keep the transposed
-        # per-clip layout, and a later reshape of it would copy the batch
-        batch = np.empty((len(singles),) + singles[0][key].shape, dtype=singles[0][key].dtype)
-        for i, s in enumerate(singles):
-            batch[i] = s[key]
-        out[key] = ad.tensor(batch)
+    for key, first in singles[0].items():
+        for clip, s in zip(clips, singles):
+            if s[key].shape != first.shape:
+                raise ShapeError(
+                    f"ragged '{key}' shapes in batch: clip {clip.clip_index} of {clip.participant_id} is "
+                    f"{s[key].shape}, clip {clips[0].clip_index} of {clips[0].participant_id} is {first.shape}"
+                )
+        # each clip's model-layout view is C-contiguous (ClipSample's layout),
+        # so the stacked batch is too
+        out[key] = ad.tensor(np.stack([s[key] for s in singles]))
     return out

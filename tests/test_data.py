@@ -133,6 +133,12 @@ class TestClipBundles:
         np.testing.assert_array_equal(back.visual, clip.visual)
         np.testing.assert_array_equal(back.text, clip.text)
 
+    def test_write_read_write_gives_identical_files(self, tmp_path, rng):
+        write_clip_bundle(tmp_path / "a", tiny_clip(rng, (1, 0, 2, 0, 1, 0, 0, 3)))
+        write_clip_bundle(tmp_path / "b", read_clip_bundle(tmp_path / "a"))
+        names = ["audio.mft", "visual.mft", "text.mft", "meta.txt"]
+        assert filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names, shallow=False) == (names, [], [])
+
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "b").mkdir()
         with pytest.raises(DataError):

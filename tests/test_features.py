@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depest.config import mel_config, parse_config, stft_config
+from depest.config import mel_config, model_config, parse_config, stft_config
+from depest.data import read_clip_bundle, write_clip_bundle
 from depest.dsp import Waveform
 from depest.errors import (
     ConfigError,
@@ -260,6 +261,19 @@ class TestSlidingWindow:
     def test_modalities_are_float32(self, rng):
         for c in cut(tiny_session(rng, duration_s=70.0)):
             assert (c.audio.dtype, c.visual.dtype, c.text.dtype) == (np.float32,) * 3
+
+    def test_cut_and_read_clips_hold_model_layout(self, rng, tmp_path):
+        (cut_clip,) = cut(tiny_session(rng, duration_s=70.0))
+        write_clip_bundle(tmp_path / "b", cut_clip)
+        read_clip = read_clip_bundle(tmp_path / "b")
+        batches = []
+        for c in (cut_clip, read_clip):
+            assert (c.audio.shape, c.visual.shape, c.text.shape) == ((80, 1800), (1800, FRAME_ROWS, 3), (32, EMBED_DIM))
+            for model_view in (c.audio, c.visual.T, c.text.T):
+                assert model_view.flags.c_contiguous and model_view.dtype == np.float32
+            batches.append(batch_inputs([c, c], model_config(parse_config())))
+        for key in ("audio", "visual", "text"):
+            np.testing.assert_array_equal(batches[0][key].data, batches[1][key].data)
 
     def test_short_session_rejected(self, rng):
         with pytest.raises(EmptyOutputError):

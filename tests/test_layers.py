@@ -8,7 +8,7 @@ import pytest
 from conftest import fd_gradients, rel_err, sigmoid
 from depest import autodiff as ad
 from depest import layers
-from depest.errors import ShapeError
+from depest.errors import ConfigError, ShapeError
 from depest.layers import (
     BatchNorm,
     BiLSTM,
@@ -189,13 +189,52 @@ class TestPooling:
         np.testing.assert_allclose(x.grad, [[[0.0, 1.0, 1.0, 0.0]]])
 
     def test_max_pool_grad_fd(self, rng):
-        x = rng.normal(size=(2, 3, 9))
+        for pool in (2, 3):  # pool 3 runs the window loop past its first step
+            x = rng.normal(size=(2, 3, 11))
+            xt = ad.tensor(x.copy(), requires_grad=True)
+            ad.backward(ad.sum_(ad.sigmoid(max_pool1d(xt, pool))))
+            t_out = 11 // pool
+            (num,) = fd_gradients(
+                lambda a: sigmoid(a[:, :, : t_out * pool].reshape(2, 3, t_out, pool).max(axis=-1)).sum(), [x]
+            )
+            assert rel_err(xt.grad, num) < TOL, pool
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("T", [11, 17])
+    def test_max_pool_matches_argmax_reference_bit_for_bit(self, rng, pool, T):
+        # integer values in 0..2 tie often; signed zeros tie with different bits
+        x = rng.integers(0, 3, size=(3, 4, T)).astype(np.float32)
+        x[x == 0] *= np.where(rng.random(np.count_nonzero(x == 0)) < 0.5, -1, 1).astype(np.float32)
+        g = rng.normal(size=(3, 4, T // pool)).astype(np.float32)
+        xr = x[:, :, : T // pool * pool].reshape(3, 4, T // pool, pool)
+        ref_idx = xr.argmax(axis=-1)[..., None]
+        ref_out = np.take_along_axis(xr, ref_idx, axis=-1).squeeze(-1)
+        ref_dx = np.zeros_like(x)
+        np.put_along_axis(ref_dx[:, :, : T // pool * pool].reshape(xr.shape), ref_idx, g[..., None], axis=-1)
+
         xt = ad.tensor(x.copy(), requires_grad=True)
-        ad.backward(ad.sum_(ad.sigmoid(max_pool1d(xt, 3))))
-        (num,) = fd_gradients(
-            lambda a: sigmoid(a[:, :, :9].reshape(2, 3, 3, 3).max(axis=-1)).sum(), [x]
-        )
-        assert rel_err(xt.grad, num) < TOL
+        out = max_pool1d(xt, pool)
+        ad.backward(ad.sum_(ad.mul(out, ad.tensor(g))))
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_dx.tobytes()
+
+    def test_max_pool_index_is_int8(self):
+        x = ad.tensor(np.arange(12.0).reshape(1, 2, 6), requires_grad=True)
+        out = max_pool1d(x, 3)
+        # the backward closure holds the window index and no other array
+        (idx,) = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert idx.dtype == np.int8
+        np.testing.assert_array_equal(idx, 2)
+
+    def test_max_pool_window_with_nan_outputs_nan(self):
+        x = np.array([[[1.0, np.nan, np.nan, 2.0, 3.0, 4.0]]])
+        out = max_pool1d(ad.tensor(x), 2).data
+        assert np.isnan(out[0, 0, :2]).all()
+        assert out[0, 0, 2] == 4.0
+
+    def test_pool_beyond_the_int8_index_rejected(self):
+        with pytest.raises(ConfigError):
+            max_pool1d(ad.tensor(np.zeros((1, 1, 200))), 128)
 
     def test_pool_longer_than_input_rejected(self):
         with pytest.raises(ShapeError):

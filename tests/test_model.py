@@ -437,6 +437,11 @@ class TestClipPlumbing:
         clips = [tiny_clip(rng, (0,) * 8), tiny_clip(rng, (0,) * 8, t_audio=20)]
         with pytest.raises(ShapeError):
             batch_inputs(clips, small_config("a"))
+        # the error names the first clip that differs from clip 0
+        clips = [tiny_clip(rng, (0,) * 8, participant_id=f"P00{k}", clip_index=k, t_vis=7 if k >= 2 else 6)
+                 for k in range(4)]
+        with pytest.raises(ShapeError, match=r"clip 2 of P002 is \(3, 72, 7\), clip 0 of P000 is \(3, 72, 6\)"):
+            batch_inputs(clips, small_config("av"))
 
     def test_batch_inputs_empty_rejected(self):
         with pytest.raises(DataError):

@@ -78,8 +78,7 @@ class SamOptimizer:
         self.base = Sgd(self.params, lr=config.lr, momentum=config.momentum)
 
     def _eval_grads(self, loss_fn) -> tuple[float, list]:
-        for p in self.params:
-            p.grad = None
+        self.base.zero_grad()
         loss = loss_fn()
         if not isinstance(loss, Tensor):
             raise ConfigError("loss closure must return a scalar graph tensor")

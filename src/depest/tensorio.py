@@ -1,88 +1,64 @@
-"""Binary tensor files and model checkpoints.
+"""Tensor files and model checkpoints in numpy's own layouts.
 
-Tensor files carry one float32 array: magic "MFTK", u32 version, u32
-rank, u64 per-dimension sizes, then the little-endian row-major payload.
-Checkpoints bundle an epoch counter, the flat-text config snapshot with
-its sha256 digest, and the named parameter arrays sorted by name, so
-writing the same state twice produces byte-identical files.
+A tensor file is one float32 ``.npy`` file, stored in the array's own
+memory order, so ``np.load`` opens it. A checkpoint is an uncompressed
+zip in the layout ``np.savez`` writes: ``epoch.txt``, ``config.txt``
+(the flat-text config snapshot) and one ``<name>.npy`` per state array,
+written in name order under one fixed date, so writing the same state
+twice produces byte-identical files. Readers parse headers with
+``numpy.lib.format`` alone, never unpickle, accept float32 only, and
+check the payload size a header declares before copying anything.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
+import math
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import FormatError
 
-TENSOR_MAGIC = b"MFTK"
-TENSOR_VERSION = 1
-CHECKPOINT_MAGIC = b"MCKP"
-CHECKPOINT_VERSION = 1
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+_HEADER_READERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 
-def _tensor_bytes(arr: np.ndarray) -> bytes:
-    # ascontiguousarray would promote rank 0 to rank 1
-    arr = np.asarray(arr, dtype="<f4", order="C")
-    head = TENSOR_MAGIC + struct.pack("<II", TENSOR_VERSION, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return head + dims + arr.tobytes()
+def _write_npy(fh, arr) -> None:
+    npy.write_array(fh, np.asarray(arr, dtype="<f4"), allow_pickle=False)
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(_tensor_bytes(arr))
+        _write_npy(fh, arr)
 
 
-class _Reader:
-    def __init__(self, buf: bytes, label: str):
-        self.buf = buf
-        self.pos = 0
-        self.label = label
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"{self.label}: truncated (need {n} bytes at offset {self.pos})")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64s(self, n: int) -> tuple:
-        return struct.unpack(f"<{n}Q", self.take(8 * n)) if n else ()
-
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
-
-
-def _parse_tensor(r: _Reader) -> np.ndarray:
-    if r.take(4) != TENSOR_MAGIC:
-        raise FormatError(f"{r.label}: bad tensor magic")
-    version = r.u32()
-    if version != TENSOR_VERSION:
-        raise FormatError(f"{r.label}: unsupported tensor version {version}")
-    rank = r.u32()
-    if rank > 16:
-        raise FormatError(f"{r.label}: implausible rank {rank}")
-    dims = r.u64s(rank)
-    count = 1
-    for d in dims:
-        count *= d
-    payload = r.take(4 * count)
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+def _read_npy(fh, size: int, label: str) -> np.ndarray:
+    """The float32 array of an open ``.npy`` stream that holds ``size`` bytes in all."""
+    try:
+        version = npy.read_magic(fh)
+        if version not in _HEADER_READERS:
+            raise ValueError(f"unsupported .npy version {version}")
+        shape, fortran_order, dtype = _HEADER_READERS[version](fh)
+    except ValueError as exc:
+        raise FormatError(f"{label}: {exc}") from exc
+    if dtype != np.dtype("<f4"):
+        raise FormatError(f"{label}: dtype {dtype}, expected little-endian float32")
+    payload = size - fh.tell()
+    if min(shape, default=0) < 0 or payload != 4 * math.prod(shape):
+        raise FormatError(f"{label}: shape {shape} does not match the {payload} payload bytes present")
+    arr = np.empty(shape[::-1] if fortran_order else shape, dtype="<f4")
+    if fh.readinto(arr.reshape(-1)) != payload:
+        raise FormatError(f"{label}: payload shorter than its {payload} bytes")
+    return arr.T if fortran_order else arr
 
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        r = _Reader(fh.read(), str(path))
-    arr = _parse_tensor(r)
-    if not r.done():
-        raise FormatError(f"{path}: {len(r.buf) - r.pos} trailing bytes")
-    return arr
+        return _read_npy(fh, os.fstat(fh.fileno()).st_size, str(path))
 
 
 @dataclass
@@ -94,46 +70,30 @@ class Checkpoint:
 
 
 def save_checkpoint(path, epoch: int, config_text: str, state: dict) -> None:
-    """Epoch + config snapshot + named float32 tensors, name-sorted."""
-    cfg = config_text.encode()
-    names = sorted(state)
-    parts = [
-        CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, epoch),
-        hashlib.sha256(cfg).digest(),
-        struct.pack("<I", len(cfg)) + cfg,
-        struct.pack("<I", len(names)),
-    ]
-    for name in names:
-        nb = name.encode()
-        parts.append(struct.pack("<I", len(nb)) + nb)
-        parts.append(_tensor_bytes(np.asarray(state[name])))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    """Epoch + config snapshot + named float32 arrays, name-sorted."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        zf.writestr(zipfile.ZipInfo("epoch.txt", _ZIP_DATE), f"{epoch}\n")
+        zf.writestr(zipfile.ZipInfo("config.txt", _ZIP_DATE), config_text.encode())
+        for name in sorted(state):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE), "w") as fh:
+                _write_npy(fh, state[name])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), str(path))
-    if r.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    epoch = r.u32()
-    digest = r.take(32)
-    cfg_len = r.u32()
-    cfg_raw = r.take(cfg_len)
-    if hashlib.sha256(cfg_raw).digest() != digest:
-        raise FormatError(f"{path}: config snapshot does not match its stored digest")
+    state = {}
     try:
-        config_text = cfg_raw.decode()
-        n = r.u32()
-        state = {}
-        for _ in range(n):
-            name = r.take(r.u32()).decode()
-            state[name] = _parse_tensor(r)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: undecodable text field") from exc
-    if not r.done():
-        raise FormatError(f"{path}: {len(r.buf) - r.pos} trailing bytes")
-    return Checkpoint(epoch=epoch, config_text=config_text, config_hash=digest.hex(), state=state)
+        with zipfile.ZipFile(path) as zf:
+            for info in zf.infolist():
+                name = info.filename
+                if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+                    raise FormatError(f"{path}: entry {name} is compressed or encrypted")
+                if name.endswith(".npy"):
+                    with zf.open(info) as fh:
+                        state[name[:-4]] = _read_npy(fh, info.file_size, f"{path}:{name}")
+                elif name not in ("epoch.txt", "config.txt"):
+                    raise FormatError(f"{path}: unexpected checkpoint entry {name}")
+            epoch, config_text = int(zf.read("epoch.txt")), zf.read("config.txt").decode()
+    except (zipfile.BadZipFile, KeyError, EOFError, ValueError) as exc:  # ValueError: a bad epoch or undecodable text
+        raise FormatError(f"{path}: not a readable checkpoint: {exc}") from exc
+    config_hash = hashlib.sha256(config_text.encode()).hexdigest()
+    return Checkpoint(epoch=epoch, config_text=config_text, config_hash=config_hash, state=state)

@@ -9,6 +9,7 @@ problems, 0 on success.
 
 import filecmp
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -338,6 +339,18 @@ class TestDataErrors:
         rc = main(["train", "--clips-dir", str(clips), "--out-dir", str(tmp_path / "run"), "--config", str(pipeline["cfg"])])
         assert rc == 2
         assert f"{meta}:" in capsys.readouterr().err
+
+    def test_bundle_in_pre_npy_layout_returns_2(self, pipeline, tmp_path, capsys):
+        # bundles once held "MFTK" files: magic, u32 version 1, u32 rank, u64 dims, C-order float32
+        clips = tmp_path / "clips"
+        shutil.copytree(pipeline["clips"], clips)
+        old = sorted(clips.glob("*/visual.mft"))[0]
+        arr = np.ascontiguousarray(np.load(old))
+        old.write_bytes(b"MFTK" + struct.pack(f"<II{arr.ndim}Q", 1, arr.ndim, *arr.shape) + arr.tobytes())
+        rc = main(["train", "--clips-dir", str(clips), "--out-dir", str(tmp_path / "run"), "--config", str(pipeline["cfg"])])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {old}:")
 
     def test_gender_outside_genders_in_bundle_returns_2(self, pipeline, tmp_path, capsys):
         clips = tmp_path / "clips"

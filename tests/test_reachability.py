@@ -21,9 +21,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRODUCT_FILES = sorted((ROOT / "src" / "depest").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
-# reached from outside the product: an argparse hook, and two helpers the
+# reached from outside the product: an argparse hook, and a helper the
 # acceptance suite calls
-ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation", "Sgd.zero_grad"}
+ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation"}
 
 
 def _definitions(tree):

@@ -1,20 +1,26 @@
-"""Binary tensor and checkpoint file format."""
+"""Tensor files (.npy) and checkpoints (np.savez zip layout)."""
 
 import hashlib
+import io
 import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
+from depest import tensorio
 from depest.errors import FormatError
-from depest.tensorio import (
-    CHECKPOINT_MAGIC,
-    TENSOR_MAGIC,
-    load_checkpoint,
-    read_tensor,
-    save_checkpoint,
-    write_tensor,
-)
+from depest.tensorio import load_checkpoint, read_tensor, save_checkpoint, write_tensor
+
+
+def write_header(path, shape, payload: bytes, descr="<f4", version=(1, 0)):
+    """A hand-made .npy file: the given header over the given payload bytes."""
+    header = {"descr": descr, "fortran_order": False, "shape": shape}
+    with open(path, "wb") as fh:
+        (npy.write_array_header_1_0 if version == (1, 0) else npy.write_array_header_2_0)(fh, header)
+        fh.write(payload)
 
 
 class TestTensorFiles:
@@ -35,27 +41,37 @@ class TestTensorFiles:
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back, arr.astype(np.float32))
 
-    def test_layout_is_fixed(self, tmp_path):
-        # magic, version=1, rank=2, dims 2x3, then 6 little-endian floats
-        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-        path = tmp_path / "t.bin"
+    def test_np_load_reads_tensor_file(self, tmp_path, rng):
+        arr = rng.normal(size=(2, 3)).astype(np.float32)
+        path = tmp_path / "t.mft"
         write_tensor(path, arr)
-        raw = path.read_bytes()
-        assert raw[:4] == TENSOR_MAGIC
-        assert struct.unpack("<II", raw[4:12]) == (1, 2)
-        assert struct.unpack("<2Q", raw[12:28]) == (2, 3)
-        np.testing.assert_array_equal(np.frombuffer(raw[28:], dtype="<f4"), arr.ravel())
+        back = np.load(path, allow_pickle=False)
+        assert back.dtype == np.dtype("<f4")
+        np.testing.assert_array_equal(back, arr)
+
+    def test_transposed_view_round_trips_fortran_ordered(self, tmp_path, rng):
+        # a ClipSample's visual: a .T view of a C-contiguous [3, 72, T] buffer
+        arr = rng.normal(size=(3, 72, 5)).astype(np.float32).T
+        path = tmp_path / "t.mft"
+        write_tensor(path, arr)
+        back = read_tensor(path)
+        np.testing.assert_array_equal(back, arr)
+        assert back.flags.f_contiguous and not back.flags.c_contiguous
+        np.testing.assert_array_equal(np.load(path), arr)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad.bin"):
             read_tensor(path)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(TENSOR_MAGIC + struct.pack("<II", 9, 0))
-        with pytest.raises(FormatError):
+        write_tensor(path, np.ones(3, dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = bytes([9, 0])  # the major/minor version after the magic string
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="version"):
             read_tensor(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -77,8 +93,36 @@ class TestTensorFiles:
 
     def test_implausible_rank_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(TENSOR_MAGIC + struct.pack("<II", 1, 99))
+        write_header(path, (2,) * 99, b"\x00" * 16)
         with pytest.raises(FormatError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+    def test_forged_shape_rejected_before_allocating(self, tmp_path, monkeypatch, version):
+        path = tmp_path / "bad.bin"
+        write_header(path, (2**40,), b"\x00" * 12, version=version)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before checking the payload size")
+
+        monkeypatch.setattr(tensorio.np, "empty", no_alloc)
+        with pytest.raises(FormatError, match=r"\(1099511627776,\)"):
+            read_tensor(path)
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        write_header(path, (-2, -3), b"\x00" * 24)
+        with pytest.raises(FormatError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "arr", [np.ones(3), np.ones(3, dtype=">f4"), np.array([{"a": 1}, None], dtype=object)], ids=["f8", "be-f4", "object"]
+    )
+    def test_other_dtypes_rejected(self, tmp_path, monkeypatch, arr):
+        path = tmp_path / "t.npy"
+        np.save(path, arr, allow_pickle=True)
+        monkeypatch.setattr("pickle.load", lambda *a, **k: pytest.fail("unpickled"))
+        with pytest.raises(FormatError, match="float32"):
             read_tensor(path)
 
 
@@ -88,6 +132,21 @@ def small_state(rng):
         "layer.bias": rng.normal(size=4).astype(np.float32),
         "bn.running_mean": rng.normal(size=3).astype(np.float32),
     }
+
+
+def npy_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def rewrite_zip(src, dst, compression=zipfile.ZIP_STORED, extra=None):
+    """Copy a checkpoint's entries into a new zip, optionally compressed or with one more entry."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", compression) as zout:
+        for info in zin.infolist():
+            zout.writestr(info.filename, zin.read(info))
+        if extra:
+            zout.writestr(*extra)
 
 
 class TestCheckpoints:
@@ -112,22 +171,48 @@ class TestCheckpoints:
         save_checkpoint(p2, 3, "x=1\n", dict(reversed(list(state.items()))))
         assert p1.read_bytes() == p2.read_bytes()  # insertion order must not leak
 
-    def test_header_layout(self, tmp_path, rng):
+    def test_np_load_reads_checkpoint_arrays_by_name(self, tmp_path, rng):
+        state = small_state(rng)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, 5, "k=v\n", {"w": np.zeros(2, dtype=np.float32)})
-        raw = path.read_bytes()
-        assert raw[:4] == CHECKPOINT_MAGIC
-        assert struct.unpack("<II", raw[4:12]) == (1, 5)
+        save_checkpoint(path, 5, "k=v\n", state)
+        with np.load(path, allow_pickle=False) as npz:
+            assert npz.files == ["epoch.txt", "config.txt"] + sorted(state)
+            for name, arr in state.items():
+                np.testing.assert_array_equal(npz[name], arr)
+        with zipfile.ZipFile(path) as zf:
+            assert zf.read("epoch.txt") == b"5\n" and zf.read("config.txt") == b"k=v\n"
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
 
     def test_corrupted_config_digest_rejected(self, tmp_path, rng):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, 1, "lr=0.5\n", small_state(rng))
         raw = bytearray(path.read_bytes())
-        # flip one byte inside the config text region
+        # flip one byte inside the config text region; zip's CRC-32 catches it
         pos = raw.index(b"lr=0.5")
         raw[pos] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="m.ckpt"):
+            load_checkpoint(path)
+
+    def test_corrupted_array_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "", {"w": np.full(4, 7.0, dtype=np.float32)})
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(np.float32(7.0).tobytes())] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="CRC"):
+            load_checkpoint(path)
+
+    def test_entry_shorter_than_its_declared_size_rejected(self, tmp_path):
+        # the central directory says 4 stored bytes fewer than the .npy's size, with a CRC-32 that matches them
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "", {"w": np.ones(4, dtype=np.float32)})
+        raw = bytearray(path.read_bytes())
+        entry = raw.rindex(b"PK\x01\x02")  # the last central-directory entry: w.npy
+        stored = npy_bytes(np.ones(4, dtype=np.float32))[:-4]
+        raw[entry + 16 : entry + 24] = struct.pack("<II", zlib.crc32(stored), len(stored))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="shorter"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
@@ -149,3 +234,43 @@ class TestCheckpoints:
         ck = load_checkpoint(path)
         assert ck.state == {}
         assert ck.epoch == 0
+
+    def test_deflated_entry_rejected(self, tmp_path, rng):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "a=b\n", small_state(rng))
+        rewrite_zip(path, tmp_path / "z.ckpt", compression=zipfile.ZIP_DEFLATED)
+        with pytest.raises(FormatError, match="compressed"):
+            load_checkpoint(tmp_path / "z.ckpt")
+
+    def test_encrypted_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "", {})
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"PK\x01\x02") + 8] |= 0x1  # the first central-directory entry's "encrypted" flag bit
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="encrypted"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [("notes.txt", "hi"), ("sub/", ""), ("data.pkl", b"\x80\x04N.")])
+    def test_unexpected_entry_rejected(self, tmp_path, rng, extra):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "a=b\n", small_state(rng))
+        rewrite_zip(path, tmp_path / "x.ckpt", extra=extra)
+        with pytest.raises(FormatError, match="unexpected"):
+            load_checkpoint(tmp_path / "x.ckpt")
+
+    def test_float64_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "", {})
+        rewrite_zip(path, tmp_path / "f.ckpt", extra=("w.npy", npy_bytes(np.ones(2))))
+        with pytest.raises(FormatError, match="w.npy"):
+            load_checkpoint(tmp_path / "f.ckpt")
+
+    @pytest.mark.parametrize("epoch", [b"", b"x\n", b"\xff\n"])
+    def test_malformed_epoch_rejected(self, tmp_path, epoch):
+        path = tmp_path / "m.ckpt"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("epoch.txt", epoch)
+            zf.writestr("config.txt", "")
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

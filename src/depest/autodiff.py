@@ -10,12 +10,14 @@ Only the operations the model and its gradient checks use are
 implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``relu``,
 ``sigmoid``, ``softmax``, the reductions ``sum_``, ``mean``,
 ``max_reduce`` and ``lower_median``, the shape ops ``reshape``,
-``transpose``, ``slice_axis`` and ``stack``, and ``affine``.
+``transpose``, ``slice_axis`` and ``concat``, and ``affine``.
 Convolution, pooling, batch norm and the LSTM (which carry their own
 hand-derived backwards) live in :mod:`depest.layers`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -295,16 +297,20 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _node(out_data, (a,), bwd, "slice")
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
+def concat(tensors, axis: int) -> Tensor:
+    """Join along an existing axis; backward hands each input its slice. One tensor comes back as is."""
+    tensors = tuple(tensors)
+    if len(tensors) == 1:
+        return tensors[0]
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    ends = tuple(itertools.accumulate(t.data.shape[axis] for t in tensors))
+    lead = (slice(None),) * (axis % out_data.ndim)  # np.split's pieces, without its per-call cost
 
     def bwd(g):
-        pieces = np.moveaxis(g, axis, 0)
-        for t, piece in zip(tensors, pieces):
-            _accum(t, piece)
+        for t, lo, hi in zip(tensors, (0,) + ends, ends):
+            _accum(t, g[lead + (slice(lo, hi),)])
 
-    return _node(out_data, tuple(tensors), bwd, "stack")
+    return _node(out_data, tensors, bwd, "concat")
 
 
 # -- linear algebra ----------------------------------------------------

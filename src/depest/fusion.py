@@ -6,9 +6,9 @@ unit mixes a global (pooled) and a local (per-cell) excitation path,
 squashes through a sigmoid, and the block blends a refined conv of the
 input with the input itself twice over, each stage under its own
 attention weights. The bank's heads, one per questionnaire item, are
-independent parameter sets run as one pass over a head axis: gathered
-per role, their convs and batch norms are one op each. A lone block is
-a bank of one head.
+independent parameter sets run as one pass over a head axis: joined
+per role along that axis, their convs and batch norms are one op each.
+A lone block is a bank of one head.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accum, _node
+from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm, Conv2d, Module, batch_norm, conv2d
 from .phq import N_ITEMS
@@ -24,35 +24,23 @@ from .phq import N_ITEMS
 BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
 
 
-def _gather(params, shape) -> Tensor:
-    """Same-shape per-head parameters stacked head-major into ``shape``; backward hands each its slice; one is not copied."""
-    if len(params) == 1:
-        return params[0] if params[0].data.shape == tuple(shape) else ad.reshape(params[0], shape)
-    out_data = np.stack([p.data for p in params]).reshape(shape)
-
-    def bwd(g):
-        for p, gp in zip(params, g.reshape((len(params),) + params[0].data.shape)):
-            _accum(p, gp)
-
-    return _node(out_data, tuple(params), bwd, "gather")
-
-
 def _conv_heads(y: Tensor, convs) -> Tensor:
     """The heads' one-channel convs as one conv2d: [B, 1, H, W] -> [B, heads, H, W]."""
-    weight = _gather([c.weight for c in convs], (len(convs),) + convs[0].weight.data.shape[1:])
-    return conv2d(y, weight, _gather([c.bias for c in convs], (len(convs),)), convs[0].stride, convs[0].padding)
+    weight, bias = (ad.concat([getattr(c, name) for c in convs], axis=0) for name in ("weight", "bias"))
+    return conv2d(y, weight, bias, convs[0].stride, convs[0].padding)
 
 
 def _pointwise_heads(x: Tensor, convs) -> Tensor:
     """The heads' 1x1 one-channel convs as a per-channel scale and shift."""
-    shape = (1, len(convs), 1, 1)
-    return ad.add(ad.mul(x, _gather([c.weight for c in convs], shape)), _gather([c.bias for c in convs], shape))
+    scale = ad.concat([c.weight for c in convs], axis=1)  # [1, heads, 1, 1]
+    shift = ad.reshape(ad.concat([c.bias for c in convs], axis=0), scale.data.shape)
+    return ad.add(ad.mul(x, scale), shift)
 
 
 def _norm_heads(x: Tensor, bns) -> Tensor:
     """The heads' one-channel batch norms as one over the head axis, on each head's running statistics."""
     stats = [np.concatenate([getattr(bn, name) for bn in bns]) for name in ("running_mean", "running_var")]
-    gamma, beta = (_gather([getattr(bn, name) for bn in bns], (len(bns),)) for name in ("gamma", "beta"))
+    gamma, beta = (ad.concat([getattr(bn, name) for bn in bns], axis=0) for name in ("gamma", "beta"))
     out = batch_norm(x, gamma, beta, *stats, bns[0].training)
     for bn, mu, var in zip(bns, *stats):
         bn.running_mean[...], bn.running_var[...] = mu, var
@@ -173,12 +161,12 @@ def baseline_fuse(method: str, vectors) -> Tensor:
         for v in vectors[1:]:
             out = ad.mul(out, v)
         return out
-    axis = 0 if vectors[0].data.ndim == 1 else 1
-    stacked = ad.stack(vectors, axis=axis)
+    axis = vectors[0].data.ndim - 1
+    joined = ad.concat(vectors, axis=axis)  # [.., n * d]
     if method == "concat":
-        shape = list(stacked.data.shape)
-        flat = shape[:axis] + [shape[axis] * shape[axis + 1]]
-        return ad.reshape(stacked, tuple(flat))
+        return joined
+    shape = vectors[0].data.shape
+    stacked = ad.reshape(joined, shape[:-1] + (n, shape[-1]))  # [.., n, d]
     if method == "median":
         return ad.lower_median(stacked, axis=axis)
     if method == "max":

@@ -3,11 +3,11 @@
 Each modality runs through its own backbone (conv stages with BN/ReLU
 and max-pooling, a BiLSTM over time summarised by the final state of
 each direction, and a projection of that summary to a shared feature
-width), the per-modality vectors stack into a 1-channel map of
+width), the per-modality vectors join into a 1-channel map of
 shape [1, n_modalities, feature_dim], and either an 8-head attentional
 fusion bank or one of the simple late-fusion rules feeds 8 independent
-softmax classifiers, one per questionnaire item, over the expanded
-32-point score grid.
+classifiers, one per questionnaire item, whose logits share one softmax
+over the expanded 32-point score grid.
 
 The backbones share nothing until the fusion stage, so a forward pass
 runs them on ``data.map_lanes``, the one lane scheduler, which also runs
@@ -36,7 +36,7 @@ from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, basel
 from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, max_pool1d
 from .phq import N_ITEMS
 
-MODALITIES = ("a", "v", "t")
+MODALITIES = {"a": "audio", "v": "visual", "t": "text"}  # letter -> branch config and forward() input
 MODALITY_SETS = ("a", "v", "t", "av", "avt")
 FUSION_MODES = BASELINE_RULES + ("atten", "subatten")
 CONV_KERNEL = 3  # taps of every branch conv
@@ -90,9 +90,7 @@ class ModelConfig:
             raise ConfigError(f"modality must be one of {MODALITY_SETS}, got '{self.modality}'")
         if self.fusion not in FUSION_MODES:
             raise ConfigError(f"fusion must be one of {FUSION_MODES}, got '{self.fusion}'")
-        for letter, name in (("a", "audio"), ("v", "visual"), ("t", "text")):
-            if letter not in self.modality:
-                continue
+        for name in (MODALITIES[m] for m in self.active):
             branch = getattr(self, name)
             if branch is None:
                 raise ConfigError(f"modality '{self.modality}' needs a {name} branch config")
@@ -138,9 +136,8 @@ class MultiModalClassifier(Module):
     def __init__(self, cfg: ModelConfig, *, rng, dtype=np.float32):
         super().__init__()
         self.cfg = cfg
-        branch_cfgs = {"a": cfg.audio, "v": cfg.visual, "t": cfg.text}
         for letter in cfg.active:
-            setattr(self, f"branch_{letter}", ModalityBranch(branch_cfgs[letter], rng=rng, dtype=dtype))
+            setattr(self, f"branch_{letter}", ModalityBranch(getattr(cfg, MODALITIES[letter]), rng=rng, dtype=dtype))
 
         n = len(cfg.active)
         d = cfg.feature_dim
@@ -160,11 +157,11 @@ class MultiModalClassifier(Module):
 
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
         """Batched modality tensors -> [B, N_ITEMS, n_classes] distributions."""
-        given = {"a": audio, "v": visual, "t": text}
+        given = {"audio": audio, "visual": visual, "text": text}
         for letter in self.cfg.active:
-            if given[letter] is None:
+            if given[MODALITIES[letter]] is None:
                 raise DataError(f"modality '{self.cfg.modality}' needs the '{letter}' input")
-        feats = _run_branches([(getattr(self, f"branch_{m}"), given[m]) for m in self.cfg.active])
+        feats = _run_branches([(getattr(self, f"branch_{m}"), given[MODALITIES[m]]) for m in self.cfg.active])
 
         B = feats[0].data.shape[0]
         n = len(feats)
@@ -174,14 +171,14 @@ class MultiModalClassifier(Module):
         elif self.cfg.fusion in BASELINE_RULES:
             head_inputs = [baseline_fuse(self.cfg.fusion, feats)] * N_ITEMS
         else:
-            ymap = ad.reshape(ad.stack(feats, axis=1), (B, 1, n, d))  # [B, n, d] as a 1-channel map
+            ymap = ad.reshape(ad.concat(feats, axis=1), (B, 1, n, d))  # [B, n, d] as a 1-channel map
             if self.cfg.fusion == "subatten":
                 head_inputs = [ad.reshape(o, (B, n * d)) for o in self.bank(ymap)]
             else:
                 head_inputs = [ad.reshape(self.fuser(ymap), (B, n * d))] * N_ITEMS
 
-        probs = [ad.softmax(head(x), axis=1) for head, x in zip(self.heads, head_inputs)]
-        return ad.stack(probs, axis=1)  # [B, N_ITEMS, n_classes]
+        logits = ad.concat([head(x) for head, x in zip(self.heads, head_inputs)], axis=1)
+        return ad.softmax(ad.reshape(logits, (B, N_ITEMS, self.cfg.n_classes)), axis=-1)
 
 
 def _run_branches(calls) -> list:
@@ -228,17 +225,11 @@ def _one_malloc_arena() -> None:
 
 
 def _clip_arrays(clip: ClipSample, cfg: ModelConfig) -> dict:
-    """Per-modality views of a clip in model layout, keyed by forward() arg."""
-    out = {}
-    if "a" in cfg.modality:
-        out["audio"] = clip.audio  # [n_mels, T]
-    if "v" in cfg.modality:
-        if clip.visual.shape[0] == 0:
-            raise DataError(f"clip {clip.clip_index} of {clip.participant_id} has no visual frames")
-        out["visual"] = clip.visual.T  # [3, 72, T]
-    if "t" in cfg.modality:
-        out["text"] = clip.text.T  # [512, S]
-    return out
+    """Per-modality views of a clip in model layout, keyed by forward() arg: audio [n_mels, T] as
+    stored, visual and text transposed to [3, 72, T] and [512, S]."""
+    if "v" in cfg.active and clip.visual.shape[0] == 0:
+        raise DataError(f"clip {clip.clip_index} of {clip.participant_id} has no visual frames")
+    return {MODALITIES[m]: clip.audio if m == "a" else getattr(clip, MODALITIES[m]).T for m in cfg.active}
 
 
 def batch_inputs(clips, cfg: ModelConfig) -> dict:

@@ -83,6 +83,10 @@ def load_checkpoint(path) -> Checkpoint:
     state = {}
     try:
         with zipfile.ZipFile(path) as zf:
+            # zipfile skips bytes before the first entry or after the end record
+            zf.fp.seek(-zipfile.sizeEndCentDir - len(zf.comment), os.SEEK_END)
+            if zf.fp.read(4) != zipfile.stringEndArchive or min((i.header_offset for i in zf.infolist()), default=0):
+                raise FormatError(f"{path}: bytes before or after the checkpoint's zip")
             for info in zf.infolist():
                 name = info.filename
                 if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:

@@ -31,6 +31,7 @@ class EpochStats:
     clip_accuracy: float  # binary, over all clips
     female_accuracy: float
     male_accuracy: float
+    evaluation: EvalResult = None  # the epoch's closing eval, on the weights it ends with
 
     def log_line(self) -> str:
         return (
@@ -158,6 +159,7 @@ def train(
             clip_accuracy=rep.overall.accuracy,
             female_accuracy=rep.female.accuracy if rep.female else float("nan"),
             male_accuracy=rep.male.accuracy if rep.male else float("nan"),
+            evaluation=ev,
         )
         history.append(stats)
         if log_fh is not None:
@@ -188,9 +190,8 @@ def fusion_comparison(
     rows = []
     for modality in modalities:
         for mode in fusion_modes:
-            model = make_model(mode, modality)
-            train(
-                model,
+            history = train(
+                make_model(mode, modality),
                 clips,
                 musdl_cfg=musdl_cfg,
                 sam_cfg=sam_cfg,
@@ -198,7 +199,7 @@ def fusion_comparison(
                 batch_size=batch_size,
                 seed=seed,
             )
-            ev = evaluate_clips(model, clips, musdl_cfg, batch_size)
+            ev = history[-1].evaluation
             rep = report(clips, ev.records, by_participant=True).overall
             rows.append(
                 {

@@ -117,23 +117,41 @@ class TestReductionsAndShape:
         (num,) = fd_gradients(lambda a: (np.sort(a, axis=1)[:, 2] ** 2).sum(), [x])
         assert rel_err(xt.grad, num) < TOL
 
-    def test_reshape_transpose_slice_concat_stack(self):
+    def test_reshape_transpose_slice_concat(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 6))
         xt = ad.tensor(x.copy(), requires_grad=True)
         a = ad.reshape(xt, (3, 4))
         b = ad.transpose(a, (1, 0))
         c = ad.slice_axis(b, 0, 1, 3)
-        e = ad.stack([c, c], axis=0)
+        e = ad.concat([c, c], axis=0)
         ad.backward(ad.sum_(ad.mul(e, e)))
 
         def f(v):
             a = v.reshape(3, 4).T[1:3]
-            e = np.stack([a, a])
+            e = np.concatenate([a, a])
             return (e**2).sum()
 
         (num,) = fd_gradients(f, [x])
         assert rel_err(xt.grad, num) < TOL
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat_grad_matches_fd(self, axis):
+        # inputs of unequal length along the joined axis
+        rng = np.random.default_rng(9)
+        xs = [rng.normal(size=tuple(np.insert([2, 3], axis % 3, n))) for n in (1, 3, 2)]
+        w = rng.normal(size=np.concatenate(xs, axis=axis).shape)
+        ts = [ad.tensor(x.copy(), requires_grad=True) for x in xs]
+        out = ad.concat(ts, axis=axis)
+        np.testing.assert_array_equal(out.data, np.concatenate(xs, axis=axis))
+        ad.backward(ad.sum_(ad.mul(ad.mul(out, out), ad.tensor(w))))
+        nums = fd_gradients(lambda *v: (np.concatenate(v, axis=axis) ** 2 * w).sum(), xs)
+        for t, num in zip(ts, nums):
+            assert rel_err(t.grad, num) < TOL
+
+    def test_concat_of_one_tensor_is_that_tensor(self):
+        x = ad.tensor(np.ones((2, 3)), requires_grad=True)
+        assert ad.concat([x], axis=1) is x
 
     def test_matmul_and_affine(self):
         rng = np.random.default_rng(8)

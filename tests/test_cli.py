@@ -403,6 +403,14 @@ class TestDataErrors:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("pad", [(b"", b"junk"), (b"junk", b"")], ids=["appended", "prepended"])
+    def test_padded_checkpoint_returns_2(self, pipeline, tmp_path, capsys, pad):
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(pad[0] + (pipeline["run"] / "model.ckpt").read_bytes() + pad[1])
+        rc = main(["inspect-checkpoint", "--checkpoint", str(padded)])
+        assert rc == 2
+        assert "padded.ckpt" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize(
         "argv",

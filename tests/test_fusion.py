@@ -163,14 +163,14 @@ class TestBank:
         for bank in banks:
             bank.train(training)
         y = rng.normal(size=(2, 1, 3, 8))
-        g = rng.normal(size=(N_ITEMS, 2, 1, 3, 8))
+        g = rng.normal(size=(2, N_ITEMS, 3, 8))
 
         bank, ref = banks
         y_bank, y_ref = (ad.tensor(y.copy(), requires_grad=True) for _ in range(2))
         outs = bank(y_bank)
         ref_outs = [reference_fusion(head, y_ref) for head in ref.heads]
         for o in (outs, ref_outs):
-            ad.backward(ad.sum_(ad.mul(ad.stack(o, axis=0), ad.tensor(g))))
+            ad.backward(ad.sum_(ad.mul(ad.concat(o, axis=1), ad.tensor(g))))
 
         for o, r in zip(outs, ref_outs):
             np.testing.assert_allclose(o.data, r.data, rtol=0, atol=1e-12)

@@ -161,23 +161,25 @@ class TestForward:
             assert p.grad is not None, name
 
     def test_subatten_graph_size(self, rng):
-        # the bank runs its 8 heads as one batched pass: 138 graph nodes in
+        # the bank runs its 8 heads as one batched pass: 140 graph nodes in
         # this forward, where 8 one-channel head graphs made it 375
         model = MultiModalClassifier(small_config("avt", "subatten"), rng=rng, dtype=np.float64)
         assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 150
 
     def test_atten_graph_size(self, rng):
-        # a lone block gathers no copies of its parameters: 95 graph nodes in
-        # this forward, where one gather node per parameter made it 123
+        # a lone block joins no copies of its parameters and the 8 item
+        # heads share one softmax: 89 graph nodes in this forward, where one
+        # gather node per parameter made it 123 and a softmax per head 95
         model = MultiModalClassifier(small_config("avt", "atten"), rng=rng, dtype=np.float64)
-        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 100
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 89
 
     def test_mult_graph_size(self, rng):
         # the branch vectors multiply in order, one mul node each after the
-        # first: 39 graph nodes in this forward, where stacking the vectors
-        # and slicing them back out made it 44
+        # first, and the 8 item heads share one softmax: 33 graph nodes in
+        # this forward, where stacking the vectors and slicing them back out
+        # made it 44 and a softmax per head 39
         model = MultiModalClassifier(small_config("avt", "mult"), rng=rng, dtype=np.float64)
-        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 39
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 33
 
     def test_head_gradient_isolation(self, rng):
         # a loss reading only item 0 sends zero gradient to other heads

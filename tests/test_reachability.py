@@ -1,9 +1,10 @@
-"""Every public function and method of the package is used by product code.
+"""Every function and public method of the package is used by product code.
 
 Parses ``src/depest/*.py`` and ``scripts/*.py`` with ``ast`` and fails when
-a public top-level function, or a public method of a top-level class, is
-used nowhere in those files outside its own definition. Code that only
-tests reach is dead weight in the product.
+a top-level function (public or private), or a public method of a
+top-level class, is used nowhere in those files outside its own
+definition. Code that only tests reach is dead weight in the product, and
+a private helper nothing calls any more is dead weight outright.
 
 Top-level functions are matched by binding. A function counts as used
 through a bare name in its own module, a ``from .mod import name`` (or
@@ -72,16 +73,26 @@ def _used_names(tree):
             yield node.attr
 
 
-def test_every_public_function_is_named_in_product_code():
+def _unreached(private: bool) -> list:
+    """Definitions (private top-level functions, or public functions and methods) used nowhere in product code."""
     defined, used, function_uses = [], set(), set()
     for path in PRODUCT_FILES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined += [(path.stem, name, qual) for name, qual in _definitions(tree) if not name.startswith("_")]
+        defined += [(path.stem, name, qual) for name, qual in _definitions(tree) if name.startswith("_") == private]
         used.update(_used_names(tree))
         function_uses |= _function_uses(tree, path.stem)
-    unreached = sorted(
+    return sorted(
         f"{module}.py: {qual}"
         for module, name, qual in defined
         if qual not in ALLOWED and ((module, name) not in function_uses if name == qual else name not in used)
     )
+
+
+def test_every_public_function_is_named_in_product_code():
+    unreached = _unreached(private=False)
     assert not unreached, "defined but used nowhere in src/ or scripts/:\n" + "\n".join(unreached)
+
+
+def test_every_private_function_is_named_in_product_code():
+    unreached = _unreached(private=True)
+    assert not unreached, "private helpers used nowhere in src/ or scripts/:\n" + "\n".join(unreached)

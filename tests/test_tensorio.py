@@ -228,6 +228,15 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("pad", [(b"", b"junk"), (b"junk", b""), (b"j", b"k")], ids=["appended", "prepended", "both"])
+    def test_bytes_outside_the_zip_rejected(self, tmp_path, rng, pad):
+        # zipfile itself reads past them, as it would a self-extracting archive
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, 1, "a=b\n", small_state(rng))
+        path.write_bytes(pad[0] + path.read_bytes() + pad[1])
+        with pytest.raises(FormatError, match="m.ckpt"):
+            load_checkpoint(path)
+
     def test_empty_state_round_trips(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, 0, "", {})

@@ -243,10 +243,17 @@ class TestComparison:
             models.append(make_model(modality=modality, fusion=fusion))
             return models[-1]
 
-        fusion_comparison(separable_clips(n_per_group=2), make, fusion_modes=("mean", "concat"),
-                          sam_cfg=SAM_CFG, musdl_cfg=MUSDL_CFG, modalities=("a",), epochs=1, batch_size=4)
-        # one eval per training epoch, then one shared by the accuracy and participant metrics
+        clips = separable_clips(n_per_group=2)
+        rows = fusion_comparison(clips, make, fusion_modes=("mean", "concat"),
+                                 sam_cfg=SAM_CFG, musdl_cfg=MUSDL_CFG, modalities=("a",), epochs=2, batch_size=4)
+        # one eval per training epoch; the row reuses the last epoch's, which
+        # a fresh eval of the trained weights repeats
         assert [sum(c is m for c in calls) for m in models] == [2, 2]
+        for row, model in zip(rows, models):
+            ev = real(model, clips, MUSDL_CFG, 4)
+            rep = report(clips, ev.records, by_participant=True).overall
+            assert row == {"fusion": row["fusion"], "modality": "a", "clip_accuracy": ev.report.overall.accuracy,
+                           "f1": rep.f1, "mae": rep.mae, "rmse": rep.rmse}
 
 
 def mixed_clips_and_records(seed=3):

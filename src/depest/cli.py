@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .data import map_sessions, preprocess_session, read_clips, read_manifest, write_clips
-from .errors import ConfigError, DepestError
+from .errors import ConfigError, DepestError, FormatError
 from .model import FUSION_MODES, MODALITY_SETS, MultiModalClassifier
 from .synthetic import generate_synthetic_corpus
 from .tensorio import load_checkpoint, save_checkpoint
@@ -88,7 +88,10 @@ def _load_cfg(args) -> dict:
 def _restore_model(args) -> tuple:
     """Rebuild the checkpoint's model under the config it stores; a given --config must equal it."""
     ckpt = load_checkpoint(args.checkpoint)
-    cfg = cfgmod.parse_config(None, dict(line.partition("=")[::2] for line in ckpt.config_text.splitlines()))
+    try:
+        cfg = cfgmod.parse_config(None, dict(line.partition("=")[::2] for line in ckpt.config_text.splitlines()))
+    except ConfigError as exc:
+        raise FormatError(f"{args.checkpoint}: stored config: {exc}") from exc
     if args.config is not None:
         given = _load_cfg(args)
         differ = [key for key in sorted(cfg) if given[key] != cfg[key]]

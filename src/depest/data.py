@@ -113,8 +113,12 @@ def load_session(entry: ManifestEntry) -> SessionFeatures:
 
 def preprocess_session(entry: ManifestEntry, cfg: dict) -> list:
     """Manifest row -> clip samples under the given run config."""
+    session = load_session(entry)
+    rate = session.audio.sample_rate_hz
+    if rate != cfg["sample_rate"]:
+        raise DataError(f"{entry.audio_path}: sampled at {rate} Hz, config sample_rate is {cfg['sample_rate']} Hz")
     return sliding_window_clips(
-        load_session(entry),
+        session,
         window_s=cfg["clip_window_s"],
         overlap_s=cfg["clip_overlap_s"],
         stft_cfg=stft_config(cfg),
@@ -243,7 +247,7 @@ def read_clip_bundle(bundle_dir) -> ClipSample:
         raise FormatError(f"{meta_path}: missing metadata key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"{meta_path}: malformed number: {exc}") from exc
-    except DataError as exc:  # a bad label
+    except DataError as exc:  # a bad label or a non-finite value
         raise DataError(f"{meta_path}: {exc}") from exc
 
 

@@ -79,7 +79,8 @@ class ClipSample:
     """One fixed-length window of a session, all modalities aligned.
 
     The three modality arrays are float32, the dtype of the bundle files
-    and of the model, cast once here; the labels pass ``phq.check_label``.
+    and of the model, cast once here, and must be finite; the labels pass
+    ``phq.check_label``.
     Each is held in the model's input layout: ``audio`` is C-contiguous,
     and ``visual`` and ``text`` are ``.T`` views of C-contiguous
     ``[3, 72, n_frames]`` and ``[512, max_sentences]`` buffers, so
@@ -100,6 +101,9 @@ class ClipSample:
         self.visual, self.text = (
             np.ascontiguousarray(np.asarray(a).T, dtype=np.float32).T for a in (self.visual, self.text)
         )
+        for name in ("audio", "visual", "text"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"clip {self.clip_index} of {self.participant_id}: non-finite {name} values")
         self.phq_subscores = check_label(self.phq_subscores, self.gender)
 
 

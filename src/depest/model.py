@@ -13,11 +13,10 @@ The backbones share nothing until the fusion stage, so a forward pass
 runs them on ``data.map_lanes``, the one lane scheduler, which also runs
 ``data.map_sessions``: the calling thread runs one lane and a thread pool
 that lives for that call alone runs the rest, so no thread outlives a
-pass into the fork ``map_sessions`` makes. Lanes are used only when
-numpy's BLAS runs one thread and the batch has at least
-``_MIN_LANE_BATCH`` clips, so that numpy releases the GIL in its GEMMs
-and large loops for most of a pass; otherwise the branches run one after
-another. The output is bit-identical either way. Backward stays serial.
+pass into the fork ``map_sessions`` makes. Every forward first pins
+numpy's OpenBLAS to one thread, then runs lanes from ``_MIN_LANE_BATCH``
+clips up, where numpy's GEMMs and large loops release the GIL for most of
+a pass. The output is bit-identical either way. Backward stays serial.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ CONV_KERNEL = 3  # taps of every branch conv
 _M_ARENA_MAX = -8  # glibc mallopt parameter
 # Below this batch the branches' per-step BiLSTM GEMMs are too small to
 # release the GIL for long, and two lanes ran slower than one (default
-# model at 1 BLAS thread on 2 x86-64 CPUs, in-process and alternating:
-# forward 1.2-1.5x the serial time at B=1-2, 0.96-1.08x at B=4, 0.68-0.81x
-# at B=8-16).
+# model on 2 x86-64 CPUs, in-process and alternating: forward 1.2-1.5x
+# the serial time at B=1-2, 0.96-1.08x at B=4, 0.68-0.81x at B=8-16).
 _MIN_LANE_BATCH = 8
 
 
@@ -183,7 +181,7 @@ class MultiModalClassifier(Module):
 
 def _run_branches(calls) -> list:
     """[branch(x) for branch, x in calls], on ``data.map_lanes``' lanes at one BLAS thread and a batch of _MIN_LANE_BATCH or more."""
-    if calls[0][1].data.shape[0] < _MIN_LANE_BATCH or _blas_threads() != 1:
+    if not _one_blas_thread() or calls[0][1].data.shape[0] < _MIN_LANE_BATCH:
         return [branch(x) for branch, x in calls]
     # imported here: ingest runs no model, and data imports config, which imports this module
     from concurrent.futures import ThreadPoolExecutor
@@ -194,17 +192,19 @@ def _run_branches(calls) -> list:
     return data.map_lanes(lambda call: call[0](call[1]), calls, ThreadPoolExecutor)
 
 
-def _blas_threads() -> int:
-    """Threads numpy's bundled OpenBLAS runs a GEMM on; 0 when that cannot be read."""
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Pin numpy's bundled OpenBLAS to one thread for the process, whatever the environment set; False where it cannot."""
     try:
         from numpy._core import _multiarray_umath
 
         # dlsym on numpy's own extension also searches the OpenBLAS it links
-        get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
-        return 0
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return True
 
 
 @functools.cache

@@ -16,8 +16,9 @@ import pytest
 
 from depest import cli, data, errors
 from depest.cli import main
+from depest.dsp import Waveform, write_wav
 from depest.synthetic import generate_synthetic_corpus
-from depest.tensorio import load_checkpoint, save_checkpoint
+from depest.tensorio import load_checkpoint, save_checkpoint, write_tensor
 
 # small model, short run; keys mirror the config-file syntax users write
 TINY_CFG = """
@@ -309,6 +310,34 @@ class TestDataErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {kp}:6:")
 
+    @pytest.mark.parametrize(
+        "file_name, value, modality", [("keypoints.txt", "nan", "visual"), ("embeddings.txt", "inf", "text")]
+    )
+    def test_non_finite_session_value_returns_2(self, pipeline, tmp_path, capsys, file_name, value, modality):
+        raw = tmp_path / "raw"
+        shutil.copytree(pipeline["raw"], raw)
+        path = raw / "P000" / file_name
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[0].split(" ")
+        fields[2] = value  # a landmark coordinate, or the first embedding value, of the first frame or sentence
+        lines[0] = " ".join(fields)
+        path.write_text("".join(lines))
+        rc = main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: clip 0 of P000:") and f"non-finite {modality}" in err[0]
+
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_wav_at_another_sample_rate_returns_2(self, pipeline, tmp_path, capsys, rate):
+        raw = tmp_path / "raw"
+        shutil.copytree(pipeline["raw"], raw)
+        wav = raw / "P000" / "audio.wav"
+        write_wav(wav, Waveform(np.zeros(70 * rate), sample_rate_hz=rate))
+        rc = main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {wav}: sampled at {rate} Hz")
+
     def test_config_error_in_worker_returns_1(self, pipeline, tmp_path, capsys, monkeypatch):
         def fail_p001(entry, cfg):
             if entry.participant_id == "P001":
@@ -351,6 +380,19 @@ class TestDataErrors:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {old}:")
+
+    def test_non_finite_bundle_value_returns_2(self, pipeline, tmp_path, capsys):
+        clips = tmp_path / "clips"
+        shutil.copytree(pipeline["clips"], clips)
+        bundle = sorted(clips.iterdir())[0]
+        visual = np.load(bundle / "visual.mft")
+        visual[0, 0, 0] = np.nan
+        write_tensor(bundle / "visual.mft", visual)
+        rc = main(["train", "--clips-dir", str(clips), "--out-dir", str(tmp_path / "run"), "--config", str(pipeline["cfg"])])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bundle / 'meta.txt'}:") and "non-finite visual" in err[0]
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_gender_outside_genders_in_bundle_returns_2(self, pipeline, tmp_path, capsys):
         clips = tmp_path / "clips"
@@ -479,14 +521,16 @@ class TestConfigHashGuard:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "different config" in err[0] and "fusion, modality" in err[0]
 
-    def test_unknown_key_in_stored_config_returns_1(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval", "aggregate"])
+    def test_unknown_key_in_stored_config_returns_2(self, pipeline, tmp_path, capsys, command):
+        # the checkpoint file is at fault, not the user's config
         ckpt = load_checkpoint(pipeline["run"] / "model.ckpt")
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, ckpt.epoch, ckpt.config_text + "learning_rate=0.1\n", ckpt.state)
-        rc = main(["eval", "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(bad)])
-        assert rc == 1
+        rc = main([command, "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(bad)])
+        assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "learning_rate" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: stored config:") and "learning_rate" in err[0]
 
     def test_aggregate_refuses_mismatched_config(self, pipeline, tmp_path, capsys):
         tweaked = tmp_path / "tweaked.cfg"

@@ -314,6 +314,15 @@ class TestClipSampleValidation:
             )
 
 
+    @pytest.mark.parametrize("modality", ["audio", "visual", "text"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_modality_rejected(self, modality, value):
+        arrays = {"audio": np.zeros((8, 4)), "visual": np.zeros((2, FRAME_ROWS, 3)), "text": np.zeros((4, EMBED_DIM))}
+        arrays[modality].flat[-1] = value
+        with pytest.raises(DataError, match=f"clip 3 of p: non-finite {modality} values"):
+            ClipSample(**arrays, phq_subscores=(0,) * 8, participant_id="p", gender="male", clip_index=3)
+
+
 class TestTextIo:
     def test_keypoints_round_trip(self, tmp_path, rng):
         frames = Keypoints(times=np.arange(4) * 0.5, points=make_points(rng, 4))

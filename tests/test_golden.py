@@ -1,13 +1,14 @@
 """Byte-for-byte output of a fixed CLI pipeline, checked against tests/golden.txt.
 
-One subprocess, BLAS at one thread, runs synth-data (8 participants of
-70 s, one clip each), preprocess, train (tiny model, batch 8, 2 epochs),
-eval and aggregate, then one more train per other fusion rule and one
-audio-only train, each into its own run_<name>/. With 8 sessions and a
-batch of 8 on two or more CPUs, both kinds of lane run: forked processes
-for the sessions and threads for the branch forwards. The sha256 digests
-of the raw/ and clips/ trees and of every run file must equal the
-recorded ones.
+One subprocess runs synth-data (8 participants of 70 s, one clip each),
+preprocess, train (tiny model, batch 8, 2 epochs), eval and aggregate,
+then one more train per other fusion rule and one audio-only train, each
+into its own run_<name>/. With 8 sessions and a batch of 8 on two or
+more CPUs, both kinds of lane run: forked processes for the sessions and
+threads for the branch forwards. The sha256 digests of the raw/ and
+clips/ trees and of every run file must equal the recorded ones, with
+the subprocess's environment at 1 and at 2 BLAS threads alike: the first
+forward pins OpenBLAS to one thread whatever the environment sets.
 
 The digests hold for one numpy and one BLAS build (checkpoints differ in
 the last bits across BLAS kernels), so golden.txt records both and the
@@ -27,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden.txt")
@@ -93,10 +95,10 @@ def _tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def _run_pipeline(root: Path) -> dict:
+def _run_pipeline(root: Path, blas_threads: str = "1") -> dict:
     """Record name -> value: the versions, then one digest per tree and per run file."""
     (root / "tiny.cfg").write_text(TINY_CFG)
-    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    threads = {k: blas_threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = {**os.environ, **threads, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, "-c", PIPELINE, str(root)], env=env, check=True, capture_output=True, text=True)
     record = {"numpy": np.__version__, "blas": _blas(), "raw": _tree_digest(root / "raw"), "clips": _tree_digest(root / "clips")}
@@ -111,7 +113,8 @@ def _read_golden() -> dict:
     return dict(ln.split(" ", 1) for ln in lines)
 
 
-def test_pipeline_outputs_match_golden(tmp_path):
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_pipeline_outputs_match_golden(tmp_path, blas_threads):
     golden = _read_golden()
     here = {"numpy": np.__version__, "blas": _blas()}
     for key, value in here.items():
@@ -119,7 +122,7 @@ def test_pipeline_outputs_match_golden(tmp_path):
             f"golden.txt was written with numpy {golden['numpy']} and BLAS {golden['blas']}; "
             f"this is numpy {here['numpy']} and BLAS {here['blas']}: regenerate it at a known-good commit"
         )
-    assert _run_pipeline(tmp_path) == golden
+    assert _run_pipeline(tmp_path, blas_threads) == golden
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Full classifier: branches, fusion wiring, heads, state round trip, branch lanes."""
 
 import concurrent.futures
+import ctypes
 import os
 import subprocess
 import sys
@@ -239,9 +240,8 @@ def graph_nodes(out):
     return nodes
 
 
-def force_lanes(monkeypatch, cpus, blas_threads=1):
+def force_lanes(monkeypatch, cpus):
     monkeypatch.setattr(data, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(model_mod, "_blas_threads", lambda: blas_threads)
 
 
 def record_pools(monkeypatch):
@@ -290,16 +290,11 @@ class TestBranchLanes:
             assert all(np.array_equal(bufs[k], bufs1[k]) for k in bufs1)
 
     @pytest.mark.parametrize(
-        "modality, batch, cpus, blas_threads, pools",
-        [
-            ("avt", 8, 2, 1, [1]), ("avt", 8, 4, 1, [2]), ("av", 8, 2, 1, [1]), ("a", 8, 2, 1, []),
-            ("avt", 7, 2, 1, []), ("avt", 8, 1, 1, []), ("avt", 8, 2, 2, []), ("avt", 8, 2, 0, []),
-        ],
+        "modality, batch, cpus, pools",
+        [("avt", 8, 2, [1]), ("avt", 8, 4, [2]), ("av", 8, 2, [1]), ("a", 8, 2, []), ("avt", 7, 2, []), ("avt", 8, 1, [])],
     )
-    def test_one_thread_per_extra_lane_at_one_blas_thread_and_batch_8(
-        self, monkeypatch, modality, batch, cpus, blas_threads, pools
-    ):
-        force_lanes(monkeypatch, cpus, blas_threads)
+    def test_one_thread_per_extra_lane_at_one_blas_thread_and_batch_8(self, monkeypatch, modality, batch, cpus, pools):
+        force_lanes(monkeypatch, cpus)
         started = record_pools(monkeypatch)
         model = MultiModalClassifier(small_config(modality), rng=np.random.default_rng(4))
         model(**small_inputs(np.random.default_rng(5), B=batch, modality=modality))
@@ -321,15 +316,52 @@ class TestBranchLanes:
         model(**small_inputs(np.random.default_rng(5), B=8, modality="avt"))
         assert ran_on["a"] == ran_on["t"] == threading.get_ident() != ran_on["v"]
 
-    def test_blas_thread_count_is_read(self):
-        if model_mod._blas_threads() == 0:
+    def test_first_forward_pins_blas_to_one_thread(self):
+        try:
+            from numpy._core import _multiarray_umath
+
+            ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+        except (ImportError, OSError, AttributeError):
             pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-        probe = "from depest.model import _blas_threads; print(_blas_threads())"
-        for threads in ("1", "2"):
-            src = str(Path(model_mod.__file__).parents[1])
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-            assert out.stdout.strip() == threads
+        probe = """
+import ctypes
+import numpy as np
+from numpy._core import _multiarray_umath
+from depest import autodiff as ad
+from depest.model import BranchConfig, ModelConfig, MultiModalClassifier
+
+threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+before = threads()
+branch = BranchConfig(in_channels=8, conv_channels=(4,), pools=(1,), strides=(1,), lstm_hidden=3, out_dim=6)
+model = MultiModalClassifier(
+    ModelConfig(modality="avt", fusion="subatten", feature_dim=6, audio=branch, visual=branch, text=branch),
+    rng=np.random.default_rng(0),
+)
+x = ad.tensor(np.zeros((2, 8, 5)))
+model(audio=x, visual=x, text=x)
+print(before, threads())
+"""
+        src = str(Path(model_mod.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        before, after = out.stdout.split()
+        if before != "2":
+            pytest.skip("OpenBLAS caps its threads at this machine's CPU count")
+        assert after == "1"
+
+    def test_branches_run_serially_where_blas_cannot_be_pinned(self, monkeypatch):
+        # an OpenBLAS without the setter (numpy 1.x, another BLAS): no symbol to find
+        force_lanes(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+        monkeypatch.setattr(model_mod.ctypes, "CDLL", lambda path: object())
+        model_mod._one_blas_thread.cache_clear()
+        try:
+            model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+            model(**small_inputs(np.random.default_rng(5), B=8, modality="avt"))
+            assert not model_mod._one_blas_thread()
+        finally:
+            model_mod._one_blas_thread.cache_clear()
+        assert started == []
 
     def test_no_thread_outlives_a_pass(self, monkeypatch, rng):
         force_lanes(monkeypatch, 2)

@@ -13,6 +13,7 @@ session labels, which ``phq.check_label`` checks.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -42,8 +43,18 @@ class Keypoints:
             raise FormatError(
                 f"keypoints must be [T,{FRAME_ROWS},3] with T timestamps, got {self.points.shape} and {self.times.shape}"
             )
-        if np.any(np.diff(self.times) < 0):
-            raise FormatError("keypoint timestamps must be non-decreasing")
+        i = _first_bad_time(self.times)
+        if i is not None:
+            t = self.times[i]
+            why = "is not finite" if not np.isfinite(t) else f"is below the previous {self.times[i - 1]}"
+            raise FormatError(f"keypoint frame {i}: timestamp {t} {why}; timestamps must be finite and non-decreasing")
+
+
+def _first_bad_time(times: np.ndarray) -> int | None:
+    """Index of the first timestamp that is not finite or falls below the one before it, else None."""
+    ok = np.isfinite(times)
+    ok[1:] &= np.diff(times) >= 0
+    return None if ok.all() else int(np.argmin(ok))
 
 
 @dataclass
@@ -249,6 +260,12 @@ def _read_rows(path, n_fields: int, what: str) -> np.ndarray:
     return rows
 
 
+def _line_of_row(path, row: int) -> int:
+    """1-based number of the line that holds data row ``row`` (blank lines hold none)."""
+    with open(path) as fh:
+        return next(itertools.islice((ln for ln, line in enumerate(fh, 1) if line.split()), row, None))
+
+
 def _scan_rows(path, n_fields: int, what: str) -> np.ndarray:
     """Line-by-line parse that raises FormatError naming path:line."""
     rows = []
@@ -271,8 +288,10 @@ def _scan_rows(path, n_fields: int, what: str) -> np.ndarray:
 def read_keypoints(path) -> Keypoints:
     """One frame per line: timestamp then 216 reals (72 rows x 3)."""
     rows = _read_rows(path, 1 + FRAME_ROWS * 3, "keypoint frames")
-    # copies, so neither field keeps the [T, 217] text rows alive
-    return Keypoints(times=rows[:, 0].copy(), points=np.ascontiguousarray(rows[:, 1:]).reshape(-1, FRAME_ROWS, 3))
+    try:  # copies, so neither field keeps the [T, 217] text rows alive
+        return Keypoints(times=rows[:, 0].copy(), points=np.ascontiguousarray(rows[:, 1:]).reshape(-1, FRAME_ROWS, 3))
+    except FormatError as exc:  # the rows have the right width, so a timestamp is at fault
+        raise FormatError(f"{path}:{_line_of_row(path, _first_bad_time(rows[:, 0]))}: {exc}") from exc
 
 
 def write_keypoints(path, keypoints: Keypoints) -> None:

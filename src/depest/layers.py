@@ -1,7 +1,8 @@
 """Neural layers on top of the autodiff engine.
 
 The ops ``conv1d`` and ``conv2d`` (one shared correlation kernel:
-one GEMM per tap in 1-D, im2col in 2-D), ``max_pool1d``, ``batch_norm``
+one GEMM per tap in 1-D, on windows gathered once per clip at stride > 1,
+and im2col in 2-D), ``max_pool1d``, ``batch_norm``
 and ``bilstm`` carry hand-derived backward closures (their loops would be
 wasteful as compositions of elementwise graph nodes). All are validated
 by finite-difference checks in the test suite.
@@ -51,8 +52,13 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: tuple, padding: tuple
     """Cross-correlation over the trailing ``len(stride)`` axes; the one kernel and shape check of every conv.
 
     x: [B, C_in, *size]; weight: [C_out, C_in, *kernel]; bias: [C_out];
-    errors name ``op``. In 1-D, each tap's strided window goes to
-    ``np.matmul`` as it lies (``np.einsum`` would copy it). In 2-D (the
+    errors name ``op``. In 1-D at stride 1, each tap's window goes to
+    ``np.matmul`` as it lies (``np.einsum`` would copy it). At stride > 1
+    numpy would copy each window for BLAS, in forward and again for
+    ``dw``; instead the forward copies each clip's tap windows once, while
+    the clip's row is in cache, into a [taps, B, C_in, T_out] buffer that
+    its GEMMs read and ``dw`` contracts. Every product keeps its shape and
+    order, so the bits are those of the windows where they lie. In 2-D (the
     fusion bank's 3x3 convs on small maps) the windows stack into im2col
     columns [B, C_in*kh*kw, oh*ow] and each contraction is one GEMM. The
     input gradient is computed only when the input needs one.
@@ -78,8 +84,16 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: tuple, padding: tuple
     B, I, O = xd.shape[0], xd.shape[1], wd.shape[0]
     if len(stride) == 1:
         out_data = np.zeros((B, O) + out_size, dtype=xd.dtype)
-        for tap, win in taps:
-            out_data += np.matmul(wd[tap], xp[win])
+        if stride[0] == 1:
+            wins = [xp[win] for _, win in taps]
+            for (tap, _), xw in zip(taps, wins):
+                out_data += np.matmul(wd[tap], xw)
+        else:
+            wins = np.empty((len(taps), B, I) + out_size, dtype=xd.dtype)
+            for b in range(B):
+                for k, (tap, win) in enumerate(taps):
+                    wins[k, b] = xp[b][win]
+                    out_data[b] += np.matmul(wd[tap], wins[k, b])
     else:
         cols = np.stack([xp[win] for _, win in taps], axis=2).reshape(B, I * len(taps), -1)
         w2 = wd.reshape(O, -1)  # [O, I*kh*kw], offsets in the order of the columns
@@ -88,7 +102,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: tuple, padding: tuple
 
     def bwd(g):
         if len(stride) == 1:
-            dw = np.stack([np.matmul(g, xp[win].transpose(0, 2, 1)).sum(axis=0) for _, win in taps], axis=-1)
+            dw = np.stack([np.matmul(g, xw.transpose(0, 2, 1)).sum(axis=0) for xw in wins], axis=-1)
         else:
             g = g.reshape(B, O, -1)
             dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)

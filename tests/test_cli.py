@@ -310,6 +310,22 @@ class TestDataErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {kp}:6:")
 
+    @pytest.mark.parametrize("fault", ["swapped", "nan"])
+    def test_bad_keypoint_timestamp_returns_2_naming_the_line(self, pipeline, tmp_path, capsys, fault):
+        raw = tmp_path / "raw"
+        shutil.copytree(pipeline["raw"], raw)
+        kp = raw / "P001" / "keypoints.txt"
+        lines = kp.read_text().splitlines(keepends=True)
+        if fault == "swapped":  # frame 11 then falls below frame 10, the one from line 21
+            lines[10], lines[20] = lines[20], lines[10]
+        else:
+            lines[11] = "nan " + lines[11].split(" ", 1)[1]
+        kp.write_text("".join(lines))
+        rc = main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {kp}:12: keypoint frame 11: timestamp")
+
     @pytest.mark.parametrize(
         "file_name, value, modality", [("keypoints.txt", "nan", "visual"), ("embeddings.txt", "inf", "text")]
     )

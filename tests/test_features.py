@@ -117,6 +117,14 @@ class TestContainers:
         with pytest.raises(FormatError, match="non-decreasing"):
             Keypoints(times=np.array([0.0, 0.2, 0.1]), points=make_points(rng, 3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame", [0, 1, 2])
+    def test_keypoints_non_finite_timestamp_rejected(self, rng, value, frame):
+        times = np.array([0.0, 0.2, 0.4])
+        times[frame] = value
+        with pytest.raises(FormatError, match=f"keypoint frame {frame}: timestamp .* is not finite"):
+            Keypoints(times=times, points=make_points(rng, 3))
+
     def test_sentences_shape_checked(self, rng):
         with pytest.raises(FormatError):
             Sentences(starts=[0.0], stops=[1.0], vectors=np.zeros((1, EMBED_DIM - 1)))
@@ -361,6 +369,15 @@ class TestTextIo:
             read_keypoints(path)
         path.write_text(good + good[:-1] + " # note\n")
         with pytest.raises(FormatError, match="bad.txt:2: expected 217 fields, got 219"):
+            read_keypoints(path)
+
+    @pytest.mark.parametrize("stamp, error", [("0.1", "is below the previous 0.2"), ("nan", "is not finite")])
+    def test_keypoints_bad_timestamp_names_file_and_line(self, tmp_path, stamp, error):
+        # a blank line holds no frame, so frame 2 is on line 4
+        row = " " + " ".join(["1.0"] * 216) + "\n"
+        path = tmp_path / "bad.txt"
+        path.write_text("0.0" + row + "\n0.2" + row + stamp + row + "0.3" + row)
+        with pytest.raises(FormatError, match=f"bad.txt:4: keypoint frame 2: timestamp {stamp} {error}"):
             read_keypoints(path)
 
     def test_every_row_wrong_width_names_line_1(self, tmp_path):

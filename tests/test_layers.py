@@ -79,7 +79,9 @@ class TestConv1d:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_allocates_little_beyond_its_output(self, stride, rng):
-        # each tap's strided window goes to BLAS as it is, not as a copy
+        # at stride 1 each tap's window goes to BLAS as it is, not as a copy;
+        # at stride > 1 the forward also holds one gathered copy of every
+        # tap's window, [taps, B, C_in, T_out], for the weight gradient
         x = ad.tensor(rng.normal(size=(4, 216, 600)).astype(np.float32))
         w = ad.tensor(rng.normal(size=(64, 216, 3)).astype(np.float32), requires_grad=True)
         b = ad.tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
@@ -89,7 +91,8 @@ class TestConv1d:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * out.data.nbytes
+        held = 0 if stride == 1 else 3 * 4 * 216 * out.data.shape[-1] * out.data.itemsize
+        assert peak <= 3 * out.data.nbytes + held
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_weight_gradient_allocates_little_beyond_g(self, stride, rng):
@@ -107,6 +110,55 @@ class TestConv1d:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * g.nbytes
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("padding", [0, 2])
+    @pytest.mark.parametrize("stride", [2, 3, 4, 8])
+    def test_strided_bits_match_per_tap_products(self, stride, padding, batch, rng):
+        # the reference runs one GEMM per tap on the strided window where it
+        # lies; the gathered windows must give the same bytes, and dx must
+        # still scatter through the slices of the padded input
+        x = rng.normal(size=(batch, 24, 97)).astype(np.float32)
+        w = rng.normal(size=(8, 24, 3)).astype(np.float32)
+        b = rng.normal(size=8).astype(np.float32)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        t_out = (xp.shape[-1] - 3) // stride + 1
+        wins = [slice(j, j + stride * (t_out - 1) + 1, stride) for j in range(3)]
+        ref = np.zeros((batch, 8, t_out), dtype=np.float32)
+        for j, win in enumerate(wins):
+            ref += np.matmul(w[..., j], xp[..., win])
+        ref += b.reshape(1, -1, 1)
+        g = rng.normal(size=ref.shape).astype(np.float32)
+        dw = np.stack([np.matmul(g, xp[..., win].transpose(0, 2, 1)).sum(0) for win in wins], axis=-1)
+        dxp = np.zeros_like(xp)
+        for j, win in enumerate(wins):
+            dxp[..., win] += np.matmul(w[..., j].T, g)
+        dx = dxp[..., padding : padding + x.shape[-1]]
+
+        xt, wt, bt = (ad.tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = conv1d(xt, wt, bt, stride=stride, padding=padding)
+        out._backward(g)
+        for got, want in ((out.data, ref), (wt.grad, dw), (bt.grad, g.sum(axis=(0, 2))), (xt.grad, dx)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gathered_windows_die_with_the_graph(self, rng):
+        # no training step or eval batch may carry the windows into the next
+        x = ad.tensor(rng.normal(size=(4, 216, 600)).astype(np.float32))
+        w = ad.tensor(rng.normal(size=(16, 216, 3)).astype(np.float32), requires_grad=True)
+        b = ad.tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+        held = 3 * 4 * 216 * 150 * 4  # taps * B * C_in * T_out * itemsize at stride 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv1d(x, w, b, stride=4)
+            assert out.data.shape[-1] == 150
+            ad.backward(ad.sum_(out))
+            del out
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 0.05 * held
 
     # the shape checks are shared by both ranks; each error names its op
     @pytest.mark.parametrize("op, rank", [(conv1d, 1), (conv2d, 2)], ids=["conv1d", "conv2d"])

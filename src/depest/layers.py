@@ -15,7 +15,12 @@ and one batched recurrent GEMM for both. In backward each direction's
 stored ``dz`` then feeds one GEMM each for its weight, recurrent and input
 gradients. Forward keeps only the activated gates and the cell states;
 backward rebuilds h and tanh(c) from them, with the forward's own calls,
-for just the steps it reaches (recompute over storage, Chen et al. 2016).
+for just the chunks of steps it reaches (recompute over storage, Chen et
+al. 2016). At the model's widths a backward step costs its count of numpy
+calls, and a call on an H-wide slab strided inside the [2, B, 4H] gate
+rows costs two to three times one on a contiguous array, so backward lays
+each chunk's operands out slab-major and a step runs about fifteen calls
+on contiguous arrays, with the bits of the plain per-step formula.
 It returns only the [B, 2H] summary the model reads, so each direction's
 backward starts from one gradient at its last step, which then decays.
 Backward flushes ``dz``, ``dh`` and ``dc`` to zero below the square root
@@ -44,6 +49,7 @@ from .errors import ConfigError, ShapeError
 
 _BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 _BN_EPS = 1e-5  # added to the variance before its square root
+_CHUNK = 16384  # elements per operand slab of the steps a BiLSTM backward chunk lays out at once
 
 # -- functional ops ----------------------------------------------------
 
@@ -226,9 +232,16 @@ def batch_norm(
     return _node(out_data, (x, gamma, beta), bwd, "batch_norm")
 
 
-def _flush(a: np.ndarray, floor: float) -> None:
-    """Zero, in place, the values of ``a`` whose magnitude is below ``floor``."""
-    a[np.abs(a) < floor] = 0.0
+def _flush(a: np.ndarray, floor: float, mag=None, small=None) -> np.ndarray:
+    """Zero, in place, the values of ``a`` whose magnitude is below ``floor``; return where.
+
+    Flushed values become +0.0 whatever their sign, and NaN is kept.
+    ``mag`` and ``small``, a float and a bool array shaped like ``a``, take
+    the magnitudes and the mask instead of fresh arrays.
+    """
+    small = np.less(np.abs(a, out=mag), floor, out=small)
+    a[small] = 0.0
+    return small
 
 
 def bilstm(
@@ -250,11 +263,29 @@ def bilstm(
     Loop step s runs the forward direction at time s and the backward one
     at time T - 1 - s, on arrays stacked [direction, B, .]; the backward
     pass runs the steps in reverse. Forward caches only the activated gates
-    [2, T, B, 4H] and the cell states [T + 1, 2, B, H]; each backward step
-    rebuilds tanh(c) and its input h = o * tanh(c), bit for bit. A
-    direction's reach, the steps it ran before its ``dh`` and ``dc`` were
-    all zero, is counted per direction, and each direction's gradient GEMMs
-    run over its own reach in time order.
+    [2, T, B, 4H] and the cell states [T + 1, 2, B, H]. A direction's
+    reach, the steps it ran before its ``dh`` and ``dc`` were all zero, is
+    counted per direction, and each direction's gradient GEMMs run over its
+    own reach in time order.
+
+    Backward walks the steps in chunks of ``_CHUNK // (2 B H)``. Per chunk
+    it copies the gates into a slab-major buffer whose step j holds g,
+    c_prev, i, f, 1 - g*g, o, 1 - i, 1 - f, 1 and 1 - o, each [2, B, H],
+    so that slabs 0:3, 2:6 and 6:10 are the three factors of ``dz`` after
+    ``dc`` (``dh`` for the o slab). It calls tanh once per cell state, as
+    forward did, and forms 1 - tanh(c)^2 and the rebuilt input h = o *
+    tanh(c) over the whole chunk. A step is then: ``dc += dh * o * (1 -
+    tanh(c)^2)``; ``dz`` = ``[dc, dc, dc, dh] * [g, c_prev, i, tanh c]``,
+    times ``[i, f, 1 - g*g, o]``, times ``[1 - i, 1 - f, 1, 1 - o]``;
+    flush; copy ``dz`` into both directions' stored rows at once; ``dh =
+    dz @ u.T`` from those rows; ``dc *= f``; flush. Why the bits are
+    unchanged: a product or difference of two floats is correctly rounded
+    wherever and in whatever batch it runs, and multiplying by 1 is
+    exact, so only the grouping of products could change a bit, and
+    every ``dz`` keeps its left-to-right order (``dc * g * i * (1 - i)``);
+    tanh, whose SIMD tails may round by batch size, runs on the forward's
+    own [2, B, H] shapes; the GEMMs see the same operands in the same
+    layout.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"bilstm expects [B,T,D] input, got {x.data.shape}")
@@ -309,50 +340,97 @@ def bilstm(
     floor = np.sqrt(np.finfo(dtype).tiny)  # the product of two values above it is normal
 
     def bwd(g):
-        i_s, f_s, g_s, o_s = (gates[..., k * H : (k + 1) * H] for k in range(4))
         u_t = np.ascontiguousarray(u.transpose(0, 2, 1))  # a transposed view makes the GEMM twice as slow
-        dzs = np.empty((2, T, B, 4 * H), dtype=dtype)  # in time order per direction
-        hs = np.empty((T, 2, B, H), dtype=dtype)  # hs[s]: step s's input state, rebuilt where reached
-        dz = np.empty((2, B, 4 * H), dtype=dtype)
+        # dz and each step's input h: direction 0's T steps, then direction 1's,
+        # each in time order, so loop step s writes the pair rows s and 2T - 1 - s
+        dzs = np.empty((2 * T, B, 4 * H), dtype=dtype)
+        hs = np.empty((2 * T, B, H), dtype=dtype)
+        # a chunk's operands, slab-major [step, slab, direction, B, H]; per
+        # step, slabs 0:3, 2:6 and 6:10 are dz's three factors after dc or dh
+        n = min(T, max(_CHUNK // (2 * B * H), 1))
+        ops = np.empty((n, 10, 2, B, H), dtype=dtype)  # g, c_prev, i, f, 1-g*g, o, 1-i, 1-f, 1, 1-o
+        ops[:, 8] = 1.0
+        tcs = np.empty((n + 1, 2, B, H), dtype=dtype)  # tcs[j]: tanh(c) entering chunk step j
+        dtanh = np.empty((n, 2, B, H), dtype=dtype)  # 1 - tanh(c)^2 after each step
+        dz = np.empty((4, 2, B, H), dtype=dtype)
+        dz_c, dz_o = dz[:3], dz[3]  # the slabs whose first factor is dc, and the one of dh
+        dz_t = dz.transpose(1, 2, 0, 3)  # dz as [direction, B, 4, H] rows
+        tmp = np.empty((2, B, H), dtype=dtype)
         dhc = np.zeros((2, 2, B, H), dtype=dtype)  # dh then dc, each [direction, B, H]
         dh, dc = dhc
         dh[0], dh[1] = g[:, :H], g[:, H:]
-        _flush(dhc, floor)
-        reach = [0, 0]  # steps each direction ran
-        tc = np.tanh(cs[T])
-        for s in range(T - 1, -1, -1):
-            live = dhc.any(axis=(0, 2, 3)).tolist()  # a direction whose dh and dc are all zero stays so
-            if not any(live):
-                break
-            reach[0] += live[0]
-            reach[1] += live[1]
-            i_g, f_g, g_g, o_g = i_s[:, s], f_s[:, s], g_s[:, s], o_s[:, s]
-            # the forward's calls on the same slices rebuild its bits: hc is
-            # tanh(c) after step s, and o of step s - 1 times tanh(c) before
-            # it is step s's input h (at s = 0, o * tanh(0) is the zero state)
-            hc, tc = tc, np.tanh(cs[s])
-            np.multiply(o_s[:, s - 1], tc, out=hs[s])
-            dc += dh * o_g * (1.0 - hc * hc)
-            dz[..., :H] = dc * g_g * i_g * (1.0 - i_g)
-            dz[..., H : 2 * H] = dc * cs[s] * f_g * (1.0 - f_g)
-            dz[..., 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
-            dz[..., 3 * H :] = dh * hc * o_g * (1.0 - o_g)
-            _flush(dz, floor)
-            dzs[0, s], dzs[1, T - 1 - s] = dz
-            np.matmul(dz, u_t, out=dh)
-            dc *= f_g
-            _flush(dhc, floor)
-        dx = np.zeros((T * B, D), dtype=dtype)
+        half = dhc[:, 0].size  # a direction's dh and dc
+        dz_bufs, dhc_bufs = ((np.empty_like(a), np.empty(a.shape, dtype=bool)) for a in (dz, dhc))
+        small = _flush(dhc, floor, *dhc_bufs)
+        # a direction whose dh and dc are all zero stays so; its reach is the
+        # count of steps it ran before, all T while it lives
+        live = [np.count_nonzero(small[:, d]) < half for d in (0, 1)]
+        reach = [T if alive else 0 for alive in live]
+        mul = np.multiply
+        hi = T
+        while hi and any(live):
+            lo = max(hi - n, 0)
+            k = hi - lo
+            chunk = gates[:, lo:hi].reshape(2, k, B, 4, H).transpose(1, 3, 0, 2, 4)  # [k, slab, 2, B, H]
+            np.copyto(ops[:k, 2:4], chunk[:, :2])
+            np.copyto(ops[:k, 0], chunk[:, 2])
+            np.copyto(ops[:k, 5], chunk[:, 3])
+            np.copyto(ops[:k, 1], cs[lo:hi])
+            mul(ops[:k, 0], ops[:k, 0], out=ops[:k, 4])
+            np.subtract(1.0, ops[:k, 4], out=ops[:k, 4])
+            np.subtract(1.0, ops[:k, 2:4], out=ops[:k, 6:8])
+            np.subtract(1.0, ops[:k, 5], out=ops[:k, 9])
+            # the forward's tanh call on each step's cell state rebuilds its
+            # bits; the exact products around it run over the whole chunk
+            for j in range(k + 1):
+                np.tanh(cs[lo + j], out=tcs[j])
+            mul(tcs[1 : k + 1], tcs[1 : k + 1], out=dtanh[:k])
+            np.subtract(1.0, dtanh[:k], out=dtanh[:k])
+            # step s's input h is o of step s - 1 times tanh(c) entering step s
+            # (at s = 0, o * tanh(0) is the zero state)
+            mul(gates[:, lo - 1, :, 3 * H :], tcs[0], out=hs[lo : 2 * T - lo : 2 * T - 1 - 2 * lo])
+            mul(ops[: k - 1, 5, 0], tcs[1:k, 0], out=hs[lo + 1 : hi])
+            mul(ops[: k - 1, 5, 1], tcs[1:k, 1], out=hs[2 * T - hi : 2 * T - 1 - lo][::-1])
+            for j in range(k - 1, -1, -1):
+                s = lo + j
+                op = ops[j]
+                # every product in the order of dc += dh * o * (1 - tanh(c)^2),
+                # dz_i = dc * g * i * (1 - i), dz_f = dc * c_prev * f * (1 - f),
+                # dz_g = dc * i * (1 - g*g) (* 1) and dz_o = dh * tanh(c) * o * (1 - o)
+                mul(dh, op[5], out=tmp)
+                mul(tmp, dtanh[j], out=tmp)
+                np.add(dc, tmp, out=dc)
+                mul(dc, op[0:3], out=dz_c)
+                mul(dh, tcs[j + 1], out=dz_o)
+                mul(dz, op[2:6], out=dz)
+                mul(dz, op[6:10], out=dz)
+                _flush(dz, floor, *dz_bufs)
+                pair = dzs[s : 2 * T - s : 2 * T - 1 - 2 * s]
+                np.copyto(pair.reshape(2, B, 4, H), dz_t)
+                np.matmul(pair, u_t, out=dh)
+                mul(dc, op[3], out=dc)
+                small = _flush(dhc, floor, *dhc_bufs)
+                if np.count_nonzero(small) >= half:  # else no direction can be all zero
+                    for d in (0, 1):
+                        if live[d] and np.count_nonzero(small[:, d]) == half:
+                            live[d], reach[d] = False, T - s
+                    if not any(live):
+                        break
+            hi = lo
+        del ops, tcs, dtanh
+        # each direction's reached steps as time-ordered [T * B] rows: the
+        # last ones going forward, the first ones going back
+        rows = [slice((T - reach[0]) * B, T * B), slice(0, reach[1] * B)]
+        dz2, h2 = dzs.reshape(2, T * B, 4 * H), hs.reshape(2, T * B, H)
         for d, (w, u_d, b) in enumerate(((w_f, u_f, b_f), (w_b, u_b, b_b))):
-            n = reach[d]  # its steps in time order: the last n going forward, the first n going back
-            steps = slice(0, n) if d else slice(T - n, T)
-            dz2 = dzs[d, steps].reshape(n * B, 4 * H)
-            h_prev = np.ascontiguousarray(hs[T - n : T, d][:: -1 if d else 1]).reshape(n * B, H)
-            rows = slice(steps.start * B, steps.stop * B)
-            _accum(w, xt[rows].T @ dz2)
-            _accum(u_d, h_prev.T @ dz2)
-            _accum(b, dz2.sum(axis=0))
-            dx[rows] += dz2 @ w.data.T
+            _accum(w, xt[rows[d]].T @ dz2[d, rows[d]])
+            _accum(u_d, h2[d, rows[d]].T @ dz2[d, rows[d]])
+            _accum(b, dz2[d, rows[d]].sum(axis=0))
+        del hs, h2  # before dx exists, so the peak stays that of the step loop
+        dx = np.zeros((T * B, D), dtype=dtype)
+        for d, w in enumerate((w_f, w_b)):
+            dx[rows[d]] += dz2[d, rows[d]] @ w.data.T
+        del dzs, dz2
         # two nearly cancelling directions can sum to a subnormal
         _flush(dx, np.finfo(dtype).tiny)
         _accum(x, dx.reshape(T, B, D).transpose(1, 0, 2))

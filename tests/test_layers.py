@@ -440,6 +440,98 @@ def lstm_arrays(rng, B, T, D, H, dtype, scale=0.5):
     return [(rng.normal(size=s) * scale).astype(dtype) for s in shapes]
 
 
+def step_bilstm(x, wf, uf, bf, wb, ub, bb, g):
+    """BiLSTM output and gradients by the per-step formula that ``bilstm``'s bits are pinned to.
+
+    One loop steps both directions on the strided gate slabs: each product
+    in its own order (``dc * g * i * (1 - i)`` left to right), ``dz``
+    flushed before the recurrent GEMM, ``dh`` and ``dc`` after ``dc *= f``,
+    and each direction's reach counted until its ``dh`` and ``dc`` are all
+    zero. The gradient GEMMs then run over each direction's reach in time
+    order, and every gradient is added to zeros as ``autodiff`` accumulates.
+    """
+
+    def flush(a, floor):
+        a[np.abs(a) < floor] = 0.0
+
+    B, T, D = x.shape
+    H = uf.shape[0]
+    dtype = x.dtype
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, D)
+    xr = np.ascontiguousarray(x[:, ::-1].transpose(1, 0, 2)).reshape(T * B, D)
+    scale = np.full(4 * H, 0.5, dtype=dtype)
+    scale[2 * H : 3 * H] = 1.0
+    shift = 1.0 - scale
+    gates = np.empty((2, T, B, 4 * H), dtype=dtype)
+    for d, (rows, w, b) in enumerate(((xt, wf, bf), (xr, wb, bb))):
+        np.matmul(rows, w, out=gates[d].reshape(T * B, 4 * H))
+        gates[d] += b
+    u = np.stack([uf, ub])
+    h = np.zeros((2, B, H), dtype=dtype)
+    hc = np.empty((2, B, H), dtype=dtype)
+    cs = np.zeros((T + 1, 2, B, H), dtype=dtype)
+    for s in range(T):
+        z = np.matmul(h, u)
+        z += gates[:, s]
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        gates[:, s] = z
+        np.multiply(z[..., H : 2 * H], cs[s], out=cs[s + 1])
+        cs[s + 1] += z[..., :H] * z[..., 2 * H : 3 * H]
+        np.tanh(cs[s + 1], out=hc)
+        np.multiply(z[..., 3 * H :], hc, out=h)
+    out = np.concatenate([h[0], h[1]], axis=1)
+
+    floor = np.sqrt(np.finfo(dtype).tiny)
+    i_s, f_s, g_s, o_s = (gates[..., k * H : (k + 1) * H] for k in range(4))
+    u_t = np.ascontiguousarray(u.transpose(0, 2, 1))
+    dzs = np.empty((2, T, B, 4 * H), dtype=dtype)
+    hs = np.empty((T, 2, B, H), dtype=dtype)
+    dz = np.empty((2, B, 4 * H), dtype=dtype)
+    dhc = np.zeros((2, 2, B, H), dtype=dtype)
+    dh, dc = dhc
+    dh[0], dh[1] = g[:, :H], g[:, H:]
+    flush(dhc, floor)
+    reach = [0, 0]
+    tc = np.tanh(cs[T])
+    for s in range(T - 1, -1, -1):
+        live = dhc.any(axis=(0, 2, 3)).tolist()
+        if not any(live):
+            break
+        reach[0] += live[0]
+        reach[1] += live[1]
+        i_g, f_g, g_g, o_g = i_s[:, s], f_s[:, s], g_s[:, s], o_s[:, s]
+        hc, tc = tc, np.tanh(cs[s])
+        np.multiply(o_s[:, s - 1], tc, out=hs[s])
+        dc += dh * o_g * (1.0 - hc * hc)
+        dz[..., :H] = dc * g_g * i_g * (1.0 - i_g)
+        dz[..., H : 2 * H] = dc * cs[s] * f_g * (1.0 - f_g)
+        dz[..., 2 * H : 3 * H] = dc * i_g * (1.0 - g_g * g_g)
+        dz[..., 3 * H :] = dh * hc * o_g * (1.0 - o_g)
+        flush(dz, floor)
+        dzs[0, s], dzs[1, T - 1 - s] = dz
+        np.matmul(dz, u_t, out=dh)
+        dc *= f_g
+        flush(dhc, floor)
+    grads = [np.zeros_like(a) for a in (x, wf, uf, bf, wb, ub, bb)]
+    dx = np.zeros((T * B, D), dtype=dtype)
+    for d, (w, k) in enumerate(((wf, 1), (wb, 4))):
+        n = reach[d]
+        steps = slice(0, n) if d else slice(T - n, T)
+        dz2 = dzs[d, steps].reshape(n * B, 4 * H)
+        h_prev = np.ascontiguousarray(hs[T - n : T, d][:: -1 if d else 1]).reshape(n * B, H)
+        rows = slice(steps.start * B, steps.stop * B)
+        grads[k] += xt[rows].T @ dz2
+        grads[k + 1] += h_prev.T @ dz2
+        grads[k + 2] += dz2.sum(axis=0)
+        dx[rows] += dz2 @ w.T
+    flush(dx, np.finfo(dtype).tiny)
+    grads[0] += dx.reshape(T, B, D).transpose(1, 0, 2)
+    return out, grads
+
+
 class TestBiLSTM:
     def test_forward_matches_unrolled_oracle(self, rng):
         D, H, T = 3, 2, 2
@@ -625,6 +717,64 @@ class TestBiLSTM:
         for got, want in zip(grads, ref_grads):
             assert rel_err(got, want) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "B,T,D,H,dtype,scale,g_scale",
+        [
+            (16, 225, 16, 32, np.float32, 0.5, None),  # train_small's visual branch
+            (16, 112, 32, 32, np.float32, 0.5, None),  # its audio branch
+            (16, 16, 16, 32, np.float32, 0.5, None),  # its text branch
+            (16, 400, 16, 128, np.float32, 0.1, None),  # the default width; its gradient dies early
+            (4, 300, 8, 16, np.float32, 0.5, 1e-12),  # the forward direction dies first
+            (1, 1, 3, 4, np.float32, 0.5, None),
+            (8, 37, 5, 32, np.float32, 0.5, None),  # a chunk of 32 steps, then one of 5
+            (8, 37, 5, 32, np.float64, 0.5, None),
+        ],
+    )
+    def test_bits_equal_step_formula(self, rng, B, T, D, H, dtype, scale, g_scale):
+        arrays = lstm_arrays(rng, B=B, T=T, D=D, H=H, dtype=dtype, scale=scale)
+        g = rng.normal(size=(B, 2 * H)).astype(dtype)
+        if g_scale is not None:
+            g[:, :H] *= dtype(g_scale)
+        out, grads = run_bilstm(arrays, g)
+        want_out, want = step_bilstm(*arrays, g)
+        assert out.tobytes() == want_out.tobytes()
+        for got, ref in zip(grads, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        reached = np.any(grads[0], axis=(0, 2))
+        if H == 128:
+            assert not reached.all()
+        if g_scale is not None:  # the forward direction stopped first: a gap in the middle
+            n_back, n_fwd = np.argmin(reached), np.argmin(reached[::-1])
+            assert not reached.all() and 0 < n_fwd < n_back
+
+    def test_backward_scratch_does_not_grow_with_T(self, rng):
+        # backward keeps dz and the rebuilt input h of every step it reaches;
+        # its other buffers are sized by the chunk of steps it lays out at
+        # once, so beyond those two its peak is the same at any T
+        B, D, H = 4, 8, 32
+        item = np.dtype(np.float32).itemsize
+        extra = {}
+        for T in (64, 256):
+            arrays = lstm_arrays(rng, B=B, T=T, D=D, H=H, dtype=np.float32, scale=0.2)
+            tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+            g = rng.normal(size=(B, 2 * H)).astype(np.float32)
+            loss = ad.sum_(ad.mul(bilstm(*tensors), ad.tensor(g)))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ad.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.any(tensors[0].grad, axis=(0, 2)))  # both directions reached every step
+            dzs, hs = 2 * T * B * 4 * H * item, 2 * T * B * H * item
+            extra[T] = peak - dzs - hs
+        # the chunk's 12 operand slabs of _CHUNK elements, the weight
+        # gradients, the transposed recurrent weights and small objects
+        assert extra[64] <= 16 * layers._CHUNK * item
+        assert extra[256] - extra[64] <= 16384
+
     @pytest.mark.parametrize("B,T", [(3, 1), (1, 6), (1, 1)])
     def test_single_step_and_single_clip(self, rng, B, T):
         arrays = lstm_arrays(rng, B=B, T=T, D=3, H=4, dtype=np.float64)
@@ -646,6 +796,20 @@ class TestBiLSTM:
         ref_states, _ = reference_bilstm(*arrays, np.zeros((2, 4)))
         np.testing.assert_allclose(out[:, :2], ref_states[:, -1, :2], atol=1e-12)
         np.testing.assert_allclose(out[:, 2:], ref_states[:, 0, 2:], atol=1e-12)
+
+
+def test_flush_writes_positive_zero_below_floor_and_keeps_floor_and_nan():
+    floor = np.float32(1e-3)
+    values = [5e-4, -5e-4, -0.0, 1e-3, -1e-3, np.nan, -np.inf, 2.0, -1e-30]
+    want = np.array([0.0, 0.0, 0.0, 1e-3, -1e-3, np.nan, -np.inf, 2.0, 0.0], dtype=np.float32)
+    for buffers in ((), (np.empty(9, np.float32), np.empty(9, bool))):
+        a = np.array(values, dtype=np.float32)
+        small = layers._flush(a, floor, *buffers)
+        # +0.0 whatever the sign: a multiply by a 0/1 mask would leave -0.0
+        assert a.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+        assert small.tolist() == [True, True, True, False, False, False, False, False, True]
+        if buffers:
+            assert small is buffers[1]
 
 
 class TestModuleSystem:

@@ -12,7 +12,8 @@ implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``relu``,
 ``max_reduce`` and ``lower_median``, the shape ops ``reshape``,
 ``transpose``, ``slice_axis`` and ``concat``, and ``affine``.
 Convolution, pooling, batch norm and the LSTM (which carry their own
-hand-derived backwards) live in :mod:`depest.layers`.
+hand-derived backwards) live in :mod:`depest.layers`; ``sigmoid`` is
+the LSTM's own gate formula there, tanh(x/2)/2 + 1/2.
 """
 
 from __future__ import annotations
@@ -181,18 +182,9 @@ def relu(a: Tensor) -> Tensor:
     return clamp_min(a, 0.0)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function on an array, overflow-free for large |x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = _sigmoid(a.data)
+    """tanh(x/2)/2 + 1/2: the BiLSTM's gate arithmetic, finite at any x and exactly 0 or 1 once tanh saturates."""
+    out_data = np.tanh(0.5 * a.data) * 0.5 + 0.5
 
     def bwd(g):
         _accum(a, g * out_data * (1.0 - out_data))

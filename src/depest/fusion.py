@@ -3,9 +3,9 @@
 The attentional block treats the stacked modality vectors as a
 1-channel image [C=1, H=modalities, W=feature-dim]. A channel-attention
 unit mixes a global (pooled) and a local (per-cell) excitation path,
-squashes through a sigmoid, and the block blends a refined conv of the
-input with the input itself twice over, each stage under its own
-attention weights. The bank's heads, one per questionnaire item, are
+squashes through a sigmoid, and the block twice steps from the input Y
+toward a refined conv of it, Y + w*(conv(Y) - Y), each stage under its
+own attention weights. The bank's heads, one per questionnaire item, are
 independent parameter sets run as one pass over a head axis: joined
 per role along that axis, their convs and batch norms are one op each.
 A lone block is a bank of one head.
@@ -63,10 +63,9 @@ def _fuse_heads(heads, y: Tensor) -> Tensor:
     x = ad.add(_conv_heads(y, [h.conv_first for h in heads]), y)  # y broadcasts over the heads
     w = _attend_heads([h.att_mid for h in heads], x)
     conv_y = _conv_heads(y, [h.conv_refine for h in heads])
-    one = ad.tensor(np.ones((), dtype=y.data.dtype))
-    x_ref = ad.add(ad.mul(conv_y, w), ad.mul(y, ad.sub(one, w)))
-    wp = _attend_heads([h.att_out for h in heads], x_ref)
-    out = ad.add(ad.mul(conv_y, wp), ad.mul(y, ad.sub(one, wp)))
+    step = ad.sub(conv_y, y)  # both blends y*(1-w) + conv_y*w as y + w*step
+    wp = _attend_heads([h.att_out for h in heads], ad.add(y, ad.mul(w, step)))
+    out = ad.add(y, ad.mul(wp, step))
     for k, head in enumerate(heads):
         head.last_w, head.last_wp, head.last_conv_y = (t.data[:, k : k + 1].copy() for t in (w, wp, conv_y))
     return out
@@ -98,10 +97,11 @@ class AttentionalFusion(Module):
     """Three-stage fusion: residual conv, then two attention-gated blends.
 
     Stage 1 forms X = conv_first(Y) + Y. Stage 2 computes weights w from
-    X and blends X' = conv(Y)*w + Y*(1-w). Stage 3 recomputes weights w'
-    from X' with a second attention unit and emits conv(Y)*w' + Y*(1-w').
-    The refining conv is shared between stages 2 and 3; the stage-1 conv
-    is separate. Output shape equals input shape.
+    X and blends X' = conv(Y)*w + Y*(1-w), computed as Y + w*(conv(Y) - Y).
+    Stage 3 recomputes weights w' from X' with a second attention unit and
+    emits Y + w'*(conv(Y) - Y) from the same difference. The refining conv
+    is shared between stages 2 and 3; the stage-1 conv is separate. Output
+    shape equals input shape.
 
     The last forward pass logs `last_w`, `last_wp`, and `last_conv_y`
     (plain arrays) so callers can audit the convex-combination identity.

@@ -212,9 +212,9 @@ def _one_malloc_arena() -> None:
     """Make every thread allocate from glibc's main malloc arena, for the whole process.
 
     Without it each worker thread's arena keeps its own freed heap:
-    train_small's peak RSS measured 261 MB instead of 252 MB (about
-    +10 MB), and the default model's about 5 MB more. A no-op where the
-    C library has no mallopt.
+    train_small's peak RSS measured 277-295 MB instead of 252 MB (+25 to
+    +43 MB), the default model's 378-393 instead of 378-382 MB (+5 MB
+    median). A no-op where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

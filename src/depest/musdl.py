@@ -59,15 +59,15 @@ def transform_labels(hard, cfg: MusdlConfig) -> np.ndarray:
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def decode_prediction(pred, cfg: MusdlConfig) -> np.ndarray:
-    """Distributions [N_ITEMS, n_expanded] -> integer scores, floor(argmax/ratio).
+def decode_prediction(pred: np.ndarray, cfg: MusdlConfig) -> np.ndarray:
+    """Distributions [..., n_expanded] arrays of 2+ axes (a batch: [B, N_ITEMS, n_expanded]) -> integer scores [...].
 
-    np.argmax resolves ties toward the lowest index.
+    Each is floor(argmax/ratio) on the last axis; np.argmax resolves ties toward the lowest index.
     """
-    arr = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
-    if arr.ndim != 2 or arr.shape[1] != cfg.n_expanded:
-        raise ShapeError(f"expected [*, {cfg.n_expanded}] distributions, got {arr.shape}")
-    return arr.argmax(axis=1) // cfg.ratio
+    arr = np.asarray(pred)  # a Tensor becomes a 0-d object array, which the shape check rejects
+    if arr.ndim < 2 or arr.shape[-1] != cfg.n_expanded:
+        raise ShapeError(f"expected a [..., {cfg.n_expanded}] array of distributions, got shape {arr.shape}")
+    return arr.argmax(axis=-1) // cfg.ratio
 
 
 def kl_rows(target: np.ndarray, pred: Tensor, row_weights: np.ndarray = None) -> Tensor:

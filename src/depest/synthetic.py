@@ -22,7 +22,7 @@ from .config import DEFAULTS
 from .data import ManifestEntry, map_sessions, write_manifest
 from .dsp import Waveform, write_wav
 from .errors import ConfigError
-from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, write_embeddings, write_keypoints
+from .features import EMBED_DIM, FRAME_ROWS, N_LANDMARKS, Keypoints, Sentences, SessionFeatures, write_embeddings, write_keypoints
 from .phq import BINARY_CUTOFF, GENDERS, ITEM_MAX, N_ITEMS
 
 TONE_BASE_HZ = 250
@@ -131,24 +131,36 @@ def synth_embeddings(rng: np.random.Generator, depressed: bool, total_score: int
     return Sentences(starts=starts, stops=starts + SENTENCE_EVERY_S * 0.8, vectors=mean + 0.3 * rng.standard_normal((n, EMBED_DIM)))
 
 
+def synth_session(seed: int, j: int, depressed: bool, duration_s: float) -> SessionFeatures:
+    """Participant j of the corpus at ``seed`` in memory; one generator draws the labels, then the three streams."""
+    rng = np.random.default_rng([seed, 7919, j])
+    subs = _sample_subscores(rng, depressed)
+    total = sum(subs)
+    return SessionFeatures(
+        audio=synth_audio(rng, subs, duration_s, DEFAULTS["sample_rate"]),
+        frames=synth_keypoints(rng, total, duration_s, FRAME_RATE_HZ),
+        sentences=synth_embeddings(rng, depressed, total, duration_s),
+        phq_subscores=subs,
+        participant_id=f"P{j:03d}",
+        gender=GENDERS[j % 2],
+    )
+
+
 def _write_session(j: int, *, out_dir: Path, seed: int, dep_flags: list, duration_s: float) -> ManifestEntry:
     """Participant j's three modality files; its manifest row."""
-    pid = f"P{j:03d}"
-    rng = np.random.default_rng([seed, 7919, j])
-    subs = _sample_subscores(rng, dep_flags[j])
-    total = sum(subs)
-
+    session = synth_session(seed, j, dep_flags[j], duration_s)
+    pid = session.participant_id
     pdir = out_dir / pid
     pdir.mkdir(exist_ok=True)
-    write_wav(pdir / "audio.wav", synth_audio(rng, subs, duration_s, DEFAULTS["sample_rate"]))
-    write_keypoints(pdir / "keypoints.txt", synth_keypoints(rng, total, duration_s, FRAME_RATE_HZ))
-    write_embeddings(pdir / "embeddings.txt", synth_embeddings(rng, dep_flags[j], total, duration_s))
+    write_wav(pdir / "audio.wav", session.audio)
+    write_keypoints(pdir / "keypoints.txt", session.frames)
+    write_embeddings(pdir / "embeddings.txt", session.sentences)
 
     # paths are relative to the manifest, which read_manifest resolves
     return ManifestEntry(
         participant_id=pid,
-        gender=GENDERS[j % 2],
-        phq_subscores=subs,
+        gender=session.gender,
+        phq_subscores=session.phq_subscores,
         audio_path=Path(pid) / "audio.wav",
         keypoints_path=Path(pid) / "keypoints.txt",
         embeddings_path=Path(pid) / "embeddings.txt",

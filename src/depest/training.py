@@ -78,19 +78,12 @@ def evaluate_clips(model: MultiModalClassifier, clips, musdl_cfg: MusdlConfig, b
     if not clips:
         raise EmptyInputError("no clips to evaluate")
     model.eval()
-    preds = []
-    for lo in range(0, len(clips), batch_size):
-        chunk = clips[lo : lo + batch_size]
-        dist = model.forward(**batch_inputs(chunk, model.cfg)).data  # [B, n_items, m']
-        for row in dist:
-            preds.append(decode_prediction(row, musdl_cfg))
-    subs = np.stack(preds)  # [n, n_items]
+    subs = np.concatenate([
+        decode_prediction(model.forward(**batch_inputs(clips[lo : lo + batch_size], model.cfg)).data, musdl_cfg)
+        for lo in range(0, len(clips), batch_size)
+    ])  # [n, n_items]
     records = [derive_phq(s) for s in subs]
-    return EvalResult(
-        subscores=subs,
-        records=records,
-        report=report(clips, records),
-    )
+    return EvalResult(subscores=subs, records=records, report=report(clips, records))
 
 
 def train(

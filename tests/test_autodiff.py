@@ -59,6 +59,19 @@ class TestElementwise:
         for out in (ad.clamp_min(x32, 1.0), ad.relu(x32)):
             assert out.data.dtype == np.float32 and out._op == "clamp_min"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_are_the_bilstm_gate_formula(self, dtype):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, -0.0, 1e-30, -1e-30]]).astype(dtype)
+        out = ad.sigmoid(ad.tensor(x)).data
+        # a sigmoid slab of layers.bilstm: scaled by 0.5, tanh in place, scaled by 0.5, shifted by 0.5
+        z = x * np.full(x.shape, 0.5, dtype=dtype)
+        np.tanh(z, out=z)
+        z *= np.full(x.shape, 0.5, dtype=dtype)
+        z += np.full(x.shape, 0.5, dtype=dtype)
+        assert out.dtype == dtype
+        assert out.tobytes() == z.tobytes()
+        assert out.tobytes() == (np.tanh(x * 0.5) * 0.5 + 0.5).tobytes()
+
     def test_sigmoid_extreme_inputs_finite(self):
         x = ad.tensor(np.array([-800.0, 800.0]))
         out = ad.sigmoid(x)

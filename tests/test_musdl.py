@@ -15,6 +15,7 @@ from depest.musdl import (
     kl_rows,
     transform_labels,
 )
+from depest.phq import N_ITEMS
 
 CFG = MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0)  # the config.DEFAULTS values
 
@@ -103,12 +104,22 @@ class TestDecode:
         row[0, 8] = 0.5  # tie across the class boundary
         np.testing.assert_array_equal(decode_prediction(row, CFG), [0])
 
-    def test_accepts_graph_tensors(self):
-        rows = np.zeros((2, 32))
-        rows[0, 9] = 1.0
-        rows[1, 30] = 1.0
-        got = decode_prediction(ad.tensor(rows), CFG)
-        np.testing.assert_array_equal(got, [1, 3])
+    def test_batch_decodes_in_one_call_like_its_rows(self, rng):
+        batch = rng.dirichlet(np.ones(32), size=(5, N_ITEMS))  # [B, N_ITEMS, n_expanded]
+        batch[0, 0, [7, 8]] = 2.0  # ties across a class boundary and inside a class
+        batch[1, 3, [24, 31]] = 2.0
+        batch[2] = 1.0 / 32  # every entry of every row tied
+        got = decode_prediction(batch, CFG)
+        assert got.shape == (5, N_ITEMS)
+        np.testing.assert_array_equal(got, np.stack([decode_prediction(rows, CFG) for rows in batch]))
+        np.testing.assert_array_equal(got[0, 0], 0)
+        np.testing.assert_array_equal(got[1, 3], 3)
+        np.testing.assert_array_equal(got[2], 0)
+
+    @pytest.mark.parametrize("pred", [ad.tensor(np.zeros((2, 32))), np.zeros(32)], ids=["tensor", "1-D"])
+    def test_graph_tensor_or_single_row_rejected(self, pred):
+        with pytest.raises(ShapeError):
+            decode_prediction(pred, CFG)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ShapeError):

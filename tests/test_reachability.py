@@ -14,6 +14,14 @@ alias is bound to its module by ``from . import mod as alias`` (or
 ``tanh`` defined in the package. Methods are matched by name: any
 attribute access with the same spelling counts, so a method can hide
 behind a live namesake, but live code is never reported as dead.
+
+A defaulted parameter is an option, and an option needs a caller: some
+product call must set every defaulted parameter of a top-level function,
+a public method, an ``__init__`` (a ``super().__init__`` call counts for
+the first base) and every defaulted dataclass field. A call sets one by
+keyword, by position, through ``*``/``**`` or through
+``functools.partial``. Functions and classes are matched by binding, as
+above; methods by name.
 """
 
 import ast
@@ -25,6 +33,14 @@ PRODUCT_FILES = sorted((ROOT / "src" / "depest").glob("*.py")) + sorted((ROOT / 
 # reached from outside the product: an argparse hook, and a helper the
 # acceptance suite calls
 ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation"}
+# defaulted parameters that only the acceptance suite sets, which builds
+# float64 models and leaves, and the one-off conv shapes of its gradient checks
+ALLOWED_DEFAULTS = {
+    "autodiff.py: tensor(requires_grad)",
+    "layers.py: Conv1d(padding)",
+    "layers.py: Conv2d(stride)",
+    "model.py: MultiModalClassifier(dtype)",
+}
 
 
 def _definitions(tree):
@@ -96,3 +112,101 @@ def test_every_public_function_is_named_in_product_code():
 def test_every_private_function_is_named_in_product_code():
     unreached = _unreached(private=True)
     assert not unreached, "private helpers used nowhere in src/ or scripts/:\n" + "\n".join(unreached)
+
+
+def _bindings(tree, module):
+    """How this file names package functions and classes: ``{name: (module, name)}`` and ``{alias: module}``."""
+    names, aliases = {}, {}
+    for node in ast.walk(tree):
+        source = _package_module(node) if isinstance(node, ast.ImportFrom) else None
+        if source is not None:
+            for alias in node.names:
+                if source:
+                    names[alias.asname or alias.name] = (source, alias.name)
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+    return names, aliases
+
+
+def _defaulted(args, skip_first):
+    """(name, position or None for keyword-only) of each parameter with a default."""
+    positional = (args.posonlyargs + args.args)[skip_first:]
+    firsts = len(positional) - len(args.defaults)
+    yield from ((a.arg, i) for i, a in enumerate(positional) if i >= firsts)
+    yield from ((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _option_definitions(tree, module):
+    """(callee key, label, [(parameter, position)]) for every definition with defaults in scope."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield (module, node.name), node.name, list(_defaulted(node.args, 0))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            yield (module, node.name), node.name, [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                key, label = ((module, node.name), node.name) if item.name == "__init__" else (
+                    ("method", item.name), f"{node.name}.{item.name}")
+                yield key, label, list(_defaulted(item.args, 0 if static else 1))
+
+
+def _option_calls(tree, module):
+    """(callee key, call node, leading arguments to skip) for every call in the file, ``partial`` unwrapped."""
+    names, aliases = _bindings(tree, module)
+
+    def key(func, cls):
+        if isinstance(func, ast.Name):
+            return names.get(func.id, (module, func.id))
+        if not isinstance(func, ast.Attribute):
+            return None
+        if isinstance(func.value, ast.Name) and func.value.id in aliases:
+            return aliases[func.value.id], func.attr
+        is_super = isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "super"
+        if is_super and func.attr == "__init__" and cls is not None and cls.bases:
+            return key(cls.bases[0], None)
+        return "method", func.attr
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            inner = child if isinstance(child, ast.ClassDef) else cls
+            if isinstance(child, ast.Call):
+                if getattr(child.func, "id", getattr(child.func, "attr", None)) == "partial" and child.args:
+                    yield key(child.args[0], inner), child, 1
+                else:
+                    yield key(child.func, inner), child, 0
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def _sets(call, skip, name, position):
+    args = call.args[skip:]
+    if any(k.arg in (name, None) for k in call.keywords):  # by keyword, or through **
+        return True
+    return position is not None and (position < len(args) or any(isinstance(a, ast.Starred) for a in args))
+
+
+def _unset_defaults() -> list:
+    """Defaulted parameters in scope that no product call sets."""
+    definitions, calls = [], {}
+    for path in PRODUCT_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definitions += [(path.stem, *d) for d in _option_definitions(tree, path.stem)]
+        for callee, call, skip in _option_calls(tree, path.stem):
+            calls.setdefault(callee, []).append((call, skip))
+    unset = []
+    for module, callee, label, params in definitions:
+        for name, position in params:
+            if not any(_sets(call, skip, name, position) for call, skip in calls.get(callee, ())):
+                unset.append(f"{module}.py: {label}({name})")
+    return sorted(set(unset) - ALLOWED_DEFAULTS)
+
+
+def test_every_defaulted_parameter_is_set_by_a_product_call():
+    unset = _unset_defaults()
+    assert not unset, "defaulted parameters that no call in src/ or scripts/ sets:\n" + "\n".join(unset)

@@ -15,10 +15,12 @@ from depest.synthetic import (
     TONE_SCORE_AMP,
     TONE_STEP_HZ,
     _fixed_geometry,
+    _stratified_flags,
     generate_synthetic_corpus,
     synth_audio,
     synth_embeddings,
     synth_keypoints,
+    synth_session,
 )
 
 
@@ -198,3 +200,23 @@ class TestSessionPlumbing:
             assert session.frames.times.shape == (360,)
             assert session.sentences.starts.shape == (2,)
             assert session.phq_subscores == entry.phq_subscores
+
+    def test_synth_session_is_what_the_corpus_writes(self, tmp_path):
+        from depest.data import load_session
+
+        def g8(a):  # the text files' %.8g, parsed back
+            return np.vectorize(lambda v: float(f"{v:.8g}"))(a)
+
+        manifest = generate_synthetic_corpus(tmp_path / "c", n_participants=4, seed=3, duration_s=12.0)
+        flags = _stratified_flags(4, 2)
+        for j, entry in enumerate(read_manifest(manifest)):
+            made, read = synth_session(3, j, flags[j], 12.0), load_session(entry)
+            assert (made.participant_id, made.gender, made.phq_subscores) == (
+                read.participant_id, read.gender, read.phq_subscores)
+            assert made.audio.sample_rate_hz == read.audio.sample_rate_hz
+            pcm = (np.clip(made.audio.samples, -1.0, 1.0) * 32767.0).astype("<i2") / 32768.0
+            np.testing.assert_array_equal(pcm, read.audio.samples)
+            for a, b in ((made.frames.times, read.frames.times), (made.frames.points, read.frames.points),
+                         (made.sentences.starts, read.sentences.starts), (made.sentences.stops, read.sentences.stops),
+                         (made.sentences.vectors, read.sentences.vectors)):
+                np.testing.assert_array_equal(g8(a), b)

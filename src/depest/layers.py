@@ -32,8 +32,9 @@ only the steps it reached, and the loop stops when both have stopped.
 
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 own parameters (Tensors with ``requires_grad=True``) and non-trainable
-buffers (plain arrays, e.g. batch-norm running stats), and expose them
-by dotted name for checkpointing and optimizers; the modules in a list
+buffers (the plain arrays whose names a class lists in ``_buffers``, e.g.
+batch-norm running stats). One walk of the module tree names them all by
+dotted path for checkpointing and optimizers; the modules in a list
 attribute are named by their index (``heads.3.weight``).
 """
 
@@ -444,16 +445,13 @@ def bilstm(
 class Module:
     """Tiny parameter container with dotted-name introspection."""
 
+    _buffers = ()  # names of the class's non-trainable array attributes
+
     def __init__(self):
         self.training = True
-        self._buffer_names: set[str] = set()
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def register_buffer(self, name: str, arr: np.ndarray) -> None:
-        setattr(self, name, arr)
-        self._buffer_names.add(name)
 
     def _children(self):
         """Public attributes by name; each entry of a list attribute as ``name.i``."""
@@ -465,25 +463,21 @@ class Module:
             else:
                 yield name, value
 
-    def named_parameters(self, prefix: str = ""):
+    def _leaves(self, prefix: str = ""):
+        """(dotted name, parameter Tensor or buffer array) of every leaf below, in attribute order."""
         for name, value in self._children():
             full = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Tensor) and value.requires_grad or name in self._buffers:
                 yield full, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(f"{full}.")
+                yield from value._leaves(f"{full}.")
+
+    def named_parameters(self):
+        return ((name, leaf) for name, leaf in self._leaves() if isinstance(leaf, Tensor))
 
     def parameters(self):
         for _, p in self.named_parameters():
             yield p
-
-    def named_buffers(self, prefix: str = ""):
-        for name, value in self._children():
-            full = f"{prefix}{name}"
-            if name in self._buffer_names:
-                yield full, value
-            elif isinstance(value, Module):
-                yield from value.named_buffers(f"{full}.")
 
     def train(self, mode: bool = True):
         self.training = mode
@@ -497,30 +491,25 @@ class Module:
 
     def state(self) -> dict[str, np.ndarray]:
         """Flat name -> array snapshot of parameters and buffers."""
-        out = {name: p.data for name, p in self.named_parameters()}
-        out.update({name: b for name, b in self.named_buffers()})
-        return out
+        return {name: leaf.data if isinstance(leaf, Tensor) else leaf for name, leaf in self._leaves()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Copy arrays into the parameters/buffers; names and shapes must match exactly."""
-        own_params = dict(self.named_parameters())
-        own_bufs = dict(self.named_buffers())
-        missing = [name for name in (*own_params, *own_bufs) if name not in state]
+        own = dict(self._leaves())
+        missing = [name for name in own if name not in state]
         if missing:
             raise ShapeError(f"checkpoint missing entries: {missing[:5]}{'...' if len(missing) > 5 else ''}")
         for name, arr in state.items():
-            target = own_params.get(name)
-            if target is not None:
-                if target.data.shape != arr.shape:
-                    raise ShapeError(f"shape mismatch for '{name}': model {target.data.shape}, state {arr.shape}")
-                target.data = arr.astype(target.data.dtype, copy=True)
-                continue
-            if name not in own_bufs:
+            if name not in own:
                 raise ShapeError(f"unexpected checkpoint entry '{name}'")
-            buf = own_bufs[name]
-            if buf.shape != arr.shape:
-                raise ShapeError(f"shape mismatch for buffer '{name}': model {buf.shape}, state {arr.shape}")
-            buf[...] = arr
+            leaf = own[name]
+            target = leaf.data if isinstance(leaf, Tensor) else leaf
+            if target.shape != arr.shape:
+                raise ShapeError(f"shape mismatch for '{name}': model {target.shape}, state {arr.shape}")
+            if isinstance(leaf, Tensor):
+                leaf.data = arr.astype(target.dtype, copy=True)
+            else:
+                leaf[...] = arr
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
@@ -559,14 +548,16 @@ class Conv2d(_Conv):
 
 
 class BatchNorm(Module):
+    _buffers = ("running_mean", "running_var")
+
     def __init__(self, num_features, dtype=np.float32):
         super().__init__()
         if num_features < 1:
             raise ConfigError("batch norm needs at least one feature")
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
-        self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float64))
-        self.register_buffer("running_var", np.ones(num_features, dtype=np.float64))
+        self.running_mean = np.zeros(num_features, dtype=np.float64)
+        self.running_var = np.ones(num_features, dtype=np.float64)
 
     def forward(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training)

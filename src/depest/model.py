@@ -13,14 +13,15 @@ The backbones share nothing until the fusion stage, so a forward pass
 runs them on ``data.map_lanes``, the one lane scheduler, which also runs
 ``data.map_sessions``: the calling thread runs one lane and a thread pool
 that lives for that call alone runs the rest, so no thread outlives a
-pass into the fork ``map_sessions`` makes. Every forward first pins
-numpy's OpenBLAS to one thread, then runs lanes from ``_MIN_LANE_BATCH``
-clips up, where numpy's GEMMs and large loops release the GIL for most of
-a pass. The output is bit-identical either way. Backward stays serial.
+pass into the fork ``map_sessions`` makes. Every forward first makes the
+process's one-time setup (numpy's OpenBLAS at one thread, glibc at one
+malloc arena), then runs lanes from ``_MIN_LANE_BATCH`` clips up, where
+numpy's GEMMs and large loops release the GIL for most of a pass. The output is bit-identical either way. Backward stays serial.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 from dataclasses import dataclass
@@ -138,19 +139,12 @@ class MultiModalClassifier(Module):
             setattr(self, f"branch_{letter}", ModalityBranch(getattr(cfg, MODALITIES[letter]), rng=rng, dtype=dtype))
 
         n = len(cfg.active)
-        d = cfg.feature_dim
-        if n == 1:
-            head_in = d
-        elif cfg.fusion == "subatten":
+        if n > 1 and cfg.fusion == "subatten":
             self.bank = SubAttentionalBank(rng=rng, dtype=dtype)
-            head_in = n * d
-        elif cfg.fusion == "atten":
+        elif n > 1 and cfg.fusion == "atten":
             self.fuser = AttentionalFusion(rng=rng, dtype=dtype)
-            head_in = n * d
-        elif cfg.fusion == "concat":
-            head_in = n * d
-        else:
-            head_in = d
+        # the fusion blocks and concat keep every branch's features; one branch or a reducing rule keeps one width
+        head_in = cfg.feature_dim * (n if cfg.fusion in ("subatten", "atten", "concat") else 1)
         self.heads = [Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)]
 
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
@@ -188,13 +182,21 @@ def _run_branches(calls) -> list:
 
     from . import data
 
-    _one_malloc_arena()
     return data.map_lanes(lambda call: call[0](call[1]), calls, ThreadPoolExecutor)
 
 
 @functools.cache
 def _one_blas_thread() -> bool:
-    """Pin numpy's bundled OpenBLAS to one thread for the process, whatever the environment set; False where it cannot."""
+    """Once per process: glibc at one malloc arena, numpy's OpenBLAS at one thread whatever the environment set; False without the pin.
+
+    With one arena every thread allocates from glibc's main heap. Without it
+    each lane's thread keeps its own freed heap: train_small's peak RSS
+    measured 277-295 MB instead of 252 MB (+25 to +43 MB), the default
+    model's 378-393 instead of 378-382 MB (+5 MB median). The cap is
+    skipped where the C library has no mallopt.
+    """
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
     try:
         from numpy._core import _multiarray_umath
 
@@ -205,23 +207,6 @@ def _one_blas_thread() -> bool:
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     set_threads(1)
     return True
-
-
-@functools.cache
-def _one_malloc_arena() -> None:
-    """Make every thread allocate from glibc's main malloc arena, for the whole process.
-
-    Without it each worker thread's arena keeps its own freed heap:
-    train_small's peak RSS measured 277-295 MB instead of 252 MB (+25 to
-    +43 MB), the default model's 378-393 instead of 378-382 MB (+5 MB
-    median). A no-op where the C library has no mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def _clip_arrays(clip: ClipSample, cfg: ModelConfig) -> dict:

@@ -2,9 +2,10 @@
 
 The one home of the label rule: 8 whole item subscores (each 0..3) and
 a gender in GENDERS. The subscores sum to a total score in 0..24, with
-the depressed/not-depressed binary cut at score >= 10 and a five-band
-severity tag. Clip-level records recombine into a participant result by
-averaging scores and taking a strict-majority vote on the binary.
+the depressed/not-depressed binary cut at score >= 10; ``severity_band``
+names a score's five-band severity tag. Clip-level records recombine
+into a participant result by averaging scores and taking a
+strict-majority vote on the binary.
 Metrics cover binary classification (positive class = depressed) and
 score regression, with an optional gender-split report.
 """
@@ -35,7 +36,6 @@ SEVERITY_BANDS = (
 class PhqRecord:
     score: int
     binary: int
-    severity: str
 
 
 @dataclass
@@ -99,13 +99,9 @@ def check_label(subscores, gender: str) -> tuple:
 
 
 def derive_phq(subscores) -> PhqRecord:
-    """8 item subscores -> total score, binary cut at 10, severity tag."""
+    """8 item subscores -> total score and binary cut at 10."""
     score = sum(item_scores(subscores))
-    return PhqRecord(
-        score=score,
-        binary=int(score >= BINARY_CUTOFF),
-        severity=severity_band(score),
-    )
+    return PhqRecord(score=score, binary=int(score >= BINARY_CUTOFF))
 
 
 def aggregate_participant(participant_id: str, gender: str, clip_records) -> ParticipantResult:
@@ -142,22 +138,16 @@ def compute_metrics(pred_binary, true_binary, pred_scores, true_scores) -> Metri
     fn = int(np.sum((pb == 0) & (tb == 1)))
     flags = []
 
+    def ratio(num, den, name):
+        if den == 0:
+            flags.append(name)
+            return 0.0
+        return num / den
+
     accuracy = float(np.mean(pb == tb))
-    if tp + fp == 0:
-        precision = 0.0
-        flags.append("precision")
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = 0.0
-        flags.append("recall")
-    else:
-        recall = tp / (tp + fn)
-    if precision + recall == 0.0:
-        f1 = 0.0
-        flags.append("f1")
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
+    precision = ratio(tp, tp + fp, "precision")
+    recall = ratio(tp, tp + fn, "recall")
+    f1 = ratio(2.0 * precision * recall, precision + recall, "f1")
 
     ps = np.asarray(pred_scores, dtype=np.float64)
     ts = np.asarray(true_scores, dtype=np.float64)

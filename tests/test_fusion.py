@@ -157,8 +157,10 @@ class TestBank:
     def test_batched_bank_matches_per_head_reference(self, training):
         banks = [SubAttentionalBank(rng=np.random.default_rng(7), dtype=np.float64) for _ in range(2)]
         rng = np.random.default_rng(8)
-        for name, buf in banks[0].named_buffers():
-            buf[...] = rng.uniform(0.5, 2.0, size=buf.shape) if name.endswith("var") else rng.normal(size=buf.shape)
+        params = dict(banks[0].named_parameters())
+        for name, buf in banks[0].state().items():
+            if name not in params:
+                buf[...] = rng.uniform(0.5, 2.0, size=buf.shape) if name.endswith("var") else rng.normal(size=buf.shape)
         banks[1].load_state(banks[0].state())
         for bank in banks:
             bank.train(training)
@@ -182,9 +184,10 @@ class TestBank:
             scale = max(np.abs(p.grad).max() for p in ref_params.values())
             for name, p in head.named_parameters():
                 np.testing.assert_allclose(p.grad, ref_params[name].grad, rtol=0, atol=1e-12 * scale, err_msg=name)
-        ref_buffers = dict(ref.named_buffers())
-        for name, buf in bank.named_buffers():
-            np.testing.assert_allclose(buf, ref_buffers[name], rtol=0, atol=1e-12, err_msg=name)
+        params, ref_state = dict(bank.named_parameters()), ref.state()
+        for name, buf in bank.state().items():
+            if name not in params:
+                np.testing.assert_allclose(buf, ref_state[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_mutating_one_head_leaves_others_fixed(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)

@@ -824,7 +824,7 @@ class TestModuleSystem:
         net = Net()
         names = [n for n, _ in net.named_parameters()]
         assert "conv.weight" in names and "bn.gamma" in names and "fc.bias" in names
-        buf_names = [n for n, _ in net.named_buffers()]
+        buf_names = [n for n in net.state() if n not in names]
         assert "bn.running_mean" in buf_names
 
         state = {k: v.copy() for k, v in net.state().items()}
@@ -841,11 +841,12 @@ class TestModuleSystem:
                 self.bns = [BatchNorm(3), BatchNorm(3)]
 
         net = Net()
-        assert [n for n, _ in net.named_parameters()] == [
+        params = [n for n, _ in net.named_parameters()]
+        assert params == [
             "convs.0.weight", "convs.0.bias", "convs.1.weight", "convs.1.bias",
             "bns.0.gamma", "bns.0.beta", "bns.1.gamma", "bns.1.beta",
         ]
-        assert [n for n, _ in net.named_buffers()] == [
+        assert [n for n in net.state() if n not in params] == [
             "bns.0.running_mean", "bns.0.running_var", "bns.1.running_mean", "bns.1.running_var",
         ]
         net.eval()
@@ -857,6 +858,28 @@ class TestModuleSystem:
         for (n1, a1), (n2, a2) in zip(net.state().items(), other.state().items()):
             assert n1 == n2
             np.testing.assert_array_equal(a1, a2)
+
+    def test_class_listed_buffer_roundtrips_and_is_shape_checked(self, rng):
+        class Net(Module):
+            _buffers = ("stat",)
+
+            def __init__(self):
+                super().__init__()
+                self.fc = Linear(2, 3, rng=rng)
+                self.stat = np.zeros(3)
+
+        net = Net()
+        net.stat[...] = [1.0, 2.0, 3.0]
+        assert [n for n, _ in net.named_parameters()] == ["fc.weight", "fc.bias"]
+        assert list(net.state()) == ["fc.weight", "fc.bias", "stat"]
+        other = Net()
+        stat = other.stat
+        other.load_state({k: v.copy() for k, v in net.state().items()})
+        assert other.stat is stat  # a buffer is written in place
+        np.testing.assert_array_equal(other.stat, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(other.fc.weight.data, net.fc.weight.data)
+        with pytest.raises(ShapeError, match="'stat'"):
+            other.load_state({**net.state(), "stat": np.zeros(4)})
 
     def test_load_state_missing_key_rejected(self, rng):
         lin = Linear(2, 2, rng=rng)

@@ -277,7 +277,7 @@ class TestBranchLanes:
                 out = model(**small_inputs(np.random.default_rng(5), B=8, modality=modality))
                 ad.backward(ad.sum_(ad.mul(out, out)))
                 grads = {name: p.grad for name, p in model.named_parameters()}
-                runs.append((out.data, grads, dict(model.named_buffers())))
+                runs.append((out.data, grads, {k: v for k, v in model.state().items() if k not in grads}))
         finally:
             sys.setswitchinterval(interval)
         out1, grads1, bufs1 = runs[-1]
@@ -362,6 +362,24 @@ print(before, threads())
         finally:
             model_mod._one_blas_thread.cache_clear()
         assert started == []
+
+    def test_serial_forward_caps_malloc_arenas_once(self, monkeypatch):
+        # batch 2 runs the branches serially, so no lane pass is there to make the call
+        calls, real_cdll = [], ctypes.CDLL
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(model_mod.ctypes, "CDLL", lambda path: Libc() if path is None else real_cdll(path))
+        model_mod._one_blas_thread.cache_clear()
+        try:
+            model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+            for _ in range(2):
+                model(**small_inputs(np.random.default_rng(5), B=2, modality="avt"))
+        finally:
+            model_mod._one_blas_thread.cache_clear()
+        assert calls == [(-8, 1)]
 
     def test_no_thread_outlives_a_pass(self, monkeypatch, rng):
         force_lanes(monkeypatch, 2)

@@ -47,17 +47,17 @@ class TestDerive:
         r = derive_phq((1, 0, 2, 0, 1, 0, 0, 3))
         assert r.score == 7
         assert r.binary == 0
-        assert r.severity == "mild"
+        assert severity_band(r.score) == "mild"
 
         r = derive_phq((3,) * 8)
         assert r.score == 24
         assert r.binary == 1
-        assert r.severity == "severe"
+        assert severity_band(r.score) == "severe"
 
         r = derive_phq((0,) * 8)
         assert r.score == 0
         assert r.binary == 0
-        assert r.severity == "not significant"
+        assert severity_band(r.score) == "not significant"
 
     def test_binary_flips_exactly_at_cutoff(self):
         # 9 -> 0, 10 -> 1

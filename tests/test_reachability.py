@@ -22,6 +22,11 @@ the first base) and every defaulted dataclass field. A call sets one by
 keyword, by position, through ``*``/``**`` or through
 ``functools.partial``. Functions and classes are matched by binding, as
 above; methods by name.
+
+A dataclass field is state, and state needs a reader: product code must
+read every field of a dataclass defined there, as an attribute or
+through ``getattr`` with a constant name. Fields are matched by name, as
+methods are.
 """
 
 import ast
@@ -30,9 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRODUCT_FILES = sorted((ROOT / "src" / "depest").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
-# reached from outside the product: an argparse hook, and a helper the
+# reached from outside the product: an argparse hook, and two helpers the
 # acceptance suite calls
-ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation"}
+ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation", "severity_band"}
 # defaulted parameters that only the acceptance suite sets, which builds
 # float64 models and leaves, and the one-off conv shapes of its gradient checks
 ALLOWED_DEFAULTS = {
@@ -41,6 +46,8 @@ ALLOWED_DEFAULTS = {
     "layers.py: Conv2d(stride)",
     "model.py: MultiModalClassifier(dtype)",
 }
+# fields that only code outside src/ and scripts/ reads: perfbench's stage timers
+ALLOWED_FIELDS = {"training.py: EvalResult.subscores"}
 
 
 def _definitions(tree):
@@ -136,6 +143,14 @@ def _defaulted(args, skip_first):
     yield from ((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
 
 
+def _dataclass_fields(cls):
+    """The annotated fields of a ``@dataclass`` class node, in order; [] for any other class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+        return []
+    return [f for f in cls.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
 def _option_definitions(tree, module):
     """(callee key, label, [(parameter, position)]) for every definition with defaults in scope."""
     for node in tree.body:
@@ -143,9 +158,8 @@ def _option_definitions(tree, module):
             yield (module, node.name), node.name, list(_defaulted(node.args, 0))
         if not isinstance(node, ast.ClassDef):
             continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
-            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        fields = _dataclass_fields(node)
+        if fields:
             yield (module, node.name), node.name, [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
@@ -210,3 +224,26 @@ def _unset_defaults() -> list:
 def test_every_defaulted_parameter_is_set_by_a_product_call():
     unset = _unset_defaults()
     assert not unset, "defaulted parameters that no call in src/ or scripts/ sets:\n" + "\n".join(unset)
+
+
+def _unread_fields() -> list:
+    """Dataclass fields that no product code reads, as an attribute or by ``getattr(obj, "name")``."""
+    fields, read = [], set()
+    for path in PRODUCT_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                fields += [(path.stem, node.name, f.target.id) for f in _dataclass_fields(node)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" and len(node.args) > 1:
+                if isinstance(node.args[1], ast.Constant):
+                    read.add(node.args[1].value)
+    unread = {f"{module}.py: {cls}.{name}" for module, cls, name in fields if name not in read}
+    return sorted(unread - ALLOWED_FIELDS)
+
+
+def test_every_dataclass_field_is_read_by_product_code():
+    unread = _unread_fields()
+    assert not unread, "dataclass fields that no code in src/ or scripts/ reads:\n" + "\n".join(unread)

@@ -309,14 +309,29 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ w.T + b. x: [B, in], w: [out, in], b: [out]."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-        raise ShapeError(f"affine shapes incompatible: x {x.data.shape}, w {w.data.shape}")
-    out_data = x.data @ w.data.T + b.data
+    """y = x @ w.T + b. x: [B, in], w: [out, in], b: [out].
+
+    Stacked heads: w [K, out, in] and b [K, out] give y [B, K, out], whose
+    head k is x @ w[k].T + b[k] for an x [B, in] shared by every head, or
+    x[:, k] @ w[k].T + b[k] for x [B, K, in]. Each head's GEMMs are the
+    ones a lone affine would run, and a shared x sums its heads'
+    gradients in head order.
+    """
+    xd, wd = x.data, w.data
+    if (wd.ndim not in (2, 3) or xd.ndim not in (2, wd.ndim) or xd.shape[-1] != wd.shape[-1]
+            or xd.shape[1:-1] not in ((), wd.shape[:1])):
+        raise ShapeError(f"affine shapes incompatible: x {xd.shape}, w {wd.shape}")
+    heads = wd.ndim == 3
+    xs = xd.swapaxes(0, 1) if xd.ndim == 3 else xd  # [K, B, in] per head, or [B, in]
+    out_data = np.matmul(xs, wd.swapaxes(-1, -2)) + b.data[..., None, :]
+    if heads:
+        out_data = np.ascontiguousarray(out_data.swapaxes(0, 1))
 
     def bwd(g):
-        _accum(x, g @ w.data)
-        _accum(w, g.T @ x.data)
-        _accum(b, g.sum(axis=0))
+        gs = g.swapaxes(0, 1) if heads else g  # [K, B, out] or [B, out]
+        dx = np.matmul(gs, wd)
+        _accum(x, dx.swapaxes(0, 1) if xd.ndim == 3 else dx.sum(axis=0) if heads else dx)
+        _accum(w, np.matmul(gs.swapaxes(-1, -2), xs))
+        _accum(b, gs.sum(axis=-2))
 
     return _node(out_data, (x, w, b), bwd, "affine")

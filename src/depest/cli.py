@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .data import map_sessions, preprocess_session, read_clips, read_manifest, write_clips
-from .errors import ConfigError, DepestError, FormatError
+from .errors import ConfigError, DepestError, FormatError, ShapeError
 from .model import FUSION_MODES, MODALITY_SETS, MultiModalClassifier
 from .synthetic import generate_synthetic_corpus
 from .tensorio import load_checkpoint, save_checkpoint
@@ -98,7 +98,10 @@ def _restore_model(args) -> tuple:
         if differ:
             raise ConfigError(f"checkpoint was trained under a different config; --config differs in {', '.join(differ)}")
     model = MultiModalClassifier(cfgmod.model_config(cfg), rng=np.random.default_rng(cfg["seed"]))
-    model.load_state(ckpt.state)
+    try:
+        model.load_state(ckpt.state)
+    except ShapeError as exc:  # names or shapes of another model layout
+        raise FormatError(f"{args.checkpoint}: {exc}") from exc
     return model, cfg
 
 

@@ -173,23 +173,31 @@ def map_lanes(fn, items, make_pool) -> list:
         nonlocal left
         while left and (block or not finished.empty()):
             i, future = finished.get()
-            results[i] = future.result()  # raises the pool lane's error
+            try:
+                results[i] = future.result()  # raises the pool lane's error
+            finally:
+                del future  # else the error's traceback holds this frame, which holds the future holding the error
             left -= 1
 
     results = [None] * len(items)
-    with make_pool(lanes - 1) as pool:  # leaving the block joins the pool
-        try:
-            for _ in range(lanes - 1):
-                submit_next()
-            for i in range(0, len(items), lanes):
-                collect(block=False)
-                results[i] = fn(items[i])
-            collect(block=True)
-        except BaseException:
-            with lock:
-                stop = True
-            pool.shutdown(cancel_futures=True)
-            raise
+    pool = make_pool(lanes - 1)
+    try:
+        for _ in range(lanes - 1):
+            submit_next()
+        for i in range(0, len(items), lanes):
+            collect(block=False)
+            results[i] = fn(items[i])
+        collect(block=True)
+    except BaseException:
+        with lock:
+            stop = True
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the pool; after an error, items not yet started never run
+        # the callbacks hold two cycles, which would keep items and results alive until
+        # the cyclic collector runs: submit_next calls itself through its own cell, and
+        # finished holds the futures that hold the callbacks
+        submit_next = finished = None
     return results
 
 

@@ -5,92 +5,78 @@ The attentional block treats the stacked modality vectors as a
 unit mixes a global (pooled) and a local (per-cell) excitation path,
 squashes through a sigmoid, and the block twice steps from the input Y
 toward a refined conv of it, Y + w*(conv(Y) - Y), each stage under its
-own attention weights. The bank's heads, one per questionnaire item, are
-independent parameter sets run as one pass over a head axis: joined
-per role along that axis, their convs and batch norms are one op each.
-A lone block is a bank of one head.
+own attention weights. A block holds any number of independent heads,
+one channel each: every parameter role is one array with a head axis,
+so each conv and batch norm runs once for all heads. The bank has one
+head per questionnaire item; a lone block has one.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Module, batch_norm, conv2d
+from .layers import BatchNorm, Conv2d, Module, _joined
 from .phq import N_ITEMS
 
 BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
 
 
-def _conv_heads(y: Tensor, convs) -> Tensor:
-    """The heads' one-channel convs as one conv2d: [B, 1, H, W] -> [B, heads, H, W]."""
-    weight, bias = (ad.concat([getattr(c, name) for c in convs], axis=0) for name in ("weight", "bias"))
-    return conv2d(y, weight, bias, convs[0].stride, convs[0].padding)
+class _Pointwise(Module):
+    """One-channel 1x1 convs, one per head, as a per-channel scale and shift, each [1, heads, 1, 1]."""
+
+    def __init__(self, convs):
+        super().__init__()
+        self.scale = Tensor(np.concatenate([c.weight.data for c in convs], axis=1), requires_grad=True)
+        self.shift = Tensor(np.concatenate([c.bias.data for c in convs]).reshape(self.scale.data.shape), requires_grad=True)
 
 
-def _pointwise_heads(x: Tensor, convs) -> Tensor:
-    """The heads' 1x1 one-channel convs as a per-channel scale and shift."""
-    scale = ad.concat([c.weight for c in convs], axis=1)  # [1, heads, 1, 1]
-    shift = ad.reshape(ad.concat([c.bias for c in convs], axis=0), scale.data.shape)
-    return ad.add(ad.mul(x, scale), shift)
-
-
-def _norm_heads(x: Tensor, bns) -> Tensor:
-    """The heads' one-channel batch norms as one over the head axis, on each head's running statistics."""
-    stats = [np.concatenate([getattr(bn, name) for bn in bns]) for name in ("running_mean", "running_var")]
-    gamma, beta = (ad.concat([getattr(bn, name) for bn in bns], axis=0) for name in ("gamma", "beta"))
-    out = batch_norm(x, gamma, beta, *stats, bns[0].training)
-    for bn, mu, var in zip(bns, *stats):
-        bn.running_mean[...], bn.running_var[...] = mu, var
-    return out
-
-
-def _attend_heads(units, x: Tensor) -> Tensor:
-    """Attention weights of each of ``units`` on its channel of x [B, heads, H, W]."""
+def _attend(unit, x: Tensor) -> Tensor:
+    """Attention weights of each head of ``unit`` on its channel of x [B, heads, H, W]."""
 
     def path(t, name):
-        pw1, bn1, pw2, bn2 = ([getattr(u, f"{name}_{role}") for u in units] for role in ("pw1", "bn1", "pw2", "bn2"))
-        return _norm_heads(_pointwise_heads(ad.relu(_norm_heads(_pointwise_heads(t, pw1), bn1)), pw2), bn2)
+        pw1, bn1, pw2, bn2 = (getattr(unit, f"{name}_{role}") for role in ("pw1", "bn1", "pw2", "bn2"))
+        t = ad.relu(bn1(ad.add(ad.mul(t, pw1.scale), pw1.shift)))
+        return bn2(ad.add(ad.mul(t, pw2.scale), pw2.shift))
 
     glob = path(ad.mean(x, axis=(2, 3), keepdims=True), "global")
     return ad.sigmoid(ad.add(path(x, "local"), glob))  # [B,K,1,1] broadcasts over the grid
 
 
-def _fuse_heads(heads, y: Tensor) -> Tensor:
-    """Every head's block on the shared map y [B, 1, H, W] -> [B, heads, H, W]; logs each head's weights."""
-    x = ad.add(_conv_heads(y, [h.conv_first for h in heads]), y)  # y broadcasts over the heads
-    w = _attend_heads([h.att_mid for h in heads], x)
-    conv_y = _conv_heads(y, [h.conv_refine for h in heads])
+def _fuse(block, y: Tensor) -> Tensor:
+    """Every head of ``block`` on the shared map y [B, 1, H, W] -> [B, heads, H, W]; logs the weights."""
+    x = ad.add(block.conv_first(y), y)  # y broadcasts over the heads
+    w = _attend(block.att_mid, x)
+    conv_y = block.conv_refine(y)
     step = ad.sub(conv_y, y)  # both blends y*(1-w) + conv_y*w as y + w*step
-    wp = _attend_heads([h.att_out for h in heads], ad.add(y, ad.mul(w, step)))
-    out = ad.add(y, ad.mul(wp, step))
-    for k, head in enumerate(heads):
-        head.last_w, head.last_wp, head.last_conv_y = (t.data[:, k : k + 1].copy() for t in (w, wp, conv_y))
-    return out
+    wp = _attend(block.att_out, ad.add(y, ad.mul(w, step)))
+    block.last_w, block.last_wp, block.last_conv_y = w.data, wp.data, conv_y.data
+    return ad.add(y, ad.mul(wp, step))
 
 
 class ChannelAttention(Module):
     """Sigmoid attention from summed global and local excitation paths.
 
     Each path is pointwise-conv -> BN -> ReLU -> pointwise-conv -> BN on
-    the single channel of the fused map; the global path first
-    average-pools over the spatial grid and is broadcast back. The unit
-    holds parameters only: ``_attend_heads`` runs a list of units as one
-    pass.
+    each head's channel of the fused map; the global path first
+    average-pools over the spatial grid and is broadcast back. Built from
+    the one-channel 1x1 convs of local pw1, pw2, global pw1 and pw2, one
+    per head each; the unit holds parameters only, and ``_attend`` runs it.
     """
 
-    def __init__(self, *, rng, dtype=np.float32):
+    def __init__(self, roles, *, dtype):
         super().__init__()
-        self.local_pw1 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
-        self.local_bn1 = BatchNorm(1, dtype=dtype)
-        self.local_pw2 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
-        self.local_bn2 = BatchNorm(1, dtype=dtype)
-        self.global_pw1 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
-        self.global_bn1 = BatchNorm(1, dtype=dtype)
-        self.global_pw2 = Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype)
-        self.global_bn2 = BatchNorm(1, dtype=dtype)
+        local1, local2, global1, global2 = map(_Pointwise, roles)
+        heads = len(roles[0])
+        self.local_pw1, self.local_bn1 = local1, BatchNorm(heads, dtype=dtype)
+        self.local_pw2, self.local_bn2 = local2, BatchNorm(heads, dtype=dtype)
+        self.global_pw1, self.global_bn1 = global1, BatchNorm(heads, dtype=dtype)
+        self.global_pw2, self.global_bn2 = global2, BatchNorm(heads, dtype=dtype)
 
 
 class AttentionalFusion(Module):
@@ -101,24 +87,35 @@ class AttentionalFusion(Module):
     Stage 3 recomputes weights w' from X' with a second attention unit and
     emits Y + w'*(conv(Y) - Y) from the same difference. The refining conv
     is shared between stages 2 and 3; the stage-1 conv is separate. Output
-    shape equals input shape.
+    shape equals input shape: one head, one channel.
 
-    The last forward pass logs `last_w`, `last_wp`, and `last_conv_y`
-    (plain arrays) so callers can audit the convex-combination identity.
+    The initial values are drawn head by head, as separate one-head blocks
+    drew them, then joined. The last forward pass logs `last_w`, `last_wp`,
+    and `last_conv_y` ([B, heads, H, W] arrays) so callers can audit the
+    convex-combination identity.
     """
+
+    _n_heads = 1
 
     def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
-        self.conv_first = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
-        self.conv_refine = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
-        self.att_mid = ChannelAttention(rng=rng, dtype=dtype)
-        self.att_out = ChannelAttention(rng=rng, dtype=dtype)
+        # each head's convs, drawn as a one-head block drew them: the first and
+        # the refining 3x3 conv, then the eight 1x1 convs of its attention units
+        heads = [
+            [Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype) for _ in range(2)]
+            + [Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype) for _ in range(8)]
+            for _ in range(self._n_heads)
+        ]
+        first, refine, *pointwise = zip(*heads)  # per conv of a head, one per head
+        self.conv_first, self.conv_refine = (_joined(convs, np.concatenate) for convs in (first, refine))
+        self.att_mid = ChannelAttention(pointwise[:4], dtype=dtype)
+        self.att_out = ChannelAttention(pointwise[4:], dtype=dtype)
         self.last_w = None
         self.last_wp = None
         self.last_conv_y = None
 
     def forward(self, y: Tensor) -> Tensor:
-        return _fuse_heads([self], y)
+        return _fuse(self, y)
 
     def force_saturation(self, high: bool) -> None:
         """Pin the output-stage weights at ~1 (high) or ~0 by biasing its BNs."""
@@ -127,17 +124,29 @@ class AttentionalFusion(Module):
             bn.beta.data[...] = 25.0 if high else -25.0
 
 
-class SubAttentionalBank(Module):
-    """Independent fusion heads, one per questionnaire item, run as one batched pass."""
+class SubAttentionalBank(AttentionalFusion):
+    """Independent fusion heads, one per questionnaire item, as one block of N_ITEMS heads."""
 
-    def __init__(self, *, rng, dtype=np.float32):
-        super().__init__()
-        self.heads = [AttentionalFusion(rng=rng, dtype=dtype) for _ in range(N_ITEMS)]
+    _n_heads = N_ITEMS
 
     def forward(self, y: Tensor) -> list:
         """[B, 1, H, W] -> one [B, 1, H, W] output per head."""
-        out = _fuse_heads(self.heads, y)
-        return [ad.slice_axis(out, 1, k, k + 1) for k in range(len(self.heads))]
+        out = _fuse(self, y)
+        return [ad.slice_axis(out, 1, k, k + 1) for k in range(N_ITEMS)]
+
+    @property
+    def heads(self) -> list:
+        """Each head as a block of its own: ``named_parameters()`` views its slice of each parameter and gradient."""
+
+        def named_parameters(k):
+            for name, p in self.named_parameters():
+                # the head axis is 0, or 1 of a [1, heads, 1, 1] scale or shift
+                index = (slice(None),) * p.data.shape.index(N_ITEMS) + (slice(k, k + 1),)
+                view = Tensor(p.data[index])
+                view.grad = None if p.grad is None else p.grad[index]
+                yield name, view
+
+        return [SimpleNamespace(named_parameters=partial(named_parameters, k)) for k in range(N_ITEMS)]
 
 
 def baseline_fuse(method: str, vectors) -> Tensor:

@@ -35,7 +35,7 @@ own parameters (Tensors with ``requires_grad=True``) and non-trainable
 buffers (the plain arrays whose names a class lists in ``_buffers``, e.g.
 batch-norm running stats). One walk of the module tree names them all by
 dotted path for checkpointing and optimizers; the modules in a list
-attribute are named by their index (``heads.3.weight``).
+attribute are named by their index (``convs.0.weight``).
 """
 
 from __future__ import annotations
@@ -517,6 +517,16 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
+def _joined(modules, join) -> Module:
+    """The first of ``modules``, given all their weights and all their biases joined by ``join``
+    (``np.stack`` or ``np.concatenate``): one module whose heads or output channels are theirs."""
+    first = modules[0]
+    first.weight, first.bias = (
+        Tensor(join([getattr(m, name).data for m in modules]), requires_grad=True) for name in ("weight", "bias")
+    )
+    return first
+
+
 class _Conv(Module):
     """Weight [out, in, *kernel] then bias [out], both uniform in +-1/sqrt(in * prod(kernel))."""
 
@@ -564,6 +574,8 @@ class BatchNorm(Module):
 
 
 class Linear(Module):
+    """x @ weight.T + bias; given a weight [K, out, in] and a bias [K, out], K heads at once (``ad.affine``)."""
+
     def __init__(self, in_features, out_features, *, rng, dtype=np.float32):
         super().__init__()
         if min(in_features, out_features) < 1:

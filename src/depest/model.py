@@ -6,8 +6,9 @@ each direction, and a projection of that summary to a shared feature
 width), the per-modality vectors join into a 1-channel map of
 shape [1, n_modalities, feature_dim], and either an 8-head attentional
 fusion bank or one of the simple late-fusion rules feeds 8 independent
-classifiers, one per questionnaire item, whose logits share one softmax
-over the expanded 32-point score grid.
+classifiers, one per questionnaire item, stored stacked and run as one
+affine, whose logits share one softmax over the expanded 32-point score
+grid.
 
 The backbones share nothing until the fusion stage, so a forward pass
 runs them on ``data.map_lanes``, the one lane scheduler, which also runs
@@ -33,7 +34,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
 from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
-from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, max_pool1d
+from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, _joined, max_pool1d
 from .phq import N_ITEMS
 
 MODALITIES = {"a": "audio", "v": "visual", "t": "text"}  # letter -> branch config and forward() input
@@ -145,7 +146,8 @@ class MultiModalClassifier(Module):
             self.fuser = AttentionalFusion(rng=rng, dtype=dtype)
         # the fusion blocks and concat keep every branch's features; one branch or a reducing rule keeps one width
         head_in = cfg.feature_dim * (n if cfg.fusion in ("subatten", "atten", "concat") else 1)
-        self.heads = [Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)]
+        # one Linear per item, drawn in turn and joined: weight [N_ITEMS, n_classes, head_in]
+        self.heads = _joined([Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)], np.stack)
 
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
         """Batched modality tensors -> [B, N_ITEMS, n_classes] distributions."""
@@ -159,18 +161,16 @@ class MultiModalClassifier(Module):
         n = len(feats)
         d = self.cfg.feature_dim
         if n == 1:
-            head_inputs = feats * N_ITEMS
+            x = feats[0]  # [B, in], shared by the item heads
         elif self.cfg.fusion in BASELINE_RULES:
-            head_inputs = [baseline_fuse(self.cfg.fusion, feats)] * N_ITEMS
+            x = baseline_fuse(self.cfg.fusion, feats)
         else:
             ymap = ad.reshape(ad.concat(feats, axis=1), (B, 1, n, d))  # [B, n, d] as a 1-channel map
-            if self.cfg.fusion == "subatten":
-                head_inputs = [ad.reshape(o, (B, n * d)) for o in self.bank(ymap)]
+            if self.cfg.fusion == "subatten":  # one input per item
+                x = ad.reshape(ad.concat(self.bank(ymap), axis=1), (B, N_ITEMS, n * d))
             else:
-                head_inputs = [ad.reshape(self.fuser(ymap), (B, n * d))] * N_ITEMS
-
-        logits = ad.concat([head(x) for head, x in zip(self.heads, head_inputs)], axis=1)
-        return ad.softmax(ad.reshape(logits, (B, N_ITEMS, self.cfg.n_classes)), axis=-1)
+                x = ad.reshape(self.fuser(ymap), (B, n * d))
+        return ad.softmax(self.heads(x), axis=-1)  # [B, N_ITEMS, n_classes]
 
 
 def _run_branches(calls) -> list:

@@ -17,6 +17,7 @@ import pytest
 from depest import cli, data, errors
 from depest.cli import main
 from depest.dsp import Waveform, write_wav
+from depest.phq import N_ITEMS
 from depest.synthetic import generate_synthetic_corpus
 from depest.tensorio import load_checkpoint, save_checkpoint, write_tensor
 
@@ -547,6 +548,27 @@ class TestConfigHashGuard:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: stored config:") and "learning_rate" in err[0]
+
+    @pytest.mark.parametrize("command", ["eval", "aggregate"])
+    def test_checkpoint_of_per_head_layout_returns_2(self, pipeline, tmp_path, capsys, command):
+        # checkpoints written before the item heads and the fusion bank were
+        # stored stacked held one entry per head: heads.3.weight, bank.heads.3.*
+        ckpt = load_checkpoint(pipeline["run"] / "model.ckpt")
+        state = {}
+        for name, arr in ckpt.state.items():
+            if name.startswith("heads."):
+                state.update({f"heads.{k}.{name[6:]}": a for k, a in enumerate(arr)})
+            elif name.startswith("bank."):
+                axis = arr.shape.index(N_ITEMS)
+                state.update({f"bank.heads.{k}.{name[5:]}": np.take(arr, [k], axis) for k in range(N_ITEMS)})
+            else:
+                state[name] = arr
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, ckpt.epoch, ckpt.config_text, state)
+        rc = main([command, "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(old)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {old}: checkpoint missing entries: ['bank.")
 
     def test_aggregate_refuses_mismatched_config(self, pipeline, tmp_path, capsys):
         tweaked = tmp_path / "tweaked.cfg"

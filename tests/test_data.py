@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import filecmp
+import gc
 import hashlib
 import os
 import re
 import sys
 import time
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -305,6 +307,35 @@ class TestMapSessions:
             sys.setswitchinterval(interval)
         assert out == [i * i for i in range(300)]
         assert sorted(calls) == list(range(300))
+
+    @pytest.mark.parametrize("bad", [None, 0, 1], ids=["no-error", "caller-fails", "worker-fails"])
+    def test_items_die_with_their_last_reference(self, monkeypatch, bad):
+        # a model forward's items are its batch inputs: no reference cycle may
+        # keep them alive until the cyclic collector runs
+        monkeypatch.setattr(data, "_available_cpus", lambda: 2)
+        items = [np.full(4, float(i)) for i in range(6)]
+        refs = [weakref.ref(a) for a in items]
+
+        def fn(a):
+            if a[0] == bad:
+                time.sleep(0.05)  # the other lane's results wait uncollected
+                raise ConfigError(f"session {bad} failed")
+            return a
+
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                out = map_on_threads(fn, items)
+            except ConfigError:
+                assert bad is not None
+            else:
+                assert bad is None and [o[0] for o in out] == list(range(6))
+                del out
+            del items
+            assert [r() is None for r in refs] == [True] * 6
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "bad, run",

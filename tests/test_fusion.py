@@ -7,8 +7,79 @@ from conftest import fd_gradients, rel_err
 from depest import autodiff as ad
 from depest import fusion
 from depest.errors import ConfigError, ShapeError
-from depest.fusion import AttentionalFusion, ChannelAttention, SubAttentionalBank, baseline_fuse
+from depest.fusion import AttentionalFusion, SubAttentionalBank, baseline_fuse
+from depest.layers import BatchNorm, Conv2d, batch_norm, conv2d
 from depest.phq import N_ITEMS
+
+
+class ReferenceAttention:
+    """One head's attention unit as it was stored before the bank was stacked: one-channel modules."""
+
+    def __init__(self, rng, dtype):
+        for path in ("local", "global"):
+            for stage in (1, 2):
+                setattr(self, f"{path}_pw{stage}", Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype))
+                setattr(self, f"{path}_bn{stage}", BatchNorm(1, dtype=dtype))
+
+
+class ReferenceHead:
+    """One head as it was stored before the bank was stacked, drawing its values in the same order."""
+
+    def __init__(self, rng, dtype):
+        self.conv_first = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
+        self.conv_refine = Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype)
+        self.att_mid = ReferenceAttention(rng, dtype)
+        self.att_out = ReferenceAttention(rng, dtype)
+
+    def leaves(self):
+        """(name in the stacked bank, one-channel parameter or buffer) of every leaf."""
+        for name in ("conv_first", "conv_refine"):
+            conv = getattr(self, name)
+            yield f"{name}.weight", conv.weight
+            yield f"{name}.bias", conv.bias
+        for unit in ("att_mid", "att_out"):
+            att = getattr(self, unit)
+            for path in ("local", "global"):
+                for stage in (1, 2):
+                    pw, bn = (getattr(att, f"{path}_{kind}{stage}") for kind in ("pw", "bn"))
+                    yield f"{unit}.{path}_pw{stage}.scale", pw.weight
+                    yield f"{unit}.{path}_pw{stage}.shift", pw.bias
+                    for leaf in ("gamma", "beta", "running_mean", "running_var"):
+                        yield f"{unit}.{path}_bn{stage}.{leaf}", getattr(bn, leaf)
+
+    def train(self, mode):
+        for unit in (self.att_mid, self.att_out):
+            for name, bn in vars(unit).items():
+                if "_bn" in name:
+                    bn.train(mode)
+
+
+def reference_heads(seed, dtype):
+    rng = np.random.default_rng(seed)
+    return [ReferenceHead(rng, dtype) for _ in range(N_ITEMS)]
+
+
+def bank_and_reference(dtype, training, rng):
+    """A bank and its eight heads as one-head modules, equal values, random running statistics."""
+    bank, refs = SubAttentionalBank(rng=np.random.default_rng(7), dtype=dtype), reference_heads(7, dtype)
+    state = bank.state()
+    for name in state:
+        if name.endswith("running_mean"):
+            state[name][...] = rng.normal(size=N_ITEMS)
+        elif name.endswith("running_var"):
+            state[name][...] = rng.uniform(0.5, 2.0, size=N_ITEMS)
+    for k, head in enumerate(refs):
+        for name, leaf in head.leaves():
+            if not isinstance(leaf, ad.Tensor):
+                leaf[...] = head_slice(state[name], k)
+        head.train(training)
+    bank.train(training)
+    return bank, refs
+
+
+def head_slice(stacked: np.ndarray, k: int) -> np.ndarray:
+    """Head k's entries of a stacked array, whose head axis is the first of length N_ITEMS."""
+    return np.take(stacked, k, axis=stacked.shape.index(N_ITEMS))
 
 
 def reference_attention(att, x):
@@ -32,27 +103,66 @@ def reference_fusion(head, y):
     return ad.add(ad.mul(conv_y, wp), ad.mul(y, ad.sub(one, wp)))
 
 
+def joined_reference(heads, y):
+    """The bank as it ran while each head stored its own one-channel modules: every pass
+    joins each role's per-head parameters and batch-norm statistics along the head axis,
+    runs the batched formulas and writes the statistics back."""
+
+    def conv(convs, t):
+        weight, bias = (ad.concat([getattr(c, name) for c in convs], axis=0) for name in ("weight", "bias"))
+        return conv2d(t, weight, bias, padding=(1, 1))
+
+    def pointwise(convs, t):
+        scale = ad.concat([c.weight for c in convs], axis=1)
+        shift = ad.reshape(ad.concat([c.bias for c in convs], axis=0), scale.data.shape)
+        return ad.add(ad.mul(t, scale), shift)
+
+    def norm(bns, t):
+        stats = [np.concatenate([getattr(bn, name) for bn in bns]) for name in ("running_mean", "running_var")]
+        gamma, beta = (ad.concat([getattr(bn, name) for bn in bns], axis=0) for name in ("gamma", "beta"))
+        out = batch_norm(t, gamma, beta, *stats, bns[0].training)
+        for bn, mu, var in zip(bns, *stats):
+            bn.running_mean[...], bn.running_var[...] = mu, var
+        return out
+
+    def attend(units, x):
+        def path(t, name):
+            pw1, bn1, pw2, bn2 = ([getattr(u, f"{name}_{role}") for u in units] for role in ("pw1", "bn1", "pw2", "bn2"))
+            return norm(bn2, pointwise(pw2, ad.relu(norm(bn1, pointwise(pw1, t)))))
+
+        glob = path(ad.mean(x, axis=(2, 3), keepdims=True), "global")
+        return ad.sigmoid(ad.add(path(x, "local"), glob))
+
+    x = ad.add(conv([h.conv_first for h in heads], y), y)
+    w = attend([h.att_mid for h in heads], x)
+    conv_y = conv([h.conv_refine for h in heads], y)
+    step = ad.sub(conv_y, y)
+    wp = attend([h.att_out for h in heads], ad.add(y, ad.mul(w, step)))
+    out = ad.add(y, ad.mul(wp, step))
+    return [ad.slice_axis(out, 1, k, k + 1) for k in range(len(heads))]
+
+
 class TestChannelAttention:
     def test_output_in_unit_interval(self, rng):
-        att = ChannelAttention(rng=rng, dtype=np.float64)
-        w = fusion._attend_heads([att], ad.tensor(rng.normal(size=(2, 1, 3, 16))))
+        att = AttentionalFusion(rng=rng, dtype=np.float64).att_mid
+        w = fusion._attend(att, ad.tensor(rng.normal(size=(2, 1, 3, 16))))
         assert w.data.shape == (2, 1, 3, 16)
         assert np.all(w.data > 0.0) and np.all(w.data < 1.0)
 
     def test_fresh_block_outputs_half(self, rng):
         # fresh BN ends both paths at beta=0, so the sigmoid sees 0
-        att = ChannelAttention(rng=rng, dtype=np.float64)
+        att = AttentionalFusion(rng=rng, dtype=np.float64).att_mid
         att.local_bn2.gamma.data[...] = 0.0
         att.global_bn2.gamma.data[...] = 0.0
-        w = fusion._attend_heads([att], ad.tensor(rng.normal(size=(2, 1, 3, 8))))
+        w = fusion._attend(att, ad.tensor(rng.normal(size=(2, 1, 3, 8))))
         np.testing.assert_allclose(w.data, 0.5, atol=1e-12)
 
     def test_global_path_is_spatially_constant(self, rng):
-        att = ChannelAttention(rng=rng, dtype=np.float64)
+        att = AttentionalFusion(rng=rng, dtype=np.float64).att_mid
         # zero the local path's last BN; remaining signal is pooled only
         att.local_bn2.gamma.data[...] = 0.0
         att.local_bn2.beta.data[...] = 0.0
-        w = fusion._attend_heads([att], ad.tensor(rng.normal(size=(3, 1, 2, 5))))
+        w = fusion._attend(att, ad.tensor(rng.normal(size=(3, 1, 2, 5))))
         for b in range(3):
             np.testing.assert_allclose(w.data[b], w.data[b].flat[0], atol=1e-12)
 
@@ -133,12 +243,28 @@ class TestBank:
         outs = bank(ad.tensor(rng.normal(size=(2, 1, 3, 8))))
         assert len(outs) == N_ITEMS
 
+    def test_each_role_is_one_array_with_a_head_axis(self, rng):
+        bank = SubAttentionalBank(rng=rng, dtype=np.float64)
+        shapes = {name: p.data.shape for name, p in bank.named_parameters()}
+        assert len(shapes) == 36 and len(bank.state()) == 52
+        assert shapes["conv_first.weight"] == (N_ITEMS, 1, 3, 3) and shapes["conv_refine.bias"] == (N_ITEMS,)
+        assert shapes["att_mid.local_pw1.scale"] == shapes["att_out.global_pw2.shift"] == (1, N_ITEMS, 1, 1)
+        assert shapes["att_out.local_bn2.gamma"] == (N_ITEMS,)
+
+    def test_fresh_bank_holds_the_per_head_draws(self):
+        # eight one-head blocks drew head by head from one generator; the
+        # stacked bank holds the same values, bit for bit
+        bank = SubAttentionalBank(rng=np.random.default_rng(7), dtype=np.float32)
+        state = bank.state()
+        for k, head in enumerate(reference_heads(7, np.float32)):
+            for name, leaf in head.leaves():
+                ref = leaf.data if isinstance(leaf, ad.Tensor) else leaf
+                assert head_slice(state[name], k).tobytes() == ref.tobytes(), (k, name)
+
     def test_heads_have_independent_parameters(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)
-        p0 = bank.heads[0].conv_first.weight
-        p1 = bank.heads[1].conv_first.weight
-        assert p0 is not p1
-        assert not np.array_equal(p0.data, p1.data)
+        first = bank.conv_first.weight.data
+        assert all(not np.array_equal(first[0], first[k]) for k in range(1, N_ITEMS))
 
     def test_gradient_isolation_between_heads(self, rng):
         # a loss built from head 3 alone must not touch other heads; the
@@ -153,47 +279,83 @@ class TestBank:
                 else:
                     assert p.grad is None or not np.any(p.grad), f"head {i} {name}"
 
+    def test_head_views_read_the_stacked_arrays(self, rng):
+        bank = SubAttentionalBank(rng=rng, dtype=np.float32)
+        heads = bank.heads
+        assert all(p.grad is None for head in heads for _, p in head.named_parameters())
+        outs = bank(ad.tensor(rng.normal(size=(16, 1, 3, 64)).astype(np.float32)))
+        ad.backward(ad.sum_(ad.mul(ad.concat(outs, axis=1), ad.tensor(rng.normal(size=(16, N_ITEMS, 3, 64))))))
+        bank.conv_refine.weight.data = bank.conv_refine.weight.data + 1.0  # as the optimizers replace it
+        stacked = dict(bank.named_parameters())
+        for k, head in enumerate(heads):
+            views = dict(head.named_parameters())
+            assert list(views) == list(stacked)
+            for name, p in stacked.items():
+                assert views[name].data.tobytes() == head_slice(p.data, k).tobytes(), (k, name)
+                assert views[name].grad.tobytes() == head_slice(p.grad, k).tobytes(), (k, name)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_stacked_bank_matches_the_joined_per_head_pass_bit_for_bit(self, training):
+        # the pass the bank ran while each head kept its own modules, at
+        # train_small's float32 map: outputs, every gradient element and the
+        # batch-norm statistics keep their bits
+        rng = np.random.default_rng(8)
+        bank, refs = bank_and_reference(np.float32, training, rng)
+        y = rng.normal(size=(16, 1, 3, 64)).astype(np.float32)
+        g = ad.tensor(rng.normal(size=(16, N_ITEMS, 3, 64)).astype(np.float32))
+
+        y_bank, y_ref = (ad.tensor(y.copy(), requires_grad=True) for _ in range(2))
+        outs, ref_outs = bank(y_bank), joined_reference(refs, y_ref)
+        for o in (outs, ref_outs):
+            ad.backward(ad.sum_(ad.mul(ad.concat(o, axis=1), g)))
+
+        for o, r in zip(outs, ref_outs):
+            assert o.data.tobytes() == r.data.tobytes()
+        assert y_bank.grad.tobytes() == y_ref.grad.tobytes()
+        grads, state = {name: p.grad for name, p in bank.named_parameters()}, bank.state()
+        for k, head in enumerate(refs):
+            for name, leaf in head.leaves():
+                if isinstance(leaf, ad.Tensor):
+                    assert head_slice(grads[name], k).tobytes() == leaf.grad.tobytes(), (k, name)
+                else:
+                    assert head_slice(state[name], k).tobytes() == leaf.tobytes(), (k, name)
+
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_batched_bank_matches_per_head_reference(self, training):
-        banks = [SubAttentionalBank(rng=np.random.default_rng(7), dtype=np.float64) for _ in range(2)]
+        # each head's block as a graph of its own, module by module; the
+        # batch norms' sums run in another order, so values agree to rounding
         rng = np.random.default_rng(8)
-        params = dict(banks[0].named_parameters())
-        for name, buf in banks[0].state().items():
-            if name not in params:
-                buf[...] = rng.uniform(0.5, 2.0, size=buf.shape) if name.endswith("var") else rng.normal(size=buf.shape)
-        banks[1].load_state(banks[0].state())
-        for bank in banks:
-            bank.train(training)
+        bank, refs = bank_and_reference(np.float64, training, rng)
         y = rng.normal(size=(2, 1, 3, 8))
         g = rng.normal(size=(2, N_ITEMS, 3, 8))
 
-        bank, ref = banks
         y_bank, y_ref = (ad.tensor(y.copy(), requires_grad=True) for _ in range(2))
         outs = bank(y_bank)
-        ref_outs = [reference_fusion(head, y_ref) for head in ref.heads]
+        ref_outs = [reference_fusion(head, y_ref) for head in refs]
         for o in (outs, ref_outs):
             ad.backward(ad.sum_(ad.mul(ad.concat(o, axis=1), ad.tensor(g))))
 
         for o, r in zip(outs, ref_outs):
             np.testing.assert_allclose(o.data, r.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(y_bank.grad, y_ref.grad, rtol=0, atol=1e-12)
-        # the sums run in another order; one-channel batch norms scale a
-        # head's gradients (to ~1e3 on some seeds) and the rounding with them
-        for head, ref_head in zip(bank.heads, ref.heads):
-            ref_params = dict(ref_head.named_parameters())
-            scale = max(np.abs(p.grad).max() for p in ref_params.values())
-            for name, p in head.named_parameters():
-                np.testing.assert_allclose(p.grad, ref_params[name].grad, rtol=0, atol=1e-12 * scale, err_msg=name)
-        params, ref_state = dict(bank.named_parameters()), ref.state()
-        for name, buf in bank.state().items():
-            if name not in params:
-                np.testing.assert_allclose(buf, ref_state[name], rtol=0, atol=1e-12, err_msg=name)
+        # one-channel batch norms scale a head's gradients (to ~1e3 on some
+        # seeds) and the rounding with them
+        grads, state = {name: p.grad for name, p in bank.named_parameters()}, bank.state()
+        for k, head in enumerate(refs):
+            leaves = dict(head.leaves())
+            scale = max(np.abs(p.grad).max() for p in leaves.values() if isinstance(p, ad.Tensor))
+            for name, leaf in leaves.items():
+                if isinstance(leaf, ad.Tensor):
+                    got, want = head_slice(grads[name], k).ravel(), leaf.grad.ravel()
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale, err_msg=name)
+                else:
+                    np.testing.assert_allclose(head_slice(state[name], k), leaf[0], rtol=0, atol=1e-12, err_msg=name)
 
     def test_mutating_one_head_leaves_others_fixed(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)
         x = ad.tensor(rng.normal(size=(1, 1, 3, 8)))
         before = [o.data.copy() for o in bank(x)]
-        bank.heads[5].conv_refine.weight.data += 1.0
+        bank.conv_refine.weight.data[5] += 1.0
         after = [o.data.copy() for o in bank(x)]
         for i in range(N_ITEMS):
             if i == 5:

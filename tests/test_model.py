@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import ctypes
+import gc
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from depest.model import (
     batch_inputs,
 )
 from depest.musdl import MusdlConfig
+from depest.phq import N_ITEMS
 from depest.training import evaluate_clips
 
 SMALL_AUDIO = BranchConfig(in_channels=8, conv_channels=(4,), pools=(2,), strides=(1,), lstm_hidden=3, out_dim=6)
@@ -162,25 +164,56 @@ class TestForward:
             assert p.grad is not None, name
 
     def test_subatten_graph_size(self, rng):
-        # the bank runs its 8 heads as one batched pass: 140 graph nodes in
-        # this forward, where 8 one-channel head graphs made it 375
+        # the bank stores each role of its 8 heads as one array with a head
+        # axis and the item heads are one stacked affine: 78 graph nodes in
+        # this forward, where joining the heads' parameters on every pass
+        # made it 137 and 8 one-channel head graphs 375
         model = MultiModalClassifier(small_config("avt", "subatten"), rng=rng, dtype=np.float64)
-        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 150
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 78
 
     def test_atten_graph_size(self, rng):
         # a lone block joins no copies of its parameters and the 8 item
-        # heads share one softmax: 89 graph nodes in this forward, where one
-        # gather node per parameter made it 123 and a softmax per head 95
+        # heads are one stacked affine under one softmax: 69 graph nodes in
+        # this forward, where an affine per head made it 86, one gather node
+        # per parameter 123 and a softmax per head 95
         model = MultiModalClassifier(small_config("avt", "atten"), rng=rng, dtype=np.float64)
-        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 89
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 69
 
     def test_mult_graph_size(self, rng):
         # the branch vectors multiply in order, one mul node each after the
-        # first, and the 8 item heads share one softmax: 33 graph nodes in
-        # this forward, where stacking the vectors and slicing them back out
-        # made it 44 and a softmax per head 39
+        # first, and the 8 item heads are one stacked affine under one
+        # softmax: 24 graph nodes in this forward, where an affine per head
+        # made it 33, stacking the vectors and slicing them back out 44 and
+        # a softmax per head 39
         model = MultiModalClassifier(small_config("avt", "mult"), rng=rng, dtype=np.float64)
-        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 33
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 24
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-input", "input-per-item"])
+    def test_stacked_item_heads_match_one_affine_per_item_bit_for_bit(self, shared):
+        # the eight item heads as eight Linear layers, as they ran before they
+        # were stacked, at train_small's float32 sizes: one input shared by
+        # every head (one branch, a reducing rule or one fusion block), or the
+        # bank's [B, N_ITEMS, 3, 64] map, one item's channel each
+        rng = np.random.default_rng(9)
+        B, C, n = 16, 32, 192
+
+        def f32(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        w, b, g = f32(N_ITEMS, C, n), f32(N_ITEMS, C), ad.tensor(f32(B, N_ITEMS, C))
+        x = f32(B, n) if shared else f32(B, N_ITEMS, 3, 64)
+        xt, wt, bt = (ad.tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = ad.affine(xt if shared else ad.reshape(xt, (B, N_ITEMS, n)), wt, bt)
+        xr = ad.tensor(x.copy(), requires_grad=True)
+        wr, br = ([ad.tensor(a[k].copy(), requires_grad=True) for k in range(N_ITEMS)] for a in (w, b))
+        inputs = [xr] * N_ITEMS if shared else [ad.reshape(ad.slice_axis(xr, 1, k, k + 1), (B, n)) for k in range(N_ITEMS)]
+        ref = ad.reshape(ad.concat([ad.affine(*args) for args in zip(inputs, wr, br)], axis=1), (B, N_ITEMS, C))
+        for o in (out, ref):
+            ad.backward(ad.sum_(ad.mul(o, g)))
+        assert out.data.shape == (B, N_ITEMS, C) and out.data.tobytes() == ref.data.tobytes()
+        assert xt.grad.tobytes() == xr.grad.tobytes()
+        for k in range(N_ITEMS):
+            assert wt.grad[k].tobytes() == wr[k].grad.tobytes() and bt.grad[k].tobytes() == br[k].grad.tobytes()
 
     def test_head_gradient_isolation(self, rng):
         # a loss reading only item 0 sends zero gradient to other heads
@@ -188,19 +221,17 @@ class TestForward:
         out = model(**small_inputs(rng, B=2, modality="av"))
         item0 = ad.slice_axis(out, 1, 0, 1)
         ad.backward(ad.sum_(ad.mul(item0, item0)))
-        assert np.abs(model.heads[0].weight.grad).max() > 0.0
-        for k in range(1, 8):
-            g = model.heads[k].weight.grad
-            assert g is None or np.abs(g).max() == 0.0
+        g = model.heads.weight.grad  # [N_ITEMS, n_classes, in], one row block per item
+        assert np.abs(g[0]).max() > 0.0
+        assert not np.any(g[1:])
 
     def test_subatten_heads_see_different_features(self, rng):
         # independent bank heads produce distinct head inputs, so the
         # same downstream weights give different item rows
         cfg = small_config("av", "subatten")
         model = MultiModalClassifier(cfg, rng=rng, dtype=np.float64)
-        for k in range(1, 8):
-            model.heads[k].weight.data = model.heads[0].weight.data.copy()
-            model.heads[k].bias.data = model.heads[0].bias.data.copy()
+        model.heads.weight.data[1:] = model.heads.weight.data[0]
+        model.heads.bias.data[1:] = model.heads.bias.data[0]
         out = model(**small_inputs(rng, B=1, modality="av")).data[0]
         assert not np.allclose(out[0], out[1])
 
@@ -393,6 +424,26 @@ print(before, threads())
         assert threading.active_count() == before
         # the forward and the eval batch of 8 (its batch of 1 runs serially), each joined before returning
         assert [(p.workers, p.joined) for p in started] == [(1, True), (1, True)]
+
+    def test_a_pass_leaves_no_array_to_the_cyclic_collector(self, monkeypatch, rng):
+        # a forward on lanes and its backward, then an eval: every Tensor and
+        # array dies with its last reference, none waits in a reference cycle
+        force_lanes(monkeypatch, 2)
+        model = MultiModalClassifier(small_config("avt"), rng=rng)
+        clips = [tiny_clip(rng, (1, 2, 0, 3, 1, 0, 2, 1), clip_index=k) for k in range(9)]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            ad.backward(ad.sum_(model(**small_inputs(rng, B=8, modality="avt"))))
+            evaluate_clips(model, clips, MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0), batch_size=8)
+            gc.collect()
+            kept = [type(o).__name__ for o in gc.garbage if isinstance(o, (ad.Tensor, np.ndarray))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert kept == []
 
     def test_worker_branch_error_reaches_the_caller_and_stops_the_pass(self, monkeypatch):
         # 3 branches on 2 lanes: visual raises on the worker while audio runs

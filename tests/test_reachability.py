@@ -35,9 +35,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRODUCT_FILES = sorted((ROOT / "src" / "depest").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
-# reached from outside the product: an argparse hook, and two helpers the
-# acceptance suite calls
-ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation", "severity_band"}
+# reached from outside the product: an argparse hook, two helpers the
+# acceptance suite calls, and the bank's per-head views, which only the
+# acceptance suite reads (criterion 6; the name alone is also live in
+# ``MultiModalClassifier.heads``)
+ALLOWED = {"_Parser.error", "AttentionalFusion.force_saturation", "severity_band", "SubAttentionalBank.heads"}
 # defaulted parameters that only the acceptance suite sets, which builds
 # float64 models and leaves, and the one-off conv shapes of its gradient checks
 ALLOWED_DEFAULTS = {

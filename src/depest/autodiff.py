@@ -290,10 +290,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    """Join along an existing axis; backward hands each input its slice. One tensor comes back as is."""
+    """Join along an existing axis; backward hands each input its slice."""
     tensors = tuple(tensors)
-    if len(tensors) == 1:
-        return tensors[0]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     ends = tuple(itertools.accumulate(t.data.shape[axis] for t in tensors))
     lead = (slice(None),) * (axis % out_data.ndim)  # np.split's pieces, without its per-call cost

@@ -43,16 +43,15 @@ class Keypoints:
             raise FormatError(
                 f"keypoints must be [T,{FRAME_ROWS},3] with T timestamps, got {self.points.shape} and {self.times.shape}"
             )
-        i = _first_bad_time(self.times)
+        i = _first_bad(self.times, np.isfinite(self.times))
         if i is not None:
             t = self.times[i]
             why = "is not finite" if not np.isfinite(t) else f"is below the previous {self.times[i - 1]}"
             raise FormatError(f"keypoint frame {i}: timestamp {t} {why}; timestamps must be finite and non-decreasing")
 
 
-def _first_bad_time(times: np.ndarray) -> int | None:
-    """Index of the first timestamp that is not finite or falls below the one before it, else None."""
-    ok = np.isfinite(times)
+def _first_bad(times: np.ndarray, ok: np.ndarray) -> int | None:
+    """Index of the first time that is not ``ok`` or falls below the one before it, else None; writes ``ok``."""
     ok[1:] &= np.diff(times) >= 0
     return None if ok.all() else int(np.argmin(ok))
 
@@ -75,10 +74,11 @@ class Sentences:
                 f"sentences must be [S,{EMBED_DIM}] with S start/stop stamps, got {self.vectors.shape}, "
                 f"{self.starts.shape} and {self.stops.shape}"
             )
-        bad = np.flatnonzero(~(self.starts < self.stops))
-        if bad.size:
-            i = bad[0]
-            raise FormatError(f"sentence {i} needs start < stop, got ({self.starts[i]}, {self.stops[i]})")
+        i = _first_bad(self.starts, self.starts < self.stops)
+        if i is not None:
+            if not self.starts[i] < self.stops[i]:
+                raise FormatError(f"sentence {i} needs start < stop, got ({self.starts[i]}, {self.stops[i]})")
+            raise FormatError(f"sentence {i} starts at {self.starts[i]}, below the previous start; starts must be non-decreasing")
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -291,7 +291,7 @@ def read_keypoints(path) -> Keypoints:
     try:  # copies, so neither field keeps the [T, 217] text rows alive
         return Keypoints(times=rows[:, 0].copy(), points=np.ascontiguousarray(rows[:, 1:]).reshape(-1, FRAME_ROWS, 3))
     except FormatError as exc:  # the rows have the right width, so a timestamp is at fault
-        raise FormatError(f"{path}:{_line_of_row(path, _first_bad_time(rows[:, 0]))}: {exc}") from exc
+        raise FormatError(f"{path}:{_line_of_row(path, _first_bad(rows[:, 0], np.isfinite(rows[:, 0])))}: {exc}") from exc
 
 
 def write_keypoints(path, keypoints: Keypoints) -> None:
@@ -302,9 +302,11 @@ def write_keypoints(path, keypoints: Keypoints) -> None:
 def ingest_embeddings(path) -> Sentences:
     """Per line: start_s, stop_s, then 512 reals; rows must be start-ordered."""
     rows = _read_rows(path, 2 + EMBED_DIM, "embeddings")
-    if np.any(np.diff(rows[:, 0]) < 0):
-        raise FormatError(f"{path}: sentence start times must be non-decreasing")
-    return Sentences(starts=rows[:, 0].copy(), stops=rows[:, 1].copy(), vectors=np.ascontiguousarray(rows[:, 2:]))
+    starts, stops = rows[:, 0].copy(), rows[:, 1].copy()
+    try:
+        return Sentences(starts=starts, stops=stops, vectors=np.ascontiguousarray(rows[:, 2:]))
+    except FormatError as exc:  # the rows have the right width, so a stamp is at fault
+        raise FormatError(f"{path}:{_line_of_row(path, _first_bad(starts, starts < stops))}: {exc}") from exc
 
 
 def write_embeddings(path, sentences: Sentences) -> None:

@@ -6,9 +6,9 @@ unit mixes a global (pooled) and a local (per-cell) excitation path,
 squashes through a sigmoid, and the block twice steps from the input Y
 toward a refined conv of it, Y + w*(conv(Y) - Y), each stage under its
 own attention weights. A block holds any number of independent heads,
-one channel each: every parameter role is one array with a head axis,
-so each conv and batch norm runs once for all heads. The bank has one
-head per questionnaire item; a lone block has one.
+one channel each: every parameter role is drawn and stored as one array
+with a head axis, so each conv and batch norm runs once for all heads.
+The bank has one head per questionnaire item; a lone block has one.
 """
 
 from __future__ import annotations
@@ -21,19 +21,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .layers import BatchNorm, Conv2d, Module, _joined
+from .layers import BatchNorm, Conv2d, Module, _uniform_init
 from .phq import N_ITEMS
 
 BASELINE_RULES = ("mult", "concat", "median", "max", "sum", "mean")
 
 
 class _Pointwise(Module):
-    """One-channel 1x1 convs, one per head, as a per-channel scale and shift, each [1, heads, 1, 1]."""
+    """A one-channel 1x1 conv per head as a per-channel scale and shift, each [1, heads, 1, 1] uniform in +-1 (fan-in 1)."""
 
-    def __init__(self, convs):
+    def __init__(self, heads, *, rng, dtype):
         super().__init__()
-        self.scale = Tensor(np.concatenate([c.weight.data for c in convs], axis=1), requires_grad=True)
-        self.shift = Tensor(np.concatenate([c.bias.data for c in convs]).reshape(self.scale.data.shape), requires_grad=True)
+        self.scale, self.shift = (_uniform_init(rng, (1, heads, 1, 1), 1, dtype) for _ in range(2))
 
 
 def _attend(unit, x: Tensor) -> Tensor:
@@ -64,19 +63,16 @@ class ChannelAttention(Module):
 
     Each path is pointwise-conv -> BN -> ReLU -> pointwise-conv -> BN on
     each head's channel of the fused map; the global path first
-    average-pools over the spatial grid and is broadcast back. Built from
-    the one-channel 1x1 convs of local pw1, pw2, global pw1 and pw2, one
-    per head each; the unit holds parameters only, and ``_attend`` runs it.
+    average-pools over the spatial grid and is broadcast back. Each
+    pointwise conv is a ``_Pointwise`` and each BN one ``BatchNorm(heads)``;
+    the unit holds parameters only, and ``_attend`` runs it.
     """
 
-    def __init__(self, roles, *, dtype):
+    def __init__(self, heads, *, rng, dtype):
         super().__init__()
-        local1, local2, global1, global2 = map(_Pointwise, roles)
-        heads = len(roles[0])
-        self.local_pw1, self.local_bn1 = local1, BatchNorm(heads, dtype=dtype)
-        self.local_pw2, self.local_bn2 = local2, BatchNorm(heads, dtype=dtype)
-        self.global_pw1, self.global_bn1 = global1, BatchNorm(heads, dtype=dtype)
-        self.global_pw2, self.global_bn2 = global2, BatchNorm(heads, dtype=dtype)
+        pw, bn = partial(_Pointwise, heads, rng=rng, dtype=dtype), partial(BatchNorm, heads, dtype=dtype)
+        self.local_pw1, self.local_bn1, self.local_pw2, self.local_bn2 = pw(), bn(), pw(), bn()
+        self.global_pw1, self.global_bn1, self.global_pw2, self.global_bn2 = pw(), bn(), pw(), bn()
 
 
 class AttentionalFusion(Module):
@@ -89,27 +85,18 @@ class AttentionalFusion(Module):
     is shared between stages 2 and 3; the stage-1 conv is separate. Output
     shape equals input shape: one head, one channel.
 
-    The initial values are drawn head by head, as separate one-head blocks
-    drew them, then joined. The last forward pass logs `last_w`, `last_wp`,
-    and `last_conv_y` ([B, heads, H, W] arrays) so callers can audit the
-    convex-combination identity.
+    The last forward pass logs `last_w`, `last_wp`, and `last_conv_y`
+    ([B, heads, H, W] arrays) so callers can audit the convex-combination
+    identity.
     """
 
     _n_heads = 1
 
     def __init__(self, *, rng, dtype=np.float32):
         super().__init__()
-        # each head's convs, drawn as a one-head block drew them: the first and
-        # the refining 3x3 conv, then the eight 1x1 convs of its attention units
-        heads = [
-            [Conv2d(1, 1, (3, 3), padding=(1, 1), rng=rng, dtype=dtype) for _ in range(2)]
-            + [Conv2d(1, 1, (1, 1), rng=rng, dtype=dtype) for _ in range(8)]
-            for _ in range(self._n_heads)
-        ]
-        first, refine, *pointwise = zip(*heads)  # per conv of a head, one per head
-        self.conv_first, self.conv_refine = (_joined(convs, np.concatenate) for convs in (first, refine))
-        self.att_mid = ChannelAttention(pointwise[:4], dtype=dtype)
-        self.att_out = ChannelAttention(pointwise[4:], dtype=dtype)
+        heads = self._n_heads
+        self.conv_first, self.conv_refine = (Conv2d(1, heads, (3, 3), padding=(1, 1), rng=rng, dtype=dtype) for _ in range(2))
+        self.att_mid, self.att_out = (ChannelAttention(heads, rng=rng, dtype=dtype) for _ in range(2))
         self.last_w = None
         self.last_wp = None
         self.last_conv_y = None

@@ -245,21 +245,14 @@ def _flush(a: np.ndarray, floor: float, mag=None, small=None) -> np.ndarray:
     return small
 
 
-def bilstm(
-    x: Tensor,
-    w_f: Tensor,
-    u_f: Tensor,
-    b_f: Tensor,
-    w_b: Tensor,
-    u_b: Tensor,
-    b_b: Tensor,
-) -> Tensor:
+def bilstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     """Bidirectional LSTM over the time axis, summarised as its final states.
 
-    x: [B, T, D]; w: [D, 4H]; u: [H, 4H]; b: [4H]. Gate slab order is
-    input, forget, candidate, output. Returns [B, 2H]: the forward state
-    after the last step joined to the backward state after step 0 (the
-    last step that direction sees).
+    x: [B, T, D]; w: [2, D, 4H]; u: [2, H, 4H]; b: [2, 4H], direction 0
+    running forward and direction 1 backward. Gate slab order is input,
+    forget, candidate, output. Returns [B, 2H]: the forward state after
+    the last step joined to the backward state after step 0 (the last
+    step that direction sees).
 
     Loop step s runs the forward direction at time s and the backward one
     at time T - 1 - s, on arrays stacked [direction, B, .]; the backward
@@ -293,15 +286,8 @@ def bilstm(
     B, T, D = x.data.shape
     if T < 1:
         raise ShapeError("bilstm needs at least one time step")
-    H = u_f.data.shape[0]
-    for name, p, shape in (
-        ("w_f", w_f, (D, 4 * H)),
-        ("u_f", u_f, (H, 4 * H)),
-        ("b_f", b_f, (4 * H,)),
-        ("w_b", w_b, (D, 4 * H)),
-        ("u_b", u_b, (H, 4 * H)),
-        ("b_b", b_b, (4 * H,)),
-    ):
+    H = u.data.shape[-2]
+    for name, p, shape in (("w", w, (2, D, 4 * H)), ("u", u, (2, H, 4 * H)), ("b", b, (2, 4 * H))):
         if p.data.shape != shape:
             raise ShapeError(f"bilstm parameter {name} expected shape {shape}, got {p.data.shape}")
 
@@ -317,15 +303,14 @@ def bilstm(
     # rows); cs slot s is step s's input cell state, slot 0 the zero initial state
     xr = np.ascontiguousarray(x.data[:, ::-1].transpose(1, 0, 2)).reshape(T * B, D)
     gates = np.empty((2, T, B, 4 * H), dtype=dtype)
-    for d, (rows, w, b) in enumerate(((xt, w_f, b_f), (xr, w_b, b_b))):
-        np.matmul(rows, w.data, out=gates[d].reshape(T * B, 4 * H))
-        gates[d] += b.data
-    u = np.stack([u_f.data, u_b.data])  # [2, H, 4H]
+    for d, rows in enumerate((xt, xr)):
+        np.matmul(rows, w.data[d], out=gates[d].reshape(T * B, 4 * H))
+        gates[d] += b.data[d]
     h = np.zeros((2, B, H), dtype=dtype)
     hc = np.empty((2, B, H), dtype=dtype)
     cs = np.zeros((T + 1, 2, B, H), dtype=dtype)
     for s in range(T):
-        z = np.matmul(h, u)
+        z = np.matmul(h, u.data)
         z += gates[:, s]
         z *= scale
         np.tanh(z, out=z)
@@ -341,7 +326,7 @@ def bilstm(
     floor = np.sqrt(np.finfo(dtype).tiny)  # the product of two values above it is normal
 
     def bwd(g):
-        u_t = np.ascontiguousarray(u.transpose(0, 2, 1))  # a transposed view makes the GEMM twice as slow
+        u_t = np.ascontiguousarray(u.data.transpose(0, 2, 1))  # a transposed view makes the GEMM twice as slow
         # dz and each step's input h: direction 0's T steps, then direction 1's,
         # each in time order, so loop step s writes the pair rows s and 2T - 1 - s
         dzs = np.empty((2 * T, B, 4 * H), dtype=dtype)
@@ -423,20 +408,19 @@ def bilstm(
         # last ones going forward, the first ones going back
         rows = [slice((T - reach[0]) * B, T * B), slice(0, reach[1] * B)]
         dz2, h2 = dzs.reshape(2, T * B, 4 * H), hs.reshape(2, T * B, H)
-        for d, (w, u_d, b) in enumerate(((w_f, u_f, b_f), (w_b, u_b, b_b))):
-            _accum(w, xt[rows[d]].T @ dz2[d, rows[d]])
-            _accum(u_d, h2[d, rows[d]].T @ dz2[d, rows[d]])
-            _accum(b, dz2[d, rows[d]].sum(axis=0))
+        _accum(w, np.stack([xt[r].T @ dz2[d, r] for d, r in enumerate(rows)]))
+        _accum(u, np.stack([h2[d, r].T @ dz2[d, r] for d, r in enumerate(rows)]))
+        _accum(b, np.stack([dz2[d, r].sum(axis=0) for d, r in enumerate(rows)]))
         del hs, h2  # before dx exists, so the peak stays that of the step loop
         dx = np.zeros((T * B, D), dtype=dtype)
-        for d, w in enumerate((w_f, w_b)):
-            dx[rows[d]] += dz2[d, rows[d]] @ w.data.T
+        for d, r in enumerate(rows):
+            dx[r] += dz2[d, r] @ w.data[d].T
         del dzs, dz2
         # two nearly cancelling directions can sum to a subnormal
         _flush(dx, np.finfo(dtype).tiny)
         _accum(x, dx.reshape(T, B, D).transpose(1, 0, 2))
 
-    return _node(out_data, (x, w_f, u_f, b_f, w_b, u_b, b_b), bwd, "bilstm")
+    return _node(out_data, (x, w, u, b), bwd, "bilstm")
 
 
 # -- parameter-owning modules ------------------------------------------
@@ -517,16 +501,6 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
-def _joined(modules, join) -> Module:
-    """The first of ``modules``, given all their weights and all their biases joined by ``join``
-    (``np.stack`` or ``np.concatenate``): one module whose heads or output channels are theirs."""
-    first = modules[0]
-    first.weight, first.bias = (
-        Tensor(join([getattr(m, name).data for m in modules]), requires_grad=True) for name in ("weight", "bias")
-    )
-    return first
-
-
 class _Conv(Module):
     """Weight [out, in, *kernel] then bias [out], both uniform in +-1/sqrt(in * prod(kernel))."""
 
@@ -574,34 +548,32 @@ class BatchNorm(Module):
 
 
 class Linear(Module):
-    """x @ weight.T + bias; given a weight [K, out, in] and a bias [K, out], K heads at once (``ad.affine``)."""
+    """x @ weight.T + bias (``ad.affine``); out_features (K, out) gives K heads at once, weight [K, out, in] and bias [K, out]."""
 
     def __init__(self, in_features, out_features, *, rng, dtype=np.float32):
         super().__init__()
-        if min(in_features, out_features) < 1:
+        out = out_features if isinstance(out_features, tuple) else (out_features,)
+        if min(in_features, *out) < 1:
             raise ConfigError("linear sizes must be positive")
-        self.weight = _uniform_init(rng, (out_features, in_features), in_features, dtype)
-        self.bias = _uniform_init(rng, (out_features,), in_features, dtype)
+        self.weight = _uniform_init(rng, out + (in_features,), in_features, dtype)
+        self.bias = _uniform_init(rng, out, in_features, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.affine(x, self.weight, self.bias)
 
 
 class BiLSTM(Module):
+    """Weight w [2, D, 4H] uniform in +-1/sqrt(D), u [2, H, 4H] and b [2, 4H] in +-1/sqrt(H); direction 0 runs forward."""
+
     def __init__(self, input_size, hidden_size, *, rng, dtype=np.float32):
         super().__init__()
         if min(input_size, hidden_size) < 1:
             raise ConfigError("bilstm sizes must be positive")
         H = hidden_size
-        self.w_f = _uniform_init(rng, (input_size, 4 * H), input_size, dtype)
-        self.u_f = _uniform_init(rng, (H, 4 * H), H, dtype)
-        self.b_f = _uniform_init(rng, (4 * H,), H, dtype)
-        self.w_b = _uniform_init(rng, (input_size, 4 * H), input_size, dtype)
-        self.u_b = _uniform_init(rng, (H, 4 * H), H, dtype)
-        self.b_b = _uniform_init(rng, (4 * H,), H, dtype)
-        # forget-gate bias at 1 keeps early memory open
-        self.b_f.data[H : 2 * H] = 1.0
-        self.b_b.data[H : 2 * H] = 1.0
+        self.w = _uniform_init(rng, (2, input_size, 4 * H), input_size, dtype)
+        self.u = _uniform_init(rng, (2, H, 4 * H), H, dtype)
+        self.b = _uniform_init(rng, (2, 4 * H), H, dtype)
+        self.b.data[:, H : 2 * H] = 1.0  # forget-gate bias at 1 keeps early memory open
 
     def forward(self, x: Tensor) -> Tensor:
-        return bilstm(x, self.w_f, self.u_f, self.b_f, self.w_b, self.u_b, self.b_b)
+        return bilstm(x, self.w, self.u, self.b)

@@ -34,7 +34,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
 from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
-from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, _joined, max_pool1d
+from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, max_pool1d
 from .phq import N_ITEMS
 
 MODALITIES = {"a": "audio", "v": "visual", "t": "text"}  # letter -> branch config and forward() input
@@ -146,8 +146,7 @@ class MultiModalClassifier(Module):
             self.fuser = AttentionalFusion(rng=rng, dtype=dtype)
         # the fusion blocks and concat keep every branch's features; one branch or a reducing rule keeps one width
         head_in = cfg.feature_dim * (n if cfg.fusion in ("subatten", "atten", "concat") else 1)
-        # one Linear per item, drawn in turn and joined: weight [N_ITEMS, n_classes, head_in]
-        self.heads = _joined([Linear(head_in, cfg.n_classes, rng=rng, dtype=dtype) for _ in range(N_ITEMS)], np.stack)
+        self.heads = Linear(head_in, (N_ITEMS, cfg.n_classes), rng=rng, dtype=dtype)  # one per item, stacked
 
     def forward(self, audio: Tensor = None, visual: Tensor = None, text: Tensor = None) -> Tensor:
         """Batched modality tensors -> [B, N_ITEMS, n_classes] distributions."""

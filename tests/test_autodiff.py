@@ -162,10 +162,6 @@ class TestReductionsAndShape:
         for t, num in zip(ts, nums):
             assert rel_err(t.grad, num) < TOL
 
-    def test_concat_of_one_tensor_is_that_tensor(self):
-        x = ad.tensor(np.ones((2, 3)), requires_grad=True)
-        assert ad.concat([x], axis=1) is x
-
     def test_matmul_and_affine(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4))

@@ -327,6 +327,24 @@ class TestDataErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {kp}:12: keypoint frame 11: timestamp")
 
+    @pytest.mark.parametrize("fault", ["stop-before-start", "start-before-previous"])
+    def test_bad_sentence_stamps_return_2_naming_the_line(self, pipeline, tmp_path, capsys, fault):
+        raw = tmp_path / "raw"
+        shutil.copytree(pipeline["raw"], raw)
+        path = raw / "P001" / "embeddings.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(" ")
+        if fault == "stop-before-start":  # the third sentence: start 10, stop 8
+            fields[:2] = ["10", "8"]
+        else:  # the third sentence starts before the second
+            fields[:2] = ["-1", lines[1].split(" ")[1]]
+        lines[2] = " ".join(fields)
+        path.write_text("".join(lines))
+        rc = main(["preprocess", "--manifest", str(raw / "manifest.csv"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:3: sentence 2 ")
+
     @pytest.mark.parametrize(
         "file_name, value, modality", [("keypoints.txt", "nan", "visual"), ("embeddings.txt", "inf", "text")]
     )
@@ -549,16 +567,24 @@ class TestConfigHashGuard:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: stored config:") and "learning_rate" in err[0]
 
-    @pytest.mark.parametrize("command", ["eval", "aggregate"])
-    def test_checkpoint_of_per_head_layout_returns_2(self, pipeline, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, layout",
+        [("eval", "per-head"), ("aggregate", "per-head"), ("eval", "per-direction"), ("aggregate", "per-direction")],
+        ids=["eval", "aggregate", "eval-per-direction", "aggregate-per-direction"],
+    )
+    def test_checkpoint_of_per_head_layout_returns_2(self, pipeline, tmp_path, capsys, command, layout):
         # checkpoints written before the item heads and the fusion bank were
-        # stored stacked held one entry per head: heads.3.weight, bank.heads.3.*
+        # stored stacked held one entry per head: heads.3.weight, bank.heads.3.*;
+        # those written before the BiLSTM directions were, one per direction:
+        # branch_a.lstm.w_f and w_b
         ckpt = load_checkpoint(pipeline["run"] / "model.ckpt")
         state = {}
         for name, arr in ckpt.state.items():
-            if name.startswith("heads."):
+            if layout == "per-direction" and ".lstm." in name:
+                state.update({f"{name}_f": arr[0], f"{name}_b": arr[1]})
+            elif layout == "per-head" and name.startswith("heads."):
                 state.update({f"heads.{k}.{name[6:]}": a for k, a in enumerate(arr)})
-            elif name.startswith("bank."):
+            elif layout == "per-head" and name.startswith("bank."):
                 axis = arr.shape.index(N_ITEMS)
                 state.update({f"bank.heads.{k}.{name[5:]}": np.take(arr, [k], axis) for k in range(N_ITEMS)})
             else:
@@ -568,7 +594,8 @@ class TestConfigHashGuard:
         rc = main([command, "--clips-dir", str(pipeline["clips"]), "--checkpoint", str(old)])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {old}: checkpoint missing entries: ['bank.")
+        first = "bank." if layout == "per-head" else "branch_a.lstm.w'"
+        assert len(err) == 1 and err[0].startswith(f"error: {old}: checkpoint missing entries: ['{first}")
 
     def test_aggregate_refuses_mismatched_config(self, pipeline, tmp_path, capsys):
         tweaked = tmp_path / "tweaked.cfg"

@@ -136,6 +136,10 @@ class TestContainers:
         with pytest.raises(FormatError):
             Sentences(starts=[0.0, 2.0], stops=[1.0, stop], vectors=np.zeros((2, EMBED_DIM)))
 
+    def test_sentences_must_be_start_ordered(self):
+        with pytest.raises(FormatError, match="sentence 2 starts at 0.5, .*non-decreasing"):
+            Sentences(starts=[0.0, 2.0, 0.5], stops=[1.0, 3.0, 1.0], vectors=np.zeros((3, EMBED_DIM)))
+
 
 class TestClipCount:
     @pytest.mark.parametrize(
@@ -426,10 +430,11 @@ class TestTextIo:
         with pytest.raises(FormatError):
             ingest_embeddings(path)
 
-    def test_embeddings_unsorted_rejected(self, tmp_path, rng):
+    def test_embeddings_unsorted_rejected(self, tmp_path):
+        vec = " ".join(["0.1"] * EMBED_DIM)
         path = tmp_path / "bad.txt"
-        write_embeddings(path, make_sentences(rng, [5.0, 1.0], 1.0))
-        with pytest.raises(FormatError):
+        path.write_text(f"5.0 6.0 {vec}\n\n1.0 2.0 {vec}\n")
+        with pytest.raises(FormatError, match="bad.txt:3: sentence 1 starts at 1.0, below the previous start"):
             ingest_embeddings(path)
 
     @pytest.mark.parametrize("stop", ["6.0", "5.0"])

@@ -427,12 +427,28 @@ def summary_of(states):
     return np.concatenate([states[:, -1, :H], states[:, 0, H:]], axis=1)
 
 
+def stacked(arrays):
+    """x, wf, uf, bf, wb, ub, bb as bilstm's operands x, w, u, b, each parameter stacked [forward, backward]."""
+    x, *per_direction = arrays
+    return [x] + [np.stack([per_direction[k], per_direction[k + 3]]) for k in range(3)]
+
+
+def unstacked(grads):
+    """The gradients of bilstm's operands x, w, u, b as those of x, wf, uf, bf, wb, ub, bb."""
+    x, w, u, b = grads
+    return [x, w[0], u[0], b[0], w[1], u[1], b[1]]
+
+
+def stacked_tensors(arrays):
+    return [ad.tensor(a.copy(), requires_grad=True) for a in stacked(arrays)]
+
+
 def run_bilstm(arrays, g):
-    """bilstm output and the gradients of its seven operands under upstream g."""
-    tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+    """bilstm output and the gradients of x, wf, uf, bf, wb, ub, bb under upstream g."""
+    tensors = stacked_tensors(arrays)
     out = bilstm(*tensors)
     ad.backward(ad.sum_(ad.mul(out, ad.tensor(g))))
-    return out.data, [t.grad for t in tensors]
+    return out.data, unstacked([t.grad for t in tensors])
 
 
 def lstm_arrays(rng, B, T, D, H, dtype, scale=0.5):
@@ -539,7 +555,7 @@ class TestBiLSTM:
         params = {k: rng.normal(size=s) for k, s in
                   [("wf", (D, 4 * H)), ("uf", (H, 4 * H)), ("bf", (4 * H,)),
                    ("wb", (D, 4 * H)), ("ub", (H, 4 * H)), ("bb", (4 * H,))]}
-        out = bilstm(ad.tensor(x[None]), *(ad.tensor(params[k]) for k in ("wf", "uf", "bf", "wb", "ub", "bb")))
+        out = bilstm(*map(ad.tensor, stacked([x[None]] + [params[k] for k in ("wf", "uf", "bf", "wb", "ub", "bb")])))
         fwd = unrolled_lstm_two_steps(x, params["wf"], params["uf"], params["bf"])
         bwd = unrolled_lstm_two_steps(x[::-1], params["wb"], params["ub"], params["bb"])[::-1]
         assert out.data.shape == (1, 2 * H)
@@ -549,9 +565,8 @@ class TestBiLSTM:
     def test_single_step_directions_agree_with_shared_weights(self, rng):
         # at T=1 both directions see the same single input
         lstm = BiLSTM(4, 3, rng=rng, dtype=np.float64)
-        lstm.w_b.data = lstm.w_f.data.copy()
-        lstm.u_b.data = lstm.u_f.data.copy()
-        lstm.b_b.data = lstm.b_f.data.copy()
+        for p in (lstm.w, lstm.u, lstm.b):
+            p.data[1] = p.data[0]
         out = lstm(ad.tensor(rng.normal(size=(2, 1, 4))))
         np.testing.assert_allclose(out.data[:, :3], out.data[:, 3:], atol=1e-12)
 
@@ -569,11 +584,11 @@ class TestBiLSTM:
                 total += sigmoid(np.concatenate([fwd[-1], bwd[0]])).sum()
             return total
 
-        tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+        tensors = stacked_tensors(arrays)
         ad.backward(ad.sum_(ad.sigmoid(bilstm(*tensors))))
         num = fd_gradients(f, arrays)
-        for t, n in zip(tensors, num):
-            assert rel_err(t.grad, n) < TOL
+        for got, n in zip(unstacked([t.grad for t in tensors]), num):
+            assert rel_err(got, n) < TOL
 
     def test_matches_step_reference_float64(self, rng):
         arrays = lstm_arrays(rng, B=2, T=7, D=3, H=4, dtype=np.float64)
@@ -695,7 +710,7 @@ class TestBiLSTM:
         # steps it reaches, and must match the reference also when it stops early
         B, T, D, H = 4, 200, 8, 32
         arrays = lstm_arrays(rng, B=B, T=T, D=D, H=H, dtype=np.float32, scale=0.2)
-        tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+        tensors = stacked_tensors(arrays)
         tracemalloc.start()
         try:
             out = bilstm(*tensors)
@@ -704,13 +719,13 @@ class TestBiLSTM:
             tracemalloc.stop()
         item = np.dtype(np.float32).itemsize
         gates, cs = 2 * T * B * 4 * H * item, (T + 1) * 2 * B * H * item
-        # slack: the time-major copy of x and the stacked recurrent weights
-        # that the gradient GEMMs read, the output, and 16 kB of small objects
-        slack = (T * B * D + 2 * H * 4 * H + B * 2 * H) * item + 16384
+        # slack: the time-major copy of x that the gradient GEMMs read, the
+        # output, and 16 kB of small objects; u is read where it lies
+        slack = (T * B * D + B * 2 * H) * item + 16384
         assert held <= gates + cs + slack
         g = (rng.normal(size=(B, 2 * H)) * g_scale).astype(np.float32)
         ad.backward(ad.sum_(ad.mul(out, ad.tensor(g))))
-        grads = [t.grad for t in tensors]
+        grads = unstacked([t.grad for t in tensors])
         assert np.all(np.any(grads[0], axis=(0, 2))) == full_reach
         ref_states, ref_grads = reference_bilstm(*[a.astype(np.float64) for a in arrays], g.astype(np.float64))
         assert rel_err(out.data, summary_of(ref_states)) <= 1e-5
@@ -757,7 +772,7 @@ class TestBiLSTM:
         extra = {}
         for T in (64, 256):
             arrays = lstm_arrays(rng, B=B, T=T, D=D, H=H, dtype=np.float32, scale=0.2)
-            tensors = [ad.tensor(a.copy(), requires_grad=True) for a in arrays]
+            tensors = stacked_tensors(arrays)
             g = rng.normal(size=(B, 2 * H)).astype(np.float32)
             loss = ad.sum_(ad.mul(bilstm(*tensors), ad.tensor(g)))
             tracemalloc.start()
@@ -787,8 +802,7 @@ class TestBiLSTM:
 
     def test_forget_gate_bias_init(self, rng):
         lstm = BiLSTM(4, 3, rng=rng)
-        np.testing.assert_allclose(lstm.b_f.data[3:6], np.ones(3))
-        np.testing.assert_allclose(lstm.b_b.data[3:6], np.ones(3))
+        np.testing.assert_allclose(lstm.b.data[:, 3:6], np.ones((2, 3)))
 
     def test_summary_takes_last_step_per_direction(self, rng):
         arrays = lstm_arrays(rng, B=2, T=5, D=3, H=2, dtype=np.float64)

@@ -17,6 +17,7 @@ from conftest import fd_gradients, rel_err, tiny_clip
 from depest import autodiff as ad
 from depest import data, model as model_mod
 from depest.cli import main
+from depest.config import model_config, parse_config
 from depest.errors import ConfigError, DataError, NumericError, ShapeError
 from depest.model import (
     BranchConfig,
@@ -214,6 +215,42 @@ class TestForward:
         assert xt.grad.tobytes() == xr.grad.tobytes()
         for k in range(N_ITEMS):
             assert wt.grad[k].tobytes() == wr[k].grad.tobytes() and bt.grad[k].tobytes() == br[k].grad.tobytes()
+
+    def test_fresh_default_model_draws_each_stacked_role_within_its_one_head_bound(self):
+        # the byte tests load their values, so only a fresh draw shows a fan-in
+        # slip: each stacked role stays inside the bound of one head or one
+        # direction, reaches near it, and differs from head to head
+        cfg = model_config(parse_config())
+        model = MultiModalClassifier(cfg, rng=np.random.default_rng(0))
+        params = {name: p.data for name, p in model.named_parameters()}
+        assert len(params) == 69 and len(model.state()) == 93
+        assert sum(a.size for a in params.values()) == 1_141_824
+        H, head_in = cfg.audio.lstm_hidden, params["heads.weight"].shape[-1]
+        assert head_in == cfg.feature_dim * len(cfg.active)
+        drawn = {}  # bound -> the values drawn under it
+        for name, a in params.items():
+            if name.startswith("bank.conv_"):
+                bound, parts = 1 / 3, list(a)  # each head's one-channel 3x3 conv
+            elif "_pw" in name:
+                bound, parts = 1.0, list(a[0])  # [1, heads, 1, 1]: a one-channel 1x1 conv's fan-in
+            elif name.startswith("heads."):
+                bound, parts = 1 / np.sqrt(head_in), list(a)
+            elif name.endswith("lstm.w"):
+                bound, parts = 1 / np.sqrt(a.shape[1]), list(a)
+            elif name.endswith(("lstm.u", "lstm.b")):
+                bound, parts = 1 / np.sqrt(H), list(a)
+                if name.endswith("b"):
+                    assert np.all(a[:, H : 2 * H] == 1.0), name  # both directions' forget slabs
+                    parts = list(np.delete(a, np.s_[H : 2 * H], axis=1))
+            else:
+                continue
+            assert len(parts) == (2 if "lstm" in name else N_ITEMS), name
+            assert len({p.tobytes() for p in parts}) == len(parts), name
+            assert all(np.abs(p).max() <= bound for p in parts), name
+            drawn.setdefault(bound, []).extend(p.ravel() for p in parts)
+        assert len(drawn) >= 5
+        for bound, values in drawn.items():
+            assert np.abs(np.concatenate(values)).max() > 0.9 * bound, bound
 
     def test_head_gradient_isolation(self, rng):
         # a loss reading only item 0 sends zero gradient to other heads

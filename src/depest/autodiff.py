@@ -5,6 +5,8 @@ build an implicit DAG by recording parent tensors and a backward closure;
 ``backward(loss)`` topologically sorts the graph reachable from a scalar
 loss, runs each closure exactly once in reverse order and releases each
 interior node as soon as its closure has run; only leaves keep gradients.
+Branch outputs whose forwards ran on lanes carry their runner, and their
+subgraphs' closures run on those lanes once every closure above has run.
 
 Only the operations the model and its gradient checks use are
 implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``relu``,
@@ -27,7 +29,7 @@ from .errors import GraphError, NumericError, ShapeError
 class Tensor:
     """Array value node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_done", "_lanes")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _op=""):
         self.data = np.asarray(data)
@@ -37,6 +39,7 @@ class Tensor:
         self._backward = _backward
         self._op = _op
         self._done = False
+        self._lanes = None  # (run, k): branch output k of one lane pass; run(fn, items) is map_lanes
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op or 'leaf'}, grad={self.requires_grad})"
@@ -89,8 +92,12 @@ def backward(loss: Tensor) -> None:
     Visits every reachable node exactly once in reverse topological order;
     once its closure has run, an interior node drops its closure, gradient
     and parents, so the activations they hold are freed during the pass.
-    A second call on the same loss raises: the graph is spent, so a fresh
-    forward pass is required first.
+    Phase 1 walks from the loss down to the lane-marked nodes, so each
+    mark's gradient is complete; phase 2 has each forward's runner walk
+    its marks' subgraphs, one per lane in branch order. They share no node
+    or parameter and keep their serial closure order, so every bit is the
+    serial one. A second call on the same loss raises: the graph is spent,
+    so a fresh forward pass is required first.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -99,9 +106,19 @@ def backward(loss: Tensor) -> None:
     if not np.all(np.isfinite(loss.data)):
         raise NumericError("loss is non-finite")
 
+    loss.grad = np.ones_like(loss.data)
+    marks = sorted(_walk(loss), key=lambda t: t._lanes[1])
+    for run in dict.fromkeys(t._lanes[0] for t in marks):  # one lane pass per forward, which shares no parameter
+        run(_walk, [t for t in marks if t._lanes[0] is run])
+    loss._done = True
+
+
+def _walk(root: Tensor) -> list:
+    """Run the closures reachable from root, in reverse topological order; return the marked nodes it stopped at."""
     topo: list[Tensor] = []
+    marks: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -110,19 +127,21 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._lanes is not None and node is not root:
+            marks.append(node)
+            continue
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backward is not None:
             if node.grad is not None:
                 node._backward(node.grad)
-            node._backward, node.grad, node._parents = None, None, ()
-    loss._done = True
+            node._backward, node.grad, node._parents, node._lanes = None, None, (), None
+    return marks
 
 
 # -- elementwise arithmetic --------------------------------------------

@@ -9,7 +9,7 @@ checked by ``phq.check_label``; a bad one raises DataError naming the
 file. ``map_lanes`` is the one scheduler
 that spreads independent items over every available CPU: ``map_sessions``
 runs sessions on it in forked processes, and the model runs its branch
-forwards on it in threads.
+forwards and backwards on it in threads.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ runs them on ``data.map_lanes``, the one lane scheduler, which also runs
 that lives for that call alone runs the rest, so no thread outlives a
 pass into the fork ``map_sessions`` makes. Every forward first makes the
 process's one-time setup (numpy's OpenBLAS at one thread, glibc at one
-malloc arena), then runs lanes from ``_MIN_LANE_BATCH`` clips up, where
-numpy's GEMMs and large loops release the GIL for most of a pass. The output is bit-identical either way. Backward stays serial.
+malloc arena), then runs lanes from a batch x ``lstm_hidden`` of
+``_MIN_LANE_WORK`` up, where numpy's calls release the GIL for most of a
+pass, and marks the outputs so that ``autodiff.backward`` runs each
+branch's backward on its lane too. Every bit is the serial one.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ MODALITY_SETS = ("a", "v", "t", "av", "avt")
 FUSION_MODES = BASELINE_RULES + ("atten", "subatten")
 CONV_KERNEL = 3  # taps of every branch conv
 _M_ARENA_MAX = -8  # glibc mallopt parameter
-# Below this batch the branches' per-step BiLSTM GEMMs are too small to
-# release the GIL for long, and two lanes ran slower than one (default
-# model on 2 x86-64 CPUs, in-process and alternating: forward 1.2-1.5x
-# the serial time at B=1-2, 0.96-1.08x at B=4, 0.68-0.81x at B=8-16).
-_MIN_LANE_BATCH = 8
+# Lanes from this batch x lstm_hidden up (2 x86-64 CPUs). In process, a
+# forward and backward on lanes took 0.66-0.73x the serial time at H=128,
+# B=12-16, and 0.93-1.07x at B=4-8 and at H=32, B=16; criterion 7's
+# H=8, B=8 model trained 1.18x slower on them. perfbench train_small
+# (H=32, B=16) ran 8% fewer SAM steps and 13% fewer eval clips serial.
+_MIN_LANE_WORK = 512
 
 
 @dataclass(frozen=True)
@@ -173,15 +176,20 @@ class MultiModalClassifier(Module):
 
 
 def _run_branches(calls) -> list:
-    """[branch(x) for branch, x in calls], on ``data.map_lanes``' lanes at one BLAS thread and a batch of _MIN_LANE_BATCH or more."""
-    if not _one_blas_thread() or calls[0][1].data.shape[0] < _MIN_LANE_BATCH:
+    """[branch(x) for branch, x in calls]; from _MIN_LANE_WORK up, at one BLAS thread, on lanes and marked for backward."""
+    branch, x = calls[0]
+    if not _one_blas_thread() or x.data.shape[0] * branch.cfg.lstm_hidden < _MIN_LANE_WORK:
         return [branch(x) for branch, x in calls]
     # imported here: ingest runs no model, and data imports config, which imports this module
     from concurrent.futures import ThreadPoolExecutor
 
     from . import data
 
-    return data.map_lanes(lambda call: call[0](call[1]), calls, ThreadPoolExecutor)
+    run = functools.partial(data.map_lanes, make_pool=ThreadPoolExecutor)  # one per pass: backward groups by it
+    outs = run(lambda call: call[0](call[1]), calls)
+    for k, out in enumerate(outs):
+        out._lanes = (run, k)
+    return outs
 
 
 @functools.cache

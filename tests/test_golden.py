@@ -3,9 +3,11 @@
 One subprocess runs synth-data (8 participants of 70 s, one clip each),
 preprocess, train (tiny model, batch 8, 2 epochs), eval and aggregate,
 then one more train per other fusion rule and one audio-only train, each
-into its own run_<name>/. With 8 sessions and a batch of 8 on two or
-more CPUs, both kinds of lane run: forked processes for the sessions and
-threads for the branch forwards. The sha256 digests of the raw/ and
+into its own run_<name>/. With 8 sessions on two or more CPUs the
+sessions run on forked processes; the tiny model's batch of 8 x
+lstm_hidden 4 is below the branch-thread gate, so its branches run
+serially (tests/test_model.py trains on branch threads against serial
+bit for bit). The sha256 digests of the raw/ and
 clips/ trees and of every run file must equal the recorded ones, with
 the subprocess's environment at 1 and at 2 BLAS threads alike: the first
 forward pins OpenBLAS to one thread whatever the environment sets.

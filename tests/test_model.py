@@ -3,6 +3,7 @@
 import concurrent.futures
 import ctypes
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from depest.cli import main
 from depest.config import model_config, parse_config
 from depest.errors import ConfigError, DataError, NumericError, ShapeError
 from depest.model import (
+    FUSION_MODES,
     BranchConfig,
     ModalityBranch,
     ModelConfig,
@@ -28,7 +30,8 @@ from depest.model import (
 )
 from depest.musdl import MusdlConfig
 from depest.phq import N_ITEMS
-from depest.training import evaluate_clips
+from depest.sam import SamConfig
+from depest.training import evaluate_clips, train
 
 SMALL_AUDIO = BranchConfig(in_channels=8, conv_channels=(4,), pools=(2,), strides=(1,), lstm_hidden=3, out_dim=6)
 SMALL_VISUAL = BranchConfig(
@@ -308,8 +311,10 @@ def graph_nodes(out):
     return nodes
 
 
-def force_lanes(monkeypatch, cpus):
+def force_lanes(monkeypatch, cpus, min_work=8 * 3):
+    """cpus available, and the lane gate at min_work: by default the tiny models' batch of 8 x lstm_hidden 3."""
     monkeypatch.setattr(data, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(model_mod, "_MIN_LANE_WORK", min_work)
 
 
 def record_pools(monkeypatch):
@@ -331,11 +336,12 @@ def record_pools(monkeypatch):
 
 
 class TestBranchLanes:
-    @pytest.mark.parametrize("modality, fusion", [("avt", "subatten"), ("av", "max")])
+    @pytest.mark.parametrize("modality, fusion", [("avt", f) for f in FUSION_MODES] + [("av", "max"), ("av", "subatten")])
     def test_lanes_match_one_bit_for_bit(self, monkeypatch, modality, fusion):
         # 3 CPUs give one lane per branch (3 threads, more than a 2-CPU machine
         # has cores); a short switch interval makes the threads interleave often
         runs = []
+        started = record_pools(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -348,6 +354,8 @@ class TestBranchLanes:
                 runs.append((out.data, grads, {k: v for k, v in model.state().items() if k not in grads}))
         finally:
             sys.setswitchinterval(interval)
+        # one pool for the forward and one for the backward at 3 and at 2 CPUs, none at 1
+        assert [p.workers for p in started] == [min(cpus, len(modality)) - 1 for cpus in (3, 3, 2, 2)]
         out1, grads1, bufs1 = runs[-1]
         assert len(bufs1) > 0
         for out, grads, bufs in runs[:-1]:
@@ -358,15 +366,19 @@ class TestBranchLanes:
             assert all(np.array_equal(bufs[k], bufs1[k]) for k in bufs1)
 
     @pytest.mark.parametrize(
-        "modality, batch, cpus, pools",
-        [("avt", 8, 2, [1]), ("avt", 8, 4, [2]), ("av", 8, 2, [1]), ("a", 8, 2, []), ("avt", 7, 2, []), ("avt", 8, 1, [])],
+        "modality, min_work, cpus, pools",
+        [("avt", 24, 2, [1]), ("avt", 24, 4, [2]), ("av", 24, 2, [1]), ("avt", 25, 2, []), ("a", 24, 2, []),
+         ("avt", 24, 1, [])],
     )
-    def test_one_thread_per_extra_lane_at_one_blas_thread_and_batch_8(self, monkeypatch, modality, batch, cpus, pools):
-        force_lanes(monkeypatch, cpus)
+    def test_one_pool_each_way_from_batch_times_hidden(self, monkeypatch, modality, min_work, cpus, pools):
+        # batch 8 x lstm_hidden 3 = 24: at the gate the forward and the backward each start one pool, just below none
+        force_lanes(monkeypatch, cpus, min_work)
         started = record_pools(monkeypatch)
         model = MultiModalClassifier(small_config(modality), rng=np.random.default_rng(4))
-        model(**small_inputs(np.random.default_rng(5), B=batch, modality=modality))
+        out = model(**small_inputs(np.random.default_rng(5), B=8, modality=modality))
         assert [p.workers for p in started] == pools
+        ad.backward(ad.sum_(out))
+        assert [(p.workers, p.joined) for p in started] == [(w, True) for w in pools * 2]
 
     def test_caller_runs_lane_zero(self, monkeypatch):
         # 3 branches on 2 lanes: audio and text on the calling thread, visual on the worker
@@ -454,18 +466,21 @@ print(before, threads())
         started = record_pools(monkeypatch)
         before = threading.active_count()
         model = MultiModalClassifier(small_config("avt"), rng=rng)
-        model(**small_inputs(rng, B=8, modality="avt"))
+        out = model(**small_inputs(rng, B=8, modality="avt"))
+        assert threading.active_count() == before
+        ad.backward(ad.sum_(out))
         assert threading.active_count() == before
         clips = [tiny_clip(rng, (1, 2, 0, 3, 1, 0, 2, 1), clip_index=k) for k in range(9)]
         evaluate_clips(model, clips, MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0), batch_size=8)
         assert threading.active_count() == before
-        # the forward and the eval batch of 8 (its batch of 1 runs serially), each joined before returning
-        assert [(p.workers, p.joined) for p in started] == [(1, True), (1, True)]
+        # the forward, its backward and the eval batch of 8 (its batch of 1 runs serially), each joined before returning
+        assert [(p.workers, p.joined) for p in started] == [(1, True)] * 3
 
     def test_a_pass_leaves_no_array_to_the_cyclic_collector(self, monkeypatch, rng):
         # a forward on lanes and its backward, then an eval: every Tensor and
         # array dies with its last reference, none waits in a reference cycle
         force_lanes(monkeypatch, 2)
+        started = record_pools(monkeypatch)
         model = MultiModalClassifier(small_config("avt"), rng=rng)
         clips = [tiny_clip(rng, (1, 2, 0, 3, 1, 0, 2, 1), clip_index=k) for k in range(9)]
         gc.collect()
@@ -481,6 +496,7 @@ print(before, threads())
             gc.garbage.clear()
             gc.enable()
         assert kept == []
+        assert [p.workers for p in started] == [1] * 3  # the forward, its backward and the eval batch of 8
 
     def test_worker_branch_error_reaches_the_caller_and_stops_the_pass(self, monkeypatch):
         # 3 branches on 2 lanes: visual raises on the worker while audio runs
@@ -513,6 +529,53 @@ print(before, threads())
         assert ran == ["a"]
         assert threading.active_count() == before
         assert [(p.workers, p.joined) for p in started] == [(1, True)]
+
+    def test_worker_branch_backward_error_reaches_the_caller(self, monkeypatch):
+        # 3 branches on 2 lanes: the visual branch's backward runs on the worker, and its error reaches backward's caller
+        force_lanes(monkeypatch, 2)
+        started = record_pools(monkeypatch)
+        model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+        ran_on = []
+
+        def visual(x, inner=model.branch_v.forward):
+            out = inner(x)
+
+            def bwd(g):
+                ran_on.append(threading.get_ident())
+                raise NumericError("visual backward failed")
+
+            out._backward = bwd
+            return out
+
+        model.branch_v.forward = visual
+        out = model(**small_inputs(np.random.default_rng(5), B=8, modality="avt"))
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="visual backward failed"):
+            ad.backward(ad.sum_(out))
+        assert len(ran_on) == 1 and ran_on[0] != threading.get_ident()
+        assert threading.active_count() == before
+        assert [(p.workers, p.joined) for p in started] == [(1, True), (1, True)]
+
+    def test_training_on_lanes_matches_serial_bit_for_bit(self, monkeypatch):
+        # two epochs of SAM steps and evals through train, lanes forced against one CPU
+        rng = np.random.default_rng(6)
+        clips = [tiny_clip(rng, tuple(rng.integers(0, 4, size=N_ITEMS)), participant_id=f"P{k:03d}",
+                           gender=("female", "male")[k % 2]) for k in range(16)]
+        runs = []
+        for cpus in (2, 1):
+            force_lanes(monkeypatch, cpus)
+            started = record_pools(monkeypatch)
+            model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+            log = io.StringIO()
+            train(model, clips, SamConfig(rho=0.05, lr=0.05, momentum=0.9),
+                  MusdlConfig(n_classes=4, n_expanded=32, sigma=5.0), epochs=2, batch_size=8, seed=3, log_fh=log)
+            runs.append((log.getvalue(), model.state(), len(started)))
+        (log2, state2, pools2), (log1, state1, pools1) = runs
+        # per epoch: 2 steps x 2 SAM passes, a forward and a backward each, and 2 eval batches
+        assert (pools2, pools1) == (20, 0)
+        assert log2 == log1 and len(log1.splitlines()) == 2
+        assert state2.keys() == state1.keys()
+        assert all(state2[k].tobytes() == state1[k].tobytes() for k in state1)
 
     def test_cli_train_then_preprocess_in_one_process(self, monkeypatch, tmp_path):
         # preprocess forks its session workers after train ran threaded passes

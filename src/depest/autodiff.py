@@ -16,10 +16,18 @@ implemented: ``add``, ``sub``, ``mul``, ``log``, ``clamp_min``, ``relu``,
 Convolution, pooling, batch norm and the LSTM (which carry their own
 hand-derived backwards) live in :mod:`depest.layers`; ``sigmoid`` is
 the LSTM's own gate formula there, tanh(x/2)/2 + 1/2.
+
+``current`` (a frozen ``Pass``) is what the running pass asks of its ops,
+swapped for one block by its one setter ``passes(**changes)``. It is not
+thread-local, since a ``data.map_lanes`` pool lane starts in a fresh
+context; with one training loop per process, a pass's lanes start after
+the swap and are joined before it is undone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
 
 import numpy as np
@@ -81,6 +89,27 @@ def _node(data, parents, backward, op) -> Tensor:
     else:
         out = Tensor(data, _op=op)
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class Pass:
+    """update_stats: whether training-mode batch norms fold a batch's statistics into their running ones."""
+
+    update_stats: bool
+
+
+current = Pass(update_stats=True)
+
+
+@contextlib.contextmanager
+def passes(**changes):
+    """Run the block with ``current`` replaced by a copy that has ``changes``."""
+    global current
+    saved, current = current, dataclasses.replace(current, **changes)
+    try:
+        yield
+    finally:
+        current = saved
 
 
 # -- backward pass -----------------------------------------------------

@@ -9,6 +9,7 @@ own attention weights. A block holds any number of independent heads,
 one channel each: every parameter role is drawn and stored as one array
 with a head axis, so each conv and batch norm runs once for all heads.
 The bank has one head per questionnaire item; a lone block has one.
+The model reads the bank's stacked output from ``_fuse``, their one path.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class SubAttentionalBank(AttentionalFusion):
     _n_heads = N_ITEMS
 
     def forward(self, y: Tensor) -> list:
-        """[B, 1, H, W] -> one [B, 1, H, W] output per head."""
+        """[B, 1, H, W] -> one [B, 1, H, W] output per head, which criterion 6 indexes; the model calls ``_fuse``."""
         out = _fuse(self, y)
         return [ad.slice_axis(out, 1, k, k + 1) for k in range(N_ITEMS)]
 

@@ -191,8 +191,9 @@ def batch_norm(
     """Per-channel normalization; channel axis is 1.
 
     Training mode normalizes by batch statistics over all non-channel axes
-    and updates the running stats in place; eval mode uses the stored
-    stats. Variance is the biased (population) estimator throughout.
+    and updates the running stats in place if ``ad.current.update_stats``;
+    eval mode uses the stored stats. Variance is the biased (population)
+    estimator throughout.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batch_norm expects a batch dimension, got shape {x.data.shape}")
@@ -205,10 +206,11 @@ def batch_norm(
     if training:
         mu = x.data.mean(axis=reduce_axes)
         var = x.data.var(axis=reduce_axes)
-        running_mean *= 1.0 - _BN_MOMENTUM
-        running_mean += _BN_MOMENTUM * mu
-        running_var *= 1.0 - _BN_MOMENTUM
-        running_var += _BN_MOMENTUM * var
+        if ad.current.update_stats:
+            running_mean *= 1.0 - _BN_MOMENTUM
+            running_mean += _BN_MOMENTUM * mu
+            running_var *= 1.0 - _BN_MOMENTUM
+            running_var += _BN_MOMENTUM * var
     else:
         mu = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)

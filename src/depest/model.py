@@ -4,11 +4,11 @@ Each modality runs through its own backbone (conv stages with BN/ReLU
 and max-pooling, a BiLSTM over time summarised by the final state of
 each direction, and a projection of that summary to a shared feature
 width), the per-modality vectors join into a 1-channel map of
-shape [1, n_modalities, feature_dim], and either an 8-head attentional
-fusion bank or one of the simple late-fusion rules feeds 8 independent
-classifiers, one per questionnaire item, stored stacked and run as one
-affine, whose logits share one softmax over the expanded 32-point score
-grid.
+shape [1, n_modalities, feature_dim], and either the 8-head attentional
+fusion bank's stacked output or one of the simple late-fusion rules feeds
+8 independent classifiers, one per questionnaire item, stored stacked
+and run as one affine, whose logits share one softmax over the expanded
+32-point score grid.
 
 The backbones share nothing until the fusion stage, so a forward pass
 runs them on ``data.map_lanes``, the one lane scheduler, which also runs
@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .features import ClipSample
-from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, baseline_fuse
+from .fusion import BASELINE_RULES, AttentionalFusion, SubAttentionalBank, _fuse, baseline_fuse
 from .layers import BatchNorm, BiLSTM, Conv1d, Linear, Module, max_pool1d
 from .phq import N_ITEMS
 
@@ -169,7 +169,7 @@ class MultiModalClassifier(Module):
         else:
             ymap = ad.reshape(ad.concat(feats, axis=1), (B, 1, n, d))  # [B, n, d] as a 1-channel map
             if self.cfg.fusion == "subatten":  # one input per item
-                x = ad.reshape(ad.concat(self.bank(ymap), axis=1), (B, N_ITEMS, n * d))
+                x = ad.reshape(_fuse(self.bank, ymap), (B, N_ITEMS, n * d))  # the bank's stacked [B, N_ITEMS, n, d]
             else:
                 x = ad.reshape(self.fuser(ymap), (B, n * d))
         return ad.softmax(self.heads(x), axis=-1)  # [B, N_ITEMS, n_classes]

@@ -6,7 +6,8 @@ get the gradient the base optimizer actually applies. Weights are
 snapshot-restored bit-for-bit before the base update, the perturbation
 norm is exactly rho under the global (all parameters flattened) L2
 norm, and a zero first gradient skips the perturbation and falls back
-to a plain step.
+to a plain step. The perturbed pass, under ``passes(update_stats=False)``,
+updates no batch-norm statistics (Foret et al.'s ``disable_running_stats``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, passes
 from .errors import ConfigError
 
 
@@ -68,8 +69,9 @@ class SamOptimizer:
     """Two-pass sharpness-aware step driving a base SGD.
 
     The caller provides a closure that rebuilds the loss from current
-    parameter values; the optimizer runs it twice per step. With rho=0
-    the trajectory is identical to the base optimizer alone.
+    parameter values; the optimizer runs it twice per step, the second
+    time perturbed and updating no running statistics. With rho=0 the
+    trajectory is identical to the base optimizer alone.
     """
 
     def __init__(self, params, config: SamConfig):
@@ -111,7 +113,8 @@ class SamOptimizer:
                 p.data = p.data + scale * g.astype(p.data.dtype)
 
         try:
-            _, g2 = self._eval_grads(loss_fn)
+            with passes(update_stats=False):
+                _, g2 = self._eval_grads(loss_fn)
         finally:
             for p, s in zip(self.params, snapshot):
                 p.data = s

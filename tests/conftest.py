@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from depest import autodiff as ad
 from depest.features import ClipSample
 
 
@@ -52,3 +53,11 @@ def tiny_clip(rng, subscores, participant_id="P000", gender="female", clip_index
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def pass_setting_restored():
+    """Fail a test that leaves autodiff's process-wide pass setting changed, and reset it for the next."""
+    yield
+    left, ad.current = ad.current, ad.Pass(update_stats=True)
+    assert left == ad.current, f"the test left autodiff.current at {left}"

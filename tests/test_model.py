@@ -30,7 +30,7 @@ from depest.model import (
 )
 from depest.musdl import MusdlConfig
 from depest.phq import N_ITEMS
-from depest.sam import SamConfig
+from depest.sam import SamConfig, SamOptimizer
 from depest.training import evaluate_clips, train
 
 SMALL_AUDIO = BranchConfig(in_channels=8, conv_channels=(4,), pools=(2,), strides=(1,), lstm_hidden=3, out_dim=6)
@@ -169,11 +169,12 @@ class TestForward:
 
     def test_subatten_graph_size(self, rng):
         # the bank stores each role of its 8 heads as one array with a head
-        # axis and the item heads are one stacked affine: 78 graph nodes in
-        # this forward, where joining the heads' parameters on every pass
-        # made it 137 and 8 one-channel head graphs 375
+        # axis, the model reads its stacked output and the item heads are one
+        # stacked affine: 69 graph nodes in this forward, where slicing out
+        # the 8 heads' outputs and joining them back made it 78, joining the
+        # heads' parameters on every pass 137 and 8 one-channel head graphs 375
         model = MultiModalClassifier(small_config("avt", "subatten"), rng=rng, dtype=np.float64)
-        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 78
+        assert graph_nodes(model(**small_inputs(rng, B=2, modality="avt"))) <= 69
 
     def test_atten_graph_size(self, rng):
         # a lone block joins no copies of its parameters and the 8 item
@@ -595,6 +596,36 @@ print(before, threads())
                      "--config", str(cfg), "--epochs", "1"]) == 0
         assert started and all(p.joined for p in started) and threading.active_count() == before
         assert main(prep + ["--out-dir", str(tmp_path / "again")]) == 0
+
+
+class TestSamRunningStats:
+    @pytest.mark.parametrize("rho", [0.05, 0.0])
+    @pytest.mark.parametrize("cpus", [None, 2], ids=["serial", "lanes"])
+    def test_step_updates_running_stats_once_at_the_unperturbed_weights(self, monkeypatch, cpus, rho):
+        # SAM's perturbed pass updates no batch-norm statistics, on the pool
+        # lane (the visual branch) too: a step leaves the running stats of one
+        # training-mode forward of the weights it started from
+        if cpus:
+            force_lanes(monkeypatch, cpus)
+        inputs = small_inputs(np.random.default_rng(5), B=8, modality="avt")
+        ref, model = (MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4)) for _ in range(2))
+        before = {k: v.copy() for k, v in model.state().items()}
+        ref(**inputs)
+        started = record_pools(monkeypatch)
+
+        def loss_fn():
+            out = model(**inputs)
+            return ad.sum_(ad.mul(out, out))
+
+        SamOptimizer(list(model.parameters()), SamConfig(rho=rho, lr=0.1)).step(loss_fn)
+        # a pool for each forward and each backward, one pass at rho = 0 and two above
+        assert len(started) == (2 + 2 * (rho > 0) if cpus else 0)
+        want, got = ref.state(), model.state()
+        stats = [k for k in got if k.endswith(("running_mean", "running_var"))]
+        assert len(stats) == 2 * (3 + 8)  # a batch norm per branch and 8 in the bank
+        for k in stats:
+            assert got[k].tobytes() == want[k].tobytes(), k
+            assert not np.array_equal(got[k], before[k]), k
 
 
 class TestClipPlumbing:

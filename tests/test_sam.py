@@ -135,6 +135,7 @@ class TestPerturbationGeometry:
         with pytest.raises(NumericError):
             sam.step(loss_fn)
         assert np.array_equal(w.data, before)
+        assert ad.current.update_stats
 
     def test_zero_gradient_falls_back_to_plain_step(self):
         w = ad.tensor(np.zeros(3), requires_grad=True)

@@ -1,5 +1,6 @@
 """Training loop: overfit sanity, SGD equivalence, logs, early stops, reports."""
 
+import contextlib
 import io
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import tiny_clip
 from depest import autodiff as ad
-from depest import training
+from depest import sam, training
 from depest.errors import ConfigError, EmptyInputError
 from depest.model import BranchConfig, ModelConfig, MultiModalClassifier, batch_inputs
 from depest.musdl import MusdlConfig, kl_rows
@@ -138,6 +139,26 @@ class TestSgdEquivalence:
         assert sorted(got) == sorted(want)
         for name in want:
             assert np.array_equal(got[name], want[name]), name
+
+
+class TestSamRunningStats:
+    def test_perturbed_pass_changes_only_the_running_stats(self, monkeypatch):
+        # SAM's perturbed pass runs under passes(update_stats=False); with the
+        # setter a no-op it folds its statistics in too. Training normalizes
+        # by batch statistics, so the weights and losses are the same bits
+        clips = separable_clips(n_per_group=4)
+        runs = []
+        for frozen in (True, False):
+            if not frozen:
+                monkeypatch.setattr(sam, "passes", lambda **changes: contextlib.nullcontext())
+            model, log = make_model("avt", "subatten"), io.StringIO()
+            train(model, clips, musdl_cfg=MUSDL_CFG, sam_cfg=SAM_CFG, epochs=2, batch_size=4, seed=0, log_fh=log)
+            runs.append((model.state(), [line.split()[1] for line in log.getvalue().splitlines()]))
+        (state, losses), (state_all, losses_all) = runs
+        assert losses == losses_all and len(losses) == 2
+        differ = {k for k in state if state[k].tobytes() != state_all[k].tobytes()}
+        stats = {k for k in state if k.endswith(("running_mean", "running_var"))}
+        assert differ == stats and len(stats) == 2 * (3 + 8)
 
 
 class TestLogging:

@@ -31,11 +31,10 @@ are all zero its every later ``dz`` is exactly zero, so its GEMMs cover
 only the steps it reached, and the loop stops when both have stopped.
 
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
-own parameters (Tensors with ``requires_grad=True``) and non-trainable
-buffers (the plain arrays whose names a class lists in ``_buffers``, e.g.
-batch-norm running stats). One walk of the module tree names them all by
-dotted path for checkpointing and optimizers; the modules in a list
-attribute are named by their index (``convs.0.weight``).
+hold all their state as Tensors in the module's dtype: parameters need a
+gradient, batch-norm running stats do not. One walk of the module tree
+names them all by dotted path for checkpointing and optimizers; the
+modules in a list attribute are named by their index (``convs.0.weight``).
 """
 
 from __future__ import annotations
@@ -212,8 +211,7 @@ def batch_norm(
             running_var *= 1.0 - _BN_MOMENTUM
             running_var += _BN_MOMENTUM * var
     else:
-        mu = running_mean.astype(x.data.dtype)
-        var = running_var.astype(x.data.dtype)
+        mu, var = running_mean, running_var
 
     inv = 1.0 / np.sqrt(var + _BN_EPS)
     xhat = (x.data - mu.reshape(bshape)) * inv.reshape(bshape)
@@ -429,9 +427,7 @@ def bilstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
 
 
 class Module:
-    """Tiny parameter container with dotted-name introspection."""
-
-    _buffers = ()  # names of the class's non-trainable array attributes
+    """Tiny Tensor container with dotted-name introspection; parameters are the Tensors that need a gradient."""
 
     def __init__(self):
         self.training = True
@@ -450,16 +446,16 @@ class Module:
                 yield name, value
 
     def _leaves(self, prefix: str = ""):
-        """(dotted name, parameter Tensor or buffer array) of every leaf below, in attribute order."""
+        """(dotted name, Tensor) of every Tensor below, in attribute order."""
         for name, value in self._children():
             full = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad or name in self._buffers:
+            if isinstance(value, Tensor):
                 yield full, value
             elif isinstance(value, Module):
                 yield from value._leaves(f"{full}.")
 
     def named_parameters(self):
-        return ((name, leaf) for name, leaf in self._leaves() if isinstance(leaf, Tensor))
+        return ((name, leaf) for name, leaf in self._leaves() if leaf.requires_grad)
 
     def parameters(self):
         for _, p in self.named_parameters():
@@ -476,11 +472,11 @@ class Module:
         return self.train(False)
 
     def state(self) -> dict[str, np.ndarray]:
-        """Flat name -> array snapshot of parameters and buffers."""
-        return {name: leaf.data if isinstance(leaf, Tensor) else leaf for name, leaf in self._leaves()}
+        """Flat name -> the array of every Tensor below: what a checkpoint stores."""
+        return {name: leaf.data for name, leaf in self._leaves()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Copy arrays into the parameters/buffers; names and shapes must match exactly."""
+        """Give every Tensor below a copy of its array cast to its dtype; names and shapes must match exactly."""
         own = dict(self._leaves())
         missing = [name for name in own if name not in state]
         if missing:
@@ -489,13 +485,9 @@ class Module:
             if name not in own:
                 raise ShapeError(f"unexpected checkpoint entry '{name}'")
             leaf = own[name]
-            target = leaf.data if isinstance(leaf, Tensor) else leaf
-            if target.shape != arr.shape:
-                raise ShapeError(f"shape mismatch for '{name}': model {target.shape}, state {arr.shape}")
-            if isinstance(leaf, Tensor):
-                leaf.data = arr.astype(target.dtype, copy=True)
-            else:
-                leaf[...] = arr
+            if leaf.data.shape != arr.shape:
+                raise ShapeError(f"shape mismatch for '{name}': model {leaf.data.shape}, state {arr.shape}")
+            leaf.data = arr.astype(leaf.data.dtype, copy=True)
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
@@ -534,19 +526,17 @@ class Conv2d(_Conv):
 
 
 class BatchNorm(Module):
-    _buffers = ("running_mean", "running_var")
-
     def __init__(self, num_features, dtype=np.float32):
         super().__init__()
         if num_features < 1:
             raise ConfigError("batch norm needs at least one feature")
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
+        self.running_mean = Tensor(np.zeros(num_features, dtype=dtype))
+        self.running_var = Tensor(np.ones(num_features, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training)
+        return batch_norm(x, self.gamma, self.beta, self.running_mean.data, self.running_var.data, self.training)
 
 
 class Linear(Module):

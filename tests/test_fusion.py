@@ -32,7 +32,7 @@ class ReferenceHead:
         self.att_out = ReferenceAttention(rng, dtype)
 
     def leaves(self):
-        """(name in the stacked bank, one-channel parameter or buffer) of every leaf."""
+        """(name in the stacked bank, one-channel Tensor) of every leaf."""
         for name in ("conv_first", "conv_refine"):
             conv = getattr(self, name)
             yield f"{name}.weight", conv.weight
@@ -70,8 +70,7 @@ def bank_and_reference(dtype, training, rng):
             state[name][...] = rng.uniform(0.5, 2.0, size=N_ITEMS)
     for k, head in enumerate(refs):
         for name, leaf in head.leaves():
-            own = leaf.data if isinstance(leaf, ad.Tensor) else leaf
-            own[...] = head_slice(state[name], k).reshape(own.shape)
+            leaf.data[...] = head_slice(state[name], k).reshape(leaf.data.shape)
         head.train(training)
     bank.train(training)
     return bank, refs
@@ -118,11 +117,11 @@ def joined_reference(heads, y):
         return ad.add(ad.mul(t, scale), shift)
 
     def norm(bns, t):
-        stats = [np.concatenate([getattr(bn, name) for bn in bns]) for name in ("running_mean", "running_var")]
+        stats = [np.concatenate([getattr(bn, name).data for bn in bns]) for name in ("running_mean", "running_var")]
         gamma, beta = (ad.concat([getattr(bn, name) for bn in bns], axis=0) for name in ("gamma", "beta"))
         out = batch_norm(t, gamma, beta, *stats, bns[0].training)
         for bn, mu, var in zip(bns, *stats):
-            bn.running_mean[...], bn.running_var[...] = mu, var
+            bn.running_mean.data[...], bn.running_var.data[...] = mu, var
         return out
 
     def attend(units, x):
@@ -305,10 +304,10 @@ class TestBank:
         grads, state = {name: p.grad for name, p in bank.named_parameters()}, bank.state()
         for k, head in enumerate(refs):
             for name, leaf in head.leaves():
-                if isinstance(leaf, ad.Tensor):
+                if leaf.requires_grad:
                     assert head_slice(grads[name], k).tobytes() == leaf.grad.tobytes(), (k, name)
                 else:
-                    assert head_slice(state[name], k).tobytes() == leaf.tobytes(), (k, name)
+                    assert head_slice(state[name], k).tobytes() == leaf.data.tobytes(), (k, name)
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_batched_bank_matches_per_head_reference(self, training):
@@ -333,13 +332,13 @@ class TestBank:
         grads, state = {name: p.grad for name, p in bank.named_parameters()}, bank.state()
         for k, head in enumerate(refs):
             leaves = dict(head.leaves())
-            scale = max(np.abs(p.grad).max() for p in leaves.values() if isinstance(p, ad.Tensor))
+            scale = max(np.abs(p.grad).max() for p in leaves.values() if p.requires_grad)
             for name, leaf in leaves.items():
-                if isinstance(leaf, ad.Tensor):
+                if leaf.requires_grad:
                     got, want = head_slice(grads[name], k).ravel(), leaf.grad.ravel()
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale, err_msg=name)
                 else:
-                    np.testing.assert_allclose(head_slice(state[name], k), leaf[0], rtol=0, atol=1e-12, err_msg=name)
+                    np.testing.assert_allclose(head_slice(state[name], k), leaf.data[0], rtol=0, atol=1e-12, err_msg=name)
 
     def test_mutating_one_head_leaves_others_fixed(self, rng):
         bank = SubAttentionalBank(rng=rng, dtype=np.float64)

@@ -308,9 +308,20 @@ class TestBatchNorm:
         x = rng.normal(loc=1.0, size=(16, 2))
         bn(ad.tensor(x))
         expect_mean = 0.1 * x.mean(axis=0)
-        np.testing.assert_allclose(bn.running_mean, expect_mean, atol=1e-12)
+        np.testing.assert_allclose(bn.running_mean.data, expect_mean, atol=1e-12)
         expect_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
-        np.testing.assert_allclose(bn.running_var, expect_var, atol=1e-12)
+        np.testing.assert_allclose(bn.running_var.data, expect_var, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_stats_are_gradient_free_tensors_in_the_module_dtype(self, dtype):
+        bn = BatchNorm(4) if dtype is np.float32 else BatchNorm(4, dtype=dtype)
+        for name in ("running_mean", "running_var"):
+            stat = getattr(bn, name)
+            assert isinstance(stat, ad.Tensor) and not stat.requires_grad
+            assert stat.data.dtype == dtype and stat.data.shape == (4,)
+            assert bn.state()[name] is stat.data
+        assert [n for n, _ in bn.named_parameters()] == ["gamma", "beta"]
+        assert list(bn.state()) == ["gamma", "beta", "running_mean", "running_var"]
 
     def test_eval_uses_running_stats(self, rng):
         bn = BatchNorm(2, dtype=np.float64)
@@ -319,7 +330,7 @@ class TestBatchNorm:
         bn.eval()
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 2))
         out = bn(ad.tensor(x))
-        expect = (x - bn.running_mean) / np.sqrt(bn.running_var + layers._BN_EPS)
+        expect = (x - bn.running_mean.data) / np.sqrt(bn.running_var.data + layers._BN_EPS)
         np.testing.assert_allclose(out.data, expect, atol=1e-10)
 
     def test_training_grads_match_fd(self, rng):
@@ -866,31 +877,28 @@ class TestModuleSystem:
         net.eval()
         assert not any(m.training for m in net.convs + net.bns)
 
-        net.bns[1].running_mean[...] = 5.0
+        net.bns[1].running_mean.data[...] = 5.0
         other = Net()
         other.load_state({k: v.copy() for k, v in net.state().items()})
         for (n1, a1), (n2, a2) in zip(net.state().items(), other.state().items()):
             assert n1 == n2
             np.testing.assert_array_equal(a1, a2)
 
-    def test_class_listed_buffer_roundtrips_and_is_shape_checked(self, rng):
+    def test_gradient_free_tensor_leaf_roundtrips_and_is_shape_checked(self, rng):
         class Net(Module):
-            _buffers = ("stat",)
-
             def __init__(self):
                 super().__init__()
                 self.fc = Linear(2, 3, rng=rng)
-                self.stat = np.zeros(3)
+                self.stat = ad.Tensor(np.zeros(3, dtype=np.float32))
 
         net = Net()
-        net.stat[...] = [1.0, 2.0, 3.0]
+        net.stat.data[...] = [1.0, 2.0, 3.0]
         assert [n for n, _ in net.named_parameters()] == ["fc.weight", "fc.bias"]
         assert list(net.state()) == ["fc.weight", "fc.bias", "stat"]
         other = Net()
-        stat = other.stat
-        other.load_state({k: v.copy() for k, v in net.state().items()})
-        assert other.stat is stat  # a buffer is written in place
-        np.testing.assert_array_equal(other.stat, [1.0, 2.0, 3.0])
+        other.load_state({k: v.astype(np.float64) for k, v in net.state().items()})
+        assert other.stat.data.dtype == np.float32  # cast to the leaf's own dtype
+        np.testing.assert_array_equal(other.stat.data, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(other.fc.weight.data, net.fc.weight.data)
         with pytest.raises(ShapeError, match="'stat'"):
             other.load_state({**net.state(), "stat": np.zeros(4)})

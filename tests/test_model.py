@@ -16,7 +16,7 @@ import pytest
 
 from conftest import fd_gradients, rel_err, tiny_clip
 from depest import autodiff as ad
-from depest import data, model as model_mod
+from depest import data, model as model_mod, tensorio
 from depest.cli import main
 from depest.config import model_config, parse_config
 from depest.errors import ConfigError, DataError, NumericError, ShapeError
@@ -695,3 +695,25 @@ class TestStateTransfer:
         assert not np.allclose(fresh(**inputs).data, ref)
         fresh.load_state(model.state())
         np.testing.assert_array_equal(fresh(**inputs).data, ref)
+
+    def test_checkpoint_holds_exactly_the_trained_state(self, tmp_path):
+        # one SAM step moves the running statistics; a save and load then
+        # gives a fresh model every state() entry's bits and dtype
+        model = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(4))
+        inputs = small_inputs(np.random.default_rng(5), B=4, modality="avt")
+
+        def loss_fn():
+            out = model(**inputs)
+            return ad.sum_(ad.mul(out, out))
+
+        SamOptimizer(list(model.parameters()), SamConfig(rho=0.05, lr=0.1)).step(loss_fn)
+        tensorio.save_checkpoint(tmp_path / "model.ckpt", epoch=1, config_text="", state=model.state())
+        fresh = MultiModalClassifier(small_config("avt"), rng=np.random.default_rng(9))
+        init = {k: v.copy() for k, v in fresh.state().items()}
+        fresh.load_state(tensorio.load_checkpoint(tmp_path / "model.ckpt").state)
+        want, got = model.state(), fresh.state()
+        assert list(got) == list(want)
+        stats = [k for k in want if k.endswith(("running_mean", "running_var"))]
+        assert len(stats) == 22 and not any(np.array_equal(want[k], init[k]) for k in stats)
+        for k in want:
+            assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k

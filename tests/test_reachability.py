@@ -27,6 +27,10 @@ A dataclass field is state, and state needs a reader: product code must
 read every field of a dataclass defined there, as an attribute or
 through ``getattr`` with a constant name. Fields are matched by name, as
 methods are.
+
+A module holds one kind of state, Tensors: no ``__init__`` of a ``Module``
+subclass in ``src/`` may bind a public attribute to a bare numpy array
+(``self.x = np.zeros(...)``), which checkpoints and ``state()`` would miss.
 """
 
 import ast
@@ -249,3 +253,45 @@ def _unread_fields() -> list:
 def test_every_dataclass_field_is_read_by_product_code():
     unread = _unread_fields()
     assert not unread, "dataclass fields that no code in src/ or scripts/ reads:\n" + "\n".join(unread)
+
+
+def _self_bindings(func):
+    """(target, value) of each ``self.x = ...`` in ``func``; a tuple target pairs with a tuple value."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                for t, v in pairs:
+                    if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self":
+                        yield t, v
+
+
+def _bare_array_attributes() -> list:
+    """Public ``self.x = np.<fn>(...)`` bindings in the ``__init__`` of a ``Module`` subclass in src/."""
+    classes = {}
+    for path in sorted((ROOT / "src" / "depest").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (path.stem, node, [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases])
+
+    def is_module(name):
+        return name == "Module" or name in classes and any(is_module(b) for b in classes[name][2])
+
+    found = []
+    for name, (module, cls, _) in classes.items():
+        init = next((f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
+        if init is None or not is_module(name):
+            continue
+        for t, v in _self_bindings(init):
+            func = v.func if isinstance(v, ast.Call) else None
+            if not t.attr.startswith("_") and getattr(getattr(func, "value", None), "id", None) == "np":
+                found.append(f"{module}.py:{t.lineno}: {name}.{t.attr}")
+    return found
+
+
+def test_modules_hold_no_bare_numpy_arrays():
+    found = _bare_array_attributes()
+    assert not found, "module state held as a bare numpy array, not a Tensor:\n" + "\n".join(found)

@@ -277,7 +277,7 @@ def _scan_rows(path, n_fields: int, what: str) -> np.ndarray:
             if len(vals) != n_fields:
                 raise FormatError(f"{path}:{ln}: expected {n_fields} fields, got {len(vals)}")
             try:
-                rows.append(np.array(vals, dtype=np.float64))
+                rows.append(np.loadtxt([line], dtype=np.float64, comments=None))  # the fast path's grammar
             except ValueError as exc:
                 raise FormatError(f"{path}:{ln}: non-numeric field") from exc
     if not rows:

@@ -12,14 +12,15 @@ and run as one affine, whose logits share one softmax over the expanded
 
 The backbones share nothing until the fusion stage, so a forward pass
 runs them on ``data.map_lanes``, the one lane scheduler, which also runs
-``data.map_sessions``: the calling thread runs one lane and a thread pool
-that lives for that call alone runs the rest, so no thread outlives a
-pass into the fork ``map_sessions`` makes. Every forward first makes the
-process's one-time setup (numpy's OpenBLAS at one thread, glibc at one
-malloc arena), then runs lanes from a batch x ``lstm_hidden`` of
-``_MIN_LANE_WORK`` up, where numpy's calls release the GIL for most of a
-pass, and marks the outputs so that ``autodiff.backward`` runs each
-branch's backward on its lane too. Every bit is the serial one.
+``data.map_sessions``: the calling thread runs one lane, and each other
+lane is a loop on its own thread over a thread pool, all living for that
+call alone, so no thread outlives a pass into a ``map_sessions`` fork.
+Every forward first makes the process's one-time setup (numpy's OpenBLAS
+at one thread, glibc at one malloc arena), then runs lanes from a batch
+x ``lstm_hidden`` of ``_MIN_LANE_WORK`` up, where numpy's calls release
+the GIL for most of a pass, and marks the outputs so that
+``autodiff.backward`` runs each branch's backward on its lane too. Every
+bit is the serial one.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import hashlib
 import os
 import re
 import sys
+import threading
 import time
 import weakref
 from functools import partial
@@ -296,7 +297,7 @@ class TestMapSessions:
 
     def test_thread_lanes_run_each_item_once_in_order(self, monkeypatch):
         # more lanes than a 2-CPU machine has cores and a short switch
-        # interval, so the pool's callbacks and the caller interleave often
+        # interval, so the pool lanes' loops and the caller interleave often
         monkeypatch.setattr(data, "_available_cpus", lambda: 4)
         calls = []
         interval = sys.getswitchinterval()
@@ -308,18 +309,22 @@ class TestMapSessions:
         assert out == [i * i for i in range(300)]
         assert sorted(calls) == list(range(300))
 
-    @pytest.mark.parametrize("bad", [None, 0, 1], ids=["no-error", "caller-fails", "worker-fails"])
-    def test_items_die_with_their_last_reference(self, monkeypatch, bad):
+    @pytest.mark.parametrize(
+        "cpus, bad",
+        [(2, ()), (2, (0,)), (2, (1,)), (4, (1, 2))],
+        ids=["no-error", "caller-fails", "worker-fails", "two-workers-fail-on-4-cpus"],
+    )
+    def test_items_die_with_their_last_reference(self, monkeypatch, cpus, bad):
         # a model forward's items are its batch inputs: no reference cycle may
         # keep them alive until the cyclic collector runs
-        monkeypatch.setattr(data, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(data, "_available_cpus", lambda: cpus)
         items = [np.full(4, float(i)) for i in range(6)]
         refs = [weakref.ref(a) for a in items]
 
         def fn(a):
-            if a[0] == bad:
-                time.sleep(0.05)  # the other lane's results wait uncollected
-                raise ConfigError(f"session {bad} failed")
+            if a[0] in bad:
+                time.sleep(0.05)  # the other lanes' results are stored meanwhile
+                raise ConfigError(f"session {a[0]:g} failed")
             return a
 
         gc.collect()
@@ -328,14 +333,37 @@ class TestMapSessions:
             try:
                 out = map_on_threads(fn, items)
             except ConfigError:
-                assert bad is not None
+                assert bad
             else:
-                assert bad is None and [o[0] for o in out] == list(range(6))
+                assert not bad and [o[0] for o in out] == list(range(6))
                 del out
             del items
             assert [r() is None for r in refs] == [True] * 6
         finally:
             gc.enable()
+
+    def test_caller_submits_each_pool_lanes_first_item_before_its_own(self, monkeypatch):
+        # map_sessions relies on this: a forking pool forks on its first
+        # submit, which must come before any item runs and any lane thread starts
+        monkeypatch.setattr(data, "_available_cpus", lambda: 3)
+        caller = threading.current_thread()
+        events = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, item):
+                events.append(("submit", item, threading.current_thread() is caller))
+                return super().submit(fn, item)
+
+        def fn(item):
+            events.append(("run", item, threading.current_thread() is caller))
+            return item
+
+        assert data.map_lanes(fn, range(9), Recording) == list(range(9))
+        submits = [(item, by_caller) for kind, item, by_caller in events if kind == "submit"]
+        # 3 lanes: the caller runs 0, 3 and 6, and the pool lanes 1, 2, 4, 5, 7 and 8
+        assert submits[:2] == [(1, True), (2, True)]
+        assert sorted(submits[2:]) == [(4, False), (5, False), (7, False), (8, False)]
+        assert events.index(("run", 0, True)) > max(events.index(("submit", i, True)) for i in (1, 2))
 
     @pytest.mark.parametrize(
         "bad, run",

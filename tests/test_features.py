@@ -375,6 +375,21 @@ class TestTextIo:
         with pytest.raises(FormatError, match="bad.txt:2: expected 217 fields, got 219"):
             read_keypoints(path)
 
+    @pytest.mark.parametrize(
+        "reader, stamps, width",
+        [(read_keypoints, "{k}", FRAME_ROWS * 3), (ingest_embeddings, "{k} {k}.5", EMBED_DIM)],
+        ids=["keypoints", "embeddings"],
+    )
+    @pytest.mark.parametrize("field", ["1_000", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+    def test_python_only_numbers_rejected_with_line(self, tmp_path, reader, stamps, width, field):
+        # Python's float() reads "1_000" and the Arabic-Indic digit one; numpy's reader, the fast path, does not
+        rows = [stamps.format(k=k) + " 2.0" * width for k in range(3)]
+        rows[1] = rows[1][: -len("2.0")] + field
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="bad.txt:2: non-numeric"):
+            reader(path)
+
     @pytest.mark.parametrize("stamp, error", [("0.1", "is below the previous 0.2"), ("nan", "is not finite")])
     def test_keypoints_bad_timestamp_names_file_and_line(self, tmp_path, stamp, error):
         # a blank line holds no frame, so frame 2 is on line 4

@@ -31,6 +31,12 @@ methods are.
 A module holds one kind of state, Tensors: no ``__init__`` of a ``Module``
 subclass in ``src/`` may bind a public attribute to a bare numpy array
 (``self.x = np.zeros(...)``), which checkpoints and ``state()`` would miss.
+
+One module starts threads, pools and processes: no module in ``src/``
+but ``data.py``, whose ``map_lanes`` is the one scheduler, may call
+``Thread``, ``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``Pool``,
+``Process`` or ``fork``. Passing a pool class to ``map_lanes`` names it
+without calling it, so the model's ``make_pool=ThreadPoolExecutor`` passes.
 """
 
 import ast
@@ -295,3 +301,25 @@ def _bare_array_attributes() -> list:
 def test_modules_hold_no_bare_numpy_arrays():
     found = _bare_array_attributes()
     assert not found, "module state held as a bare numpy array, not a Tensor:\n" + "\n".join(found)
+
+
+# the calls that start a thread, a pool or a process, matched by name
+CONCURRENCY = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "Process", "fork"}
+
+
+def _concurrency_calls() -> list:
+    """Calls in src/ outside ``data.py`` that start a thread, a pool or a process."""
+    found = []
+    for path in sorted((ROOT / "src" / "depest").glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+            if name in CONCURRENCY:
+                found.append(f"{path.name}:{node.lineno}: {name}()")
+    return found
+
+
+def test_only_the_scheduler_starts_threads_or_processes():
+    found = _concurrency_calls()
+    assert not found, "threads, pools or processes started outside data.map_lanes:\n" + "\n".join(found)

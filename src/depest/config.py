@@ -1,8 +1,9 @@
 """Flat key=value run configuration.
 
 One text file, one `key=value` per line, '#' comments allowed. Every key
-has a default here, the one home of every run setting; unknown keys and
-non-finite float values are rejected so typos fail loudly. The
+has a default here, the one home of every run setting; unknown keys,
+non-finite float values and numbers in any text but ASCII without ``_``
+are rejected so typos fail loudly. The
 canonical serialization (sorted keys) is stored in checkpoints, so eval
 rebuilds a model under the configuration it was trained with.
 """
@@ -60,14 +61,19 @@ DEFAULTS = {
 }
 
 
+def _number(convert, raw: str):
+    """``convert(raw)`` on ASCII text without ``_``; Python's int and float alone also read ``1_6`` and non-ASCII digits."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return convert(raw)
+
+
 def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
     raw = raw.strip()
     try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        if isinstance(default, (int, float)):
+            return _number(type(default), raw)
     except ValueError as exc:
         raise ConfigError(f"config key '{key}' expects a {type(default).__name__}, got '{raw}'") from exc
     return raw
@@ -114,7 +120,7 @@ def canonical_text(cfg: dict) -> str:
 
 def _int_tuple(key: str, raw: str) -> tuple:
     try:
-        vals = tuple(int(v) for v in str(raw).split(",") if v.strip() != "")
+        vals = tuple(_number(int, v) for v in str(raw).split(",") if v.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"config key '{key}' expects comma-separated integers, got '{raw}'") from exc
     if not vals:

@@ -30,6 +30,21 @@ many times slower on x86. Once a direction's ``dh`` and ``dc``
 are all zero its every later ``dz`` is exactly zero, so its GEMMs cover
 only the steps it reached, and the loop stops when both have stopped.
 
+Small recurrences run one at a time. Below B x H =
+``_MIN_RECURRENCE_OVERLAP`` a ``bilstm`` runs its forward step loop and
+its backward chunk loop under the one process-wide lock ``_recurrence``.
+There a step is 12 (forward) to 17 (backward) numpy calls on small
+arrays, each of which releases the GIL and takes it back, so two
+recurrences on the model's branch lanes would hand the GIL to each other
+on almost every call: on lanes ``train_small``'s visual BiLSTM backward
+took 32.9 ms against 11.2 ms serially. Under the lock the other lane's
+convs, batch norms, pools, input projections and closing GEMMs still
+overlap the recurrence. From the bound up the per-step GEMM dominates
+and recurrences overlap. Only the schedule changes, never a bit. No fork
+can copy the lock held: it is held only inside a step loop, a pass joins
+its lanes before it returns, and ``data.map_sessions`` forks outside
+passes.
+
 Modules (``Conv1d``, ``Conv2d``, ``BatchNorm``, ``Linear``, ``BiLSTM``)
 hold all their state as Tensors in the module's dtype: parameters need a
 gradient, batch-norm running stats do not. One walk of the module tree
@@ -39,7 +54,9 @@ modules in a list attribute are named by their index (``convs.0.weight``).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import threading
 
 import numpy as np
 
@@ -50,6 +67,15 @@ from .errors import ConfigError, ShapeError
 _BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 _BN_EPS = 1e-5  # added to the variance before its square root
 _CHUNK = 16384  # elements per operand slab of the steps a BiLSTM backward chunk lays out at once
+# Below this B x H a bilstm runs its step loops under _recurrence (2 x86-64
+# CPUs). In process, default convs, one training pass on lanes, lock against
+# none, medians of 8 passes in two rounds (IQRs 25-150 ms): 313/284 against
+# 362/323 ms at H=32, B=16; 430/362 against 463/487 at H=64, B=16; 323/313
+# against 338/390 at H=128, B=8; 426/475 against 489/576 at H=128, B=12;
+# but 537/601 against 517/515 at H=128, B=16, and perfbench train_full lost
+# 4 of 4 pairs to a lock at every size.
+_MIN_RECURRENCE_OVERLAP = 2048
+_recurrence = threading.Lock()  # held only inside a step loop
 
 # -- functional ops ----------------------------------------------------
 
@@ -280,6 +306,14 @@ def bilstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     tanh, whose SIMD tails may round by batch size, runs on the forward's
     own [2, B, H] shapes; the GEMMs see the same operands in the same
     layout.
+
+    Below B x H = ``_MIN_RECURRENCE_OVERLAP`` the forward's step loop and
+    the backward's chunk loop each hold ``_recurrence``, and release it
+    also on error, so only one small recurrence runs at a time: at those
+    widths two overlapping ones trade the GIL on almost every call. The
+    lock is held only inside a loop, and a pass joins its lanes before it
+    returns, so a fork outside passes (``data.map_sessions``) never copies
+    it held.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"bilstm expects [B,T,D] input, got {x.data.shape}")
@@ -306,21 +340,23 @@ def bilstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
     for d, rows in enumerate((xt, xr)):
         np.matmul(rows, w.data[d], out=gates[d].reshape(T * B, 4 * H))
         gates[d] += b.data[d]
+    turn = _recurrence if B * H < _MIN_RECURRENCE_OVERLAP else contextlib.nullcontext()  # for both step loops
     h = np.zeros((2, B, H), dtype=dtype)
     hc = np.empty((2, B, H), dtype=dtype)
     cs = np.zeros((T + 1, 2, B, H), dtype=dtype)
-    for s in range(T):
-        z = np.matmul(h, u.data)
-        z += gates[:, s]
-        z *= scale
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        gates[:, s] = z  # the activated gates, kept for backward
-        np.multiply(z[..., H : 2 * H], cs[s], out=cs[s + 1])
-        cs[s + 1] += z[..., :H] * z[..., 2 * H : 3 * H]
-        np.tanh(cs[s + 1], out=hc)
-        np.multiply(z[..., 3 * H :], hc, out=h)
+    with turn:
+        for s in range(T):
+            z = np.matmul(h, u.data)
+            z += gates[:, s]
+            z *= scale
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            gates[:, s] = z  # the activated gates, kept for backward
+            np.multiply(z[..., H : 2 * H], cs[s], out=cs[s + 1])
+            cs[s + 1] += z[..., :H] * z[..., 2 * H : 3 * H]
+            np.tanh(cs[s + 1], out=hc)
+            np.multiply(z[..., 3 * H :], hc, out=h)
     out_data = np.concatenate([h[0], h[1]], axis=1)
 
     floor = np.sqrt(np.finfo(dtype).tiny)  # the product of two values above it is normal
@@ -354,55 +390,56 @@ def bilstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
         reach = [T if alive else 0 for alive in live]
         mul = np.multiply
         hi = T
-        while hi and any(live):
-            lo = max(hi - n, 0)
-            k = hi - lo
-            chunk = gates[:, lo:hi].reshape(2, k, B, 4, H).transpose(1, 3, 0, 2, 4)  # [k, slab, 2, B, H]
-            np.copyto(ops[:k, 2:4], chunk[:, :2])
-            np.copyto(ops[:k, 0], chunk[:, 2])
-            np.copyto(ops[:k, 5], chunk[:, 3])
-            np.copyto(ops[:k, 1], cs[lo:hi])
-            mul(ops[:k, 0], ops[:k, 0], out=ops[:k, 4])
-            np.subtract(1.0, ops[:k, 4], out=ops[:k, 4])
-            np.subtract(1.0, ops[:k, 2:4], out=ops[:k, 6:8])
-            np.subtract(1.0, ops[:k, 5], out=ops[:k, 9])
-            # the forward's tanh call on each step's cell state rebuilds its
-            # bits; the exact products around it run over the whole chunk
-            for j in range(k + 1):
-                np.tanh(cs[lo + j], out=tcs[j])
-            mul(tcs[1 : k + 1], tcs[1 : k + 1], out=dtanh[:k])
-            np.subtract(1.0, dtanh[:k], out=dtanh[:k])
-            # step s's input h is o of step s - 1 times tanh(c) entering step s
-            # (at s = 0, o * tanh(0) is the zero state)
-            mul(gates[:, lo - 1, :, 3 * H :], tcs[0], out=hs[lo : 2 * T - lo : 2 * T - 1 - 2 * lo])
-            mul(ops[: k - 1, 5, 0], tcs[1:k, 0], out=hs[lo + 1 : hi])
-            mul(ops[: k - 1, 5, 1], tcs[1:k, 1], out=hs[2 * T - hi : 2 * T - 1 - lo][::-1])
-            for j in range(k - 1, -1, -1):
-                s = lo + j
-                op = ops[j]
-                # every product in the order of dc += dh * o * (1 - tanh(c)^2),
-                # dz_i = dc * g * i * (1 - i), dz_f = dc * c_prev * f * (1 - f),
-                # dz_g = dc * i * (1 - g*g) (* 1) and dz_o = dh * tanh(c) * o * (1 - o)
-                mul(dh, op[5], out=tmp)
-                mul(tmp, dtanh[j], out=tmp)
-                np.add(dc, tmp, out=dc)
-                mul(dc, op[0:3], out=dz_c)
-                mul(dh, tcs[j + 1], out=dz_o)
-                mul(dz, op[2:6], out=dz)
-                mul(dz, op[6:10], out=dz)
-                _flush(dz, floor, *dz_bufs)
-                pair = dzs[s : 2 * T - s : 2 * T - 1 - 2 * s]
-                np.copyto(pair.reshape(2, B, 4, H), dz_t)
-                np.matmul(pair, u_t, out=dh)
-                mul(dc, op[3], out=dc)
-                small = _flush(dhc, floor, *dhc_bufs)
-                if np.count_nonzero(small) >= half:  # else no direction can be all zero
-                    for d in (0, 1):
-                        if live[d] and np.count_nonzero(small[:, d]) == half:
-                            live[d], reach[d] = False, T - s
-                    if not any(live):
-                        break
-            hi = lo
+        with turn:
+            while hi and any(live):
+                lo = max(hi - n, 0)
+                k = hi - lo
+                chunk = gates[:, lo:hi].reshape(2, k, B, 4, H).transpose(1, 3, 0, 2, 4)  # [k, slab, 2, B, H]
+                np.copyto(ops[:k, 2:4], chunk[:, :2])
+                np.copyto(ops[:k, 0], chunk[:, 2])
+                np.copyto(ops[:k, 5], chunk[:, 3])
+                np.copyto(ops[:k, 1], cs[lo:hi])
+                mul(ops[:k, 0], ops[:k, 0], out=ops[:k, 4])
+                np.subtract(1.0, ops[:k, 4], out=ops[:k, 4])
+                np.subtract(1.0, ops[:k, 2:4], out=ops[:k, 6:8])
+                np.subtract(1.0, ops[:k, 5], out=ops[:k, 9])
+                # the forward's tanh call on each step's cell state rebuilds its
+                # bits; the exact products around it run over the whole chunk
+                for j in range(k + 1):
+                    np.tanh(cs[lo + j], out=tcs[j])
+                mul(tcs[1 : k + 1], tcs[1 : k + 1], out=dtanh[:k])
+                np.subtract(1.0, dtanh[:k], out=dtanh[:k])
+                # step s's input h is o of step s - 1 times tanh(c) entering step s
+                # (at s = 0, o * tanh(0) is the zero state)
+                mul(gates[:, lo - 1, :, 3 * H :], tcs[0], out=hs[lo : 2 * T - lo : 2 * T - 1 - 2 * lo])
+                mul(ops[: k - 1, 5, 0], tcs[1:k, 0], out=hs[lo + 1 : hi])
+                mul(ops[: k - 1, 5, 1], tcs[1:k, 1], out=hs[2 * T - hi : 2 * T - 1 - lo][::-1])
+                for j in range(k - 1, -1, -1):
+                    s = lo + j
+                    op = ops[j]
+                    # every product in the order of dc += dh * o * (1 - tanh(c)^2),
+                    # dz_i = dc * g * i * (1 - i), dz_f = dc * c_prev * f * (1 - f),
+                    # dz_g = dc * i * (1 - g*g) (* 1) and dz_o = dh * tanh(c) * o * (1 - o)
+                    mul(dh, op[5], out=tmp)
+                    mul(tmp, dtanh[j], out=tmp)
+                    np.add(dc, tmp, out=dc)
+                    mul(dc, op[0:3], out=dz_c)
+                    mul(dh, tcs[j + 1], out=dz_o)
+                    mul(dz, op[2:6], out=dz)
+                    mul(dz, op[6:10], out=dz)
+                    _flush(dz, floor, *dz_bufs)
+                    pair = dzs[s : 2 * T - s : 2 * T - 1 - 2 * s]
+                    np.copyto(pair.reshape(2, B, 4, H), dz_t)
+                    np.matmul(pair, u_t, out=dh)
+                    mul(dc, op[3], out=dc)
+                    small = _flush(dhc, floor, *dhc_bufs)
+                    if np.count_nonzero(small) >= half:  # else no direction can be all zero
+                        for d in (0, 1):
+                            if live[d] and np.count_nonzero(small[:, d]) == half:
+                                live[d], reach[d] = False, T - s
+                        if not any(live):
+                            break
+                hi = lo
         del ops, tcs, dtanh
         # each direction's reached steps as time-ordered [T * B] rows: the
         # last ones going forward, the first ones going back

@@ -19,8 +19,11 @@ Every forward first makes the process's one-time setup (numpy's OpenBLAS
 at one thread, glibc at one malloc arena), then runs lanes from a batch
 x ``lstm_hidden`` of ``_MIN_LANE_WORK`` up, where numpy's calls release
 the GIL for most of a pass, and marks the outputs so that
-``autodiff.backward`` runs each branch's backward on its lane too. Every
-bit is the serial one.
+``autodiff.backward`` runs each branch's backward on its lane too. Below
+``layers._MIN_RECURRENCE_OVERLAP`` the lanes' BiLSTM step loops take
+turns under ``layers``' one lock, because their many small numpy calls
+would trade the GIL on almost every call; the rest of each branch still
+overlaps them. Every bit is the serial one.
 """
 
 from __future__ import annotations
@@ -47,9 +50,12 @@ CONV_KERNEL = 3  # taps of every branch conv
 _M_ARENA_MAX = -8  # glibc mallopt parameter
 # Lanes from this batch x lstm_hidden up (2 x86-64 CPUs). In process, a
 # forward and backward on lanes took 0.66-0.73x the serial time at H=128,
-# B=12-16, and 0.93-1.07x at B=4-8 and at H=32, B=16; criterion 7's
-# H=8, B=8 model trained 1.18x slower on them. perfbench train_small
-# (H=32, B=16) ran 8% fewer SAM steps and 13% fewer eval clips serial.
+# B=12-16, and 0.93-1.07x at B=4-8 and at H=32, B=16 while small
+# recurrences overlapped; criterion 7's H=8, B=8 model trained 1.18x
+# slower on them. perfbench train_small (H=32, B=16) then ran 8% fewer SAM
+# steps and 13% fewer eval clips serial. With its small recurrences taking
+# turns (layers._MIN_RECURRENCE_OVERLAP), it ran 24% more SAM steps on
+# lanes than before (12 of 12 perfbench pairs).
 _MIN_LANE_WORK = 512
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from depest import autodiff as ad
+from depest import layers
 from depest.features import ClipSample
 
 
@@ -61,3 +62,13 @@ def pass_setting_restored():
     yield
     left, ad.current = ad.current, ad.Pass(update_stats=True)
     assert left == ad.current, f"the test left autodiff.current at {left}"
+
+
+@pytest.fixture(autouse=True)
+def recurrence_lock_free():
+    """Fail a test that leaves the BiLSTM recurrence lock held, and free it for the next."""
+    yield
+    held = layers._recurrence.locked()
+    if held:
+        layers._recurrence.release()
+    assert not held, "the test left layers._recurrence held"

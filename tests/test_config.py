@@ -80,6 +80,26 @@ class TestParse:
         cfg = parse_config(overrides={"epochs": "12"})
         assert cfg["epochs"] == 12
 
+    # Python's int and float read all three: 16, 0.01 and 3 (an Arabic-Indic three)
+    @pytest.mark.parametrize("key, raw", [("batch_size", "1_6"), ("lr", "0.0_1"), ("epochs", "\u0663")])
+    def test_numbers_outside_ascii_without_underscores_rejected(self, tmp_path, key, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={raw}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            parse_config(overrides={key: raw})
+
+    @pytest.mark.parametrize("raw", ["1_6", "\u0663", "16,3_2"])
+    def test_stage_list_numbers_outside_ascii_without_underscores_rejected(self, raw):
+        with pytest.raises(ConfigError, match="config key 'audio_channels'"):
+            model_config(parse_config(overrides={"audio_channels": raw}))
+
+    def test_plain_numbers_still_parse(self):
+        cfg = parse_config(overrides={"lr": "1e-3", "momentum": "-0.5", "batch_size": " 16 ", "audio_channels": "32,64"})
+        assert (cfg["lr"], cfg["momentum"], cfg["batch_size"]) == (1e-3, -0.5, 16)
+        assert model_config(cfg).audio.conv_channels == (32, 64)
+
 
 class TestCanonical:
     def test_sorted_and_stable(self):
@@ -99,6 +119,12 @@ class TestCanonical:
         path = tmp_path / "run.cfg"
         path.write_text("lr=0.05\n")
         assert canonical_text(parse_config(path)) == canonical_text(parse_config(overrides={"lr": 0.05}))
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.1 + 1e-12, 1e-20, 5e-324, 1e300])
+    def test_checkpoint_text_round_trips(self, lr):
+        # as eval rebuilds a checkpoint's config
+        text = canonical_text(parse_config(overrides={"lr": lr}))
+        assert canonical_text(parse_config(None, dict(line.partition("=")[::2] for line in text.splitlines()))) == text
 
     def test_float_repr_distinguishes_close_values(self):
         a = canonical_text(parse_config(overrides={"lr": 0.1}))

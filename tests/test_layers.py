@@ -1,5 +1,6 @@
 """Layer ops against brute-force oracles and finite differences."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -821,6 +822,84 @@ class TestBiLSTM:
         ref_states, _ = reference_bilstm(*arrays, np.zeros((2, 4)))
         np.testing.assert_allclose(out[:, :2], ref_states[:, -1, :2], atol=1e-12)
         np.testing.assert_allclose(out[:, 2:], ref_states[:, 0, 2:], atol=1e-12)
+
+
+
+def on_thread(fn):
+    """Start fn() on a daemon thread; returns the thread and a dict that gets 'out' or 'error'."""
+    box = {}
+
+    def target():
+        try:
+            box["out"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, box
+
+
+class TestRecurrenceLock:
+    """Below B x H = ``_MIN_RECURRENCE_OVERLAP`` a bilstm's step loops run under ``layers._recurrence``."""
+
+    H = 8
+
+    def arrays(self, rng, below):
+        B = layers._MIN_RECURRENCE_OVERLAP // self.H - below
+        return lstm_arrays(rng, B=B, T=4, D=3, H=self.H, dtype=np.float32), rng.normal(size=(B, 2 * self.H))
+
+    @staticmethod
+    def assert_bytes_equal(got, want):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_forward_below_the_bound_waits_for_the_lock(self, rng):
+        arrays, _ = self.arrays(rng, below=1)
+        with layers._recurrence:
+            thread, box = on_thread(lambda: bilstm(*stacked_tensors(arrays)))
+            thread.join(0.2)
+            assert thread.is_alive()
+        thread.join(30)
+        assert not thread.is_alive() and "error" not in box
+        self.assert_bytes_equal([box["out"].data], [bilstm(*stacked_tensors(arrays)).data])
+
+    def test_backward_below_the_bound_waits_for_the_lock(self, rng):
+        arrays, g = self.arrays(rng, below=1)
+        tensors = stacked_tensors(arrays)
+        loss = ad.sum_(ad.mul(bilstm(*tensors), ad.tensor(g)))
+        with layers._recurrence:
+            thread, box = on_thread(lambda: ad.backward(loss))
+            thread.join(0.2)
+            assert thread.is_alive()
+        thread.join(30)
+        assert not thread.is_alive() and "error" not in box
+        self.assert_bytes_equal(unstacked([t.grad for t in tensors]), run_bilstm(arrays, g)[1])
+
+    def test_at_the_bound_forward_and_backward_run_while_the_lock_is_held(self, rng):
+        arrays, g = self.arrays(rng, below=0)
+        with layers._recurrence:
+            thread, box = on_thread(lambda: run_bilstm(arrays, g))
+            thread.join(30)
+            assert not thread.is_alive() and "error" not in box
+        out, grads = box["out"]
+        want_out, want_grads = run_bilstm(arrays, g)
+        self.assert_bytes_equal([out, *grads], [want_out, *want_grads])
+
+    def test_error_in_the_backward_step_loop_frees_the_lock(self, rng, monkeypatch):
+        arrays, g = self.arrays(rng, below=1)
+        tensors = stacked_tensors(arrays)
+        loss = ad.sum_(ad.mul(bilstm(*tensors), ad.tensor(g)))
+        flush = layers._flush
+
+        def failing_flush(*args):
+            if layers._recurrence.locked():  # inside the step loop
+                raise RuntimeError("flush failed")
+            return flush(*args)
+
+        monkeypatch.setattr(layers, "_flush", failing_flush)
+        with pytest.raises(RuntimeError, match="flush failed"):
+            ad.backward(loss)
+        assert not layers._recurrence.locked()
 
 
 def test_flush_writes_positive_zero_below_floor_and_keeps_floor_and_nan():

@@ -37,6 +37,10 @@ but ``data.py``, whose ``map_lanes`` is the one scheduler, may call
 ``Thread``, ``ThreadPoolExecutor``, ``ProcessPoolExecutor``, ``Pool``,
 ``Process`` or ``fork``. Passing a pool class to ``map_lanes`` names it
 without calling it, so the model's ``make_pool=ThreadPoolExecutor`` passes.
+And ``src/`` makes one synchronisation object: one call of ``Lock``,
+``RLock``, ``Condition``, ``Semaphore``, ``BoundedSemaphore``, ``Event`` or
+``Barrier``, the ``Lock`` bound to ``layers._recurrence``, under which small
+BiLSTM recurrences run one at a time. The scheduler itself needs none.
 """
 
 import ast
@@ -307,19 +311,43 @@ def test_modules_hold_no_bare_numpy_arrays():
 CONCURRENCY = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "Process", "fork"}
 
 
+def _src_calls(names):
+    """(file name, module tree, call node, name) of every call in src/ whose function is named in ``names``."""
+    for path in sorted((ROOT / "src" / "depest").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+            if name in names:
+                yield path.name, tree, node, name
+
+
 def _concurrency_calls() -> list:
     """Calls in src/ outside ``data.py`` that start a thread, a pool or a process."""
-    found = []
-    for path in sorted((ROOT / "src" / "depest").glob("*.py")):
-        if path.name == "data.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
-            if name in CONCURRENCY:
-                found.append(f"{path.name}:{node.lineno}: {name}()")
-    return found
+    return [f"{file}:{node.lineno}: {name}()" for file, _, node, name in _src_calls(CONCURRENCY) if file != "data.py"]
 
 
 def test_only_the_scheduler_starts_threads_or_processes():
     found = _concurrency_calls()
     assert not found, "threads, pools or processes started outside data.map_lanes:\n" + "\n".join(found)
+
+
+# the calls that make a synchronisation object, matched by name
+SYNCHRONISATION = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event", "Barrier"}
+
+
+def _module_binding(tree, call):
+    """The name a module-level ``name = call`` binds, else None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.value is call and len(node.targets) == 1:
+            return getattr(node.targets[0], "id", None)
+    return None
+
+
+def _synchronisation_objects() -> list:
+    """(file, the module-level name it is bound to or None, call) for each such call in src/."""
+    return [(file, _module_binding(tree, node), name) for file, tree, node, name in _src_calls(SYNCHRONISATION)]
+
+
+def test_one_lock_serialises_small_recurrences():
+    found = _synchronisation_objects()
+    assert found == [("layers.py", "_recurrence", "Lock")], f"synchronisation objects made in src/: {found}"
